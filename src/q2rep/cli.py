@@ -34,6 +34,11 @@ from .scalars import ExtScalar, parse_rational
 from .spectra import spectrum_of_matrix, values_close
 
 
+# Largest p any subcommand accepts: the matrices are 2p x 2p and exact, so
+# a larger --p would run for hours.
+MAX_P = 64
+
+
 def _parse_p_range(text: str) -> list[int]:
     try:
         if ".." in text:
@@ -45,6 +50,8 @@ def _parse_p_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad p range {text!r}: use N or A..B") from exc
     if lo_i < 1 or hi_i < lo_i:
         raise argparse.ArgumentTypeError(f"bad p range {text!r}")
+    if hi_i > MAX_P:
+        raise argparse.ArgumentTypeError(f"bad p range {text!r}: p is at most {MAX_P}")
     return list(range(lo_i, hi_i + 1))
 
 

@@ -1,9 +1,14 @@
-"""Small dense exact matrix helpers.
+"""Small exact matrix helpers that skip zero entries.
 
 Matrices are immutable tuples of tuples of ring elements (ExtScalar, Radical,
-Fraction, ...).  Products skip zero entries, which matters: representation
-matrices here have O(1) nonzeros per column, so sparse-aware multiplication
-turns the identity sweeps from minutes into seconds.
+Fraction, ...); the two matrices a kernel combines hold one element type.
+Representation matrices here have O(1) nonzeros per column, so the kernels
+do exact arithmetic only on nonzero entries: `matmul` gathers each row of
+the right factor's nonzeros once and accumulates row by row, and `add`,
+`sub` and `scale` pass zero operands through.  Every entry left zero is one
+shared zero of the result's type.  Each product entry still sums its terms
+over ascending k, so the results are the same exact values a dense product
+gives.
 """
 
 from __future__ import annotations
@@ -51,16 +56,41 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def _check_shapes(a: Matrix, b: Matrix) -> None:
+    if shape(a) != shape(b):
+        raise ValueError(f"shape mismatch {shape(a)} vs {shape(b)}")
+
+
+def _zero_like(x: T) -> T:
+    """The zero of x's type.
+
+    Callers pass a combination of both operands' first entries, so operands
+    from different extensions still raise as a dense kernel would.
+    """
+    return x - x
+
+
 def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    _check_shapes(a, b)
+    zero = _zero_like(a[0][0] + b[0][0]) if a and a[0] else None
+    return tuple(
+        tuple((x + y if y else x) if x else (y if y else zero) for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    _check_shapes(a, b)
+    zero = _zero_like(a[0][0] - b[0][0]) if a and a[0] else None
+    return tuple(
+        tuple((x - y if y else x) if x else (-y if y else zero) for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
 
 
 def scale(c: T, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    zero = _zero_like(c * a[0][0]) if a and a[0] else None
+    return tuple(tuple(c * x if x else zero for x in row) for row in a)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -68,36 +98,31 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     k2, m = shape(b)
     if k != k2:
         raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
-    bt = transpose(b)
-    zero = None
-    if n and m and k:
-        zero = a[0][0] * b[0][0]
-        zero = zero - zero
+    # built by addition, so that every multiplication here is of a nonzero pair
+    zero = _zero_like(a[0][0] + b[0][0]) if n and m and k else None
+    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        out_row = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if not x or not y:
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            out_row.append(zero if acc is None else acc)
-        out.append(tuple(out_row))
+        acc: list = [None] * m
+        for x, nonzeros in zip(row, b_nonzeros):
+            if nonzeros and x:
+                for j, y in nonzeros:
+                    t = acc[j]
+                    acc[j] = x * y if t is None else t + x * y
+        out.append(tuple(zero if t is None else t for t in acc))
     return tuple(out)
 
 
 def equal(a: Matrix, b: Matrix) -> bool:
     return shape(a) == shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+        x is y or x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int] | None:
     for i, (ra, rb) in enumerate(zip(a, b)):
         for j, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
+            if x is not y and x != y:
                 return i, j
     return None
 
@@ -190,7 +215,3 @@ def ext_charpoly(a: Matrix, p: int) -> list[ExtScalar]:
         if k < n:
             m_prev = add(mk, scale(ck, ident))
     return coeffs
-
-
-def to_float_matrix(a: Matrix) -> list[list[float]]:
-    return [[x.to_float() for x in row] for row in a]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .algebra import (
@@ -283,13 +284,12 @@ def combo_matrix(name: str, basis: Basis, p: int) -> Matrix:
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
     """Substitute representation matrices into the expression, exactly."""
     n = 2 * p
-    out = linalg.ext_zeros(n, n, p)
+    terms = []
     for coeff, factors in expr.terms:
-        term = linalg.ext_identity(n, p)
-        for name in factors:
-            term = linalg.matmul(term, combo_matrix(name, basis, p))
-        out = linalg.add(out, linalg.scale(coeff, term))
-    return out
+        mats = [combo_matrix(name, basis, p) for name in factors]
+        term = reduce(linalg.matmul, mats) if mats else linalg.ext_identity(n, p)
+        terms.append(linalg.scale(coeff, term))
+    return reduce(linalg.add, terms) if terms else linalg.ext_zeros(n, n, p)
 
 
 def _E(p: int, value: RationalLike) -> ExtScalar:

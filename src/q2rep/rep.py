@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from . import linalg
@@ -394,10 +394,8 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
 
 def rep_of_element(x: SuperElement, basis: Basis, p: int) -> Matrix:
     """Matrix of a general algebra element (linear combination of generators)."""
-    out = linalg.ext_zeros(2 * p, 2 * p, p)
-    for g, c in x.coeffs.items():
-        out = linalg.add(out, linalg.scale(c, rep_matrix(g, basis, p)))
-    return out
+    terms = [linalg.scale(c, rep_matrix(g, basis, p)) for g, c in x.coeffs.items()]
+    return reduce(linalg.add, terms) if terms else linalg.ext_zeros(2 * p, 2 * p, p)
 
 
 # metric ---------------------------------------------------------------------

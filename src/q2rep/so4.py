@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from . import linalg
@@ -268,14 +268,12 @@ def _q2_matrix(combo: dict[GeneratorId, Fraction | ExtScalar], p: int) -> Matrix
 
 
 def _so4_combo(parts: list[tuple[Fraction | Radical, list[So4Generator]]], p: int) -> Matrix:
-    n = 2 * p
-    out = linalg.scale(RAD_ZERO, rad_identity(n))
+    terms = []
     for coeff, factors in parts:
-        term = rad_identity(n)
-        for g in factors:
-            term = linalg.matmul(term, so4_matrix(g, p))
-        out = linalg.add(out, rad_scale(coeff, term))
-    return out
+        mats = [so4_matrix(g, p) for g in factors]
+        term = reduce(linalg.matmul, mats) if mats else rad_identity(2 * p)
+        terms.append(rad_scale(coeff, term))
+    return reduce(linalg.add, terms)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from q2rep import cli
 from q2rep.cli import main
 
 
@@ -26,6 +27,20 @@ def test_malformed_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_p_above_cap_is_refused_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("verify ran past argument parsing")
+
+    monkeypatch.setattr(cli, "_suite_results", no_work)
+    monkeypatch.setattr(cli, "cmd_verify", no_work)
+    for p_range in ("1..10000", str(cli.MAX_P + 1), f"{cli.MAX_P}..{cli.MAX_P + 1}"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", p_range])
+        assert exc.value.code == 2
+        assert f"p is at most {cli.MAX_P}" in capsys.readouterr().err
+    assert cli._parse_p_range(f"1..{cli.MAX_P}")[-1] == cli.MAX_P == 64
 
 
 def test_bad_realization_choice_is_usage_error():
