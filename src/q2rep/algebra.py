@@ -141,12 +141,6 @@ class SuperElement:
             return "odd"
         return "mixed"
 
-    def homogeneous_parts(self) -> dict[int, SuperElement]:
-        parts: dict[int, dict[GeneratorId, ExtScalar]] = {EVEN: {}, ODD: {}}
-        for g, c in self.coeffs.items():
-            parts[g.parity][g] = c
-        return {s: SuperElement(self.p, d) for s, d in parts.items() if d}
-
 
 def bracket_basis(a: GeneratorId, b: GeneratorId, p: int) -> SuperElement:
     """[[e_ij^s, e_kl^t]] on basis generators."""
@@ -182,22 +176,26 @@ def check_graded_jacobi(p: int = 2) -> tuple[bool, int, tuple | None]:
     irrelevant to the outcome; it only fixes the coefficient ring.
     """
     checked = 0
-    for gx, gy, gz in product(GENERATORS, repeat=3):
-        x = SuperElement.basis(gx, p)
-        y = SuperElement.basis(gy, p)
-        z = SuperElement.basis(gz, p)
-        sxz = -1 if (gx.parity and gz.parity) else 1
-        syx = -1 if (gy.parity and gx.parity) else 1
-        szy = -1 if (gz.parity and gy.parity) else 1
-        total = (
-            bracket(x, bracket(y, z)).scaled(Fraction(sxz))
-            + bracket(y, bracket(z, x)).scaled(Fraction(syx))
-            + bracket(z, bracket(x, y)).scaled(Fraction(szy))
-        )
+    for triple in product(GENERATORS, repeat=3):
         checked += 1
-        if total:
-            return False, checked, (gx, gy, gz)
+        if graded_jacobi_sum(*triple, p):
+            return False, checked, triple
     return True, checked, None
+
+
+def graded_jacobi_sum(gx: GeneratorId, gy: GeneratorId, gz: GeneratorId, p: int = 2) -> SuperElement:
+    """The graded Jacobi sum of a basis triple; zero when the identity holds."""
+    x = SuperElement.basis(gx, p)
+    y = SuperElement.basis(gy, p)
+    z = SuperElement.basis(gz, p)
+    sxz = -1 if (gx.parity and gz.parity) else 1
+    syx = -1 if (gy.parity and gx.parity) else 1
+    szy = -1 if (gz.parity and gy.parity) else 1
+    return (
+        bracket(x, bracket(y, z)).scaled(Fraction(sxz))
+        + bracket(y, bracket(z, x)).scaled(Fraction(syx))
+        + bracket(z, bracket(x, y)).scaled(Fraction(szy))
+    )
 
 
 def graded_antisymmetry_holds(p: int = 2) -> bool:

@@ -1,9 +1,10 @@
 """Command-line interface: verification suites, matrix export, spectra, sweeps.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error, 3 constraint
-violation.  All numeric inputs are exact rationals ("a/b" or integers);
-floats appear only in output.  Output is deterministic: identical configs
-produce byte-identical files.
+Exit codes: 0 success, 1 identity failure, 2 usage error (including an
+--out path that cannot be written), 3 constraint violation.  All numeric
+inputs are exact rationals ("a/b" or integers); floats appear only in
+output.  Output is deterministic: identical configs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import linalg, so4
-from .algebra import GENERATORS, SuperElement, bracket, check_graded_jacobi, generator_by_name
-from .diffop import realization_basis_id, realization_matrix
+from .algebra import GENERATORS, SuperElement, bracket, generator_by_name, graded_jacobi_sum
+from .diffop import realization, realization_basis_id, realization_matrix
 from .models import (
     Model,
     ModelSpec,
@@ -31,7 +32,7 @@ from .models import (
 )
 from .rep import Basis, gram_matrix, rep_matrix, rep_of_element
 from .scalars import ExtScalar, parse_rational
-from .spectra import spectrum_of_matrix, values_close
+from .spectra import eigenvalues_numeric, spectrum_of_matrix, values_close
 
 
 # Largest p any subcommand accepts: the matrices are 2p x 2p and exact, so
@@ -62,24 +63,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-_BASIS_NAMES = {
-    "vw": Basis.VW,
-    "lambda_chi": Basis.LAMBDA_CHI,
-    "mu": Basis.MU,
-    "third": Basis.THIRD,
-}
-
-
 # verify ----------------------------------------------------------------------
+# Each suite yields (where, ok) for every exact check it makes; `where` names
+# the check in the report when it is the suite's first failure.
 
-def _suite_results(p_values: list[int]) -> list[tuple[str, int, str | None]]:
-    """Each entry: (suite name, number of exact checks, first failure or None)."""
-    results: list[tuple[str, int, str | None]] = []
+def _jacobi_checks():
+    for triple in itertools.product(GENERATORS, repeat=3):
+        yield f"triple {triple}", not graded_jacobi_sum(*triple)
 
-    ok, n, viol = check_graded_jacobi()
-    results.append(("graded-jacobi", n, None if ok else f"triple {viol}"))
 
-    count, fail = 0, None
+def _homomorphism_checks(p_values):
     for p in p_values:
         for basis in Basis:
             for gx, gy in itertools.product(GENERATORS, repeat=2):
@@ -92,12 +85,10 @@ def _suite_results(p_values: list[int]) -> list[tuple[str, int, str | None]]:
                 rhs = rep_of_element(
                     bracket(SuperElement.basis(gx, p), SuperElement.basis(gy, p)), basis, p
                 )
-                count += 1
-                if fail is None and not linalg.equal(lhs, rhs):
-                    fail = f"p={p} basis={basis.value} pair=({gx.name},{gy.name})"
-    results.append(("rep-homomorphism", count, fail))
+                yield f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", linalg.equal(lhs, rhs)
 
-    count, fail = 0, None
+
+def _gram_checks(p_values):
     for p in p_values:
         g = gram_matrix(Basis.VW, p)
         for plus, minus in (("b+", "b-"), ("f+", "f-")):
@@ -105,63 +96,81 @@ def _suite_results(p_values: list[int]) -> list[tuple[str, int, str | None]]:
             rhs = linalg.matmul(
                 linalg.transpose(rep_matrix(generator_by_name(minus), Basis.VW, p)), g
             )
-            count += 1
-            if fail is None and not linalg.equal(lhs, rhs):
-                fail = f"p={p} pair={plus}/{minus}"
-    results.append(("gram-adjointness", count, fail))
+            yield f"p={p} pair={plus}/{minus}", linalg.equal(lhs, rhs)
 
-    count, fail = 0, None
+
+def _orthogonality_checks(p_values):
     for p in p_values:
         g = gram_matrix(Basis.LAMBDA_CHI, p)
         n2 = 2 * p
-        count += 1
-        off = [(i, j) for i in range(n2) for j in range(n2) if i != j and g[i][j]]
-        if fail is None and off:
-            fail = f"p={p} entry {off[0]}"
-    results.append(("lambda-chi-orthogonality", count, fail))
+        off = next(((i, j) for i in range(n2) for j in range(n2) if i != j and g[i][j]), None)
+        yield f"p={p} entry {off}", off is None
 
-    count, fail = 0, None
+
+def _identification_checks(p_values):
     for p in p_values:
         for line in so4.identification_lines(p):
-            count += 1
-            if fail is None and not line.passed:
-                fail = f"p={p}: {line.label} at {line.first_difference}"
-    results.append(("so4-identification", count, fail))
+            yield f"p={p}: {line.label} at {line.first_difference}", line.passed
 
-    count, fail = 0, None
+
+def _casimir_checks(p_values, casimirs):
     for p in p_values:
         try:
             c1 = so4.casimir(1, p)[1]
             c2 = so4.casimir(2, p)[1]
-            count += 3
-            # C1 - C2 = 2 K0^2 + {K+, K-} = 3/2, i.e. (3/2p) times e00_0+e11_0
-            if fail is None and c1 - c2 != Fraction(3, 2):
-                fail = f"p={p}: C1 - C2 is not the expected multiple of e00_0+e11_0"
         except ValueError as exc:
-            if fail is None:
-                fail = f"p={p}: {exc}"
-    results.append(("so4-casimir-scalar", count, fail))
+            yield f"p={p}: {exc}", False
+            continue
+        casimirs[p] = (c1, c2)
+        # casimir() returns only when C1 and C2 are scalar: two checks passed
+        yield f"p={p}: C1", True
+        yield f"p={p}: C2", True
+        # C1 - C2 = 2 K0^2 + {K+, K-} = 3/2, i.e. (3/2p) times e00_0+e11_0
+        yield (f"p={p}: C1 - C2 is not the expected multiple of e00_0+e11_0",
+               c1 - c2 == Fraction(3, 2))
+
+
+def _suite_results(
+    p_values: list[int], casimirs: dict[int, tuple[Fraction, Fraction]]
+) -> list[tuple[str, int, str | None]]:
+    """Each entry: (suite name, number of exact checks, first failure or None).
+
+    The scalar Casimir values (C1, C2) of each p are stored in `casimirs`.
+    """
+    suites = (
+        ("graded-jacobi", _jacobi_checks()),
+        ("rep-homomorphism", _homomorphism_checks(p_values)),
+        ("gram-adjointness", _gram_checks(p_values)),
+        ("lambda-chi-orthogonality", _orthogonality_checks(p_values)),
+        ("so4-identification", _identification_checks(p_values)),
+        ("so4-casimir-scalar", _casimir_checks(p_values, casimirs)),
+    )
+    results = []
+    for name, checks in suites:
+        count, fail = 0, None
+        for where, ok in checks:
+            count += 1
+            if fail is None and not ok:
+                fail = where
+        results.append((name, count, fail))
     return results
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = _suite_results(args.p)
-    failed = False
+    casimirs: dict[int, tuple[Fraction, Fraction]] = {}
+    results = _suite_results(args.p, casimirs)
     for name, count, fail in results:
         status = "pass" if fail is None else f"FAIL ({fail})"
         print(f"{name:28s} {count:6d} checks  {status}")
-        failed = failed or fail is not None
-    for p in args.p:
-        c1 = so4.casimir(1, p)[1]
-        c2 = so4.casimir(2, p)[1]
+    for p, (c1, c2) in casimirs.items():
         print(f"casimir values p={p}: C1={c1} C2={c2}")
-    return 1 if failed else 0
+    return 1 if any(fail is not None for _, _, fail in results) else 0
 
 
 # rep -------------------------------------------------------------------------
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    basis = _BASIS_NAMES[args.basis]
+    basis = Basis(args.basis)
     gens = [generator_by_name(args.generator)] if args.generator else list(GENERATORS)
     payload = []
     for p in args.p:
@@ -176,29 +185,19 @@ def cmd_rep(args: argparse.Namespace) -> int:
                 }
             )
     obj = payload[0] if len(payload) == 1 else payload
-    _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    return 0
+    return _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # spectrum ---------------------------------------------------------------------
 
 def _model_from_args(args: argparse.Namespace, p: int) -> ModelSpec:
-    name = args.model
-    if name == "sphaleron":
+    if args.model == "sphaleron":
         if args.case is None:
             raise ConstraintError("sphaleron model needs --case {43,44,50,51}")
-        model = {43: Model.SPHALERON_43, 44: Model.SPHALERON_44,
-                 50: Model.SPHALERON_50, 51: Model.SPHALERON_51}[args.case]
-        return ModelSpec(model, p, {"k2": args.k2 if args.k2 is not None else Fraction(0)})
-    if name == "moszkowski":
-        return ModelSpec(
-            Model.MOSZKOWSKI,
-            p,
-            {"c": args.c if args.c is not None else Fraction(0),
-             "V": args.V if args.V is not None else Fraction(0)},
-        )
-    params = {"omega": args.omega if args.omega is not None else Fraction(0),
-              "g": args.g if args.g is not None else Fraction(0)}
+        return ModelSpec(Model(f"sphaleron{args.case}"), p, {"k2": args.k2})
+    if args.model == "moszkowski":
+        return ModelSpec(Model.MOSZKOWSKI, p, {"c": args.c, "V": args.V})
+    params = {"omega": args.omega, "g": args.g}
     if args.omega0 is not None:
         params["omega0"] = args.omega0
     return ModelSpec(Model.JAYNES_CUMMINGS, p, params)
@@ -212,14 +211,12 @@ def spectrum_payload(spec: ModelSpec) -> dict:
     eigenvalues = []
     closed_match: bool | None = None
     if not sphaleron:
-        from .spectra import eigenvalues_numeric
-
         closed = closed_form_spectrum(spec)
         # labels attach through the closed-form pairing, which is always a
         # valid block structure (the sparsity components can be finer, e.g.
         # Moszkowski at V = 0)
         block_map = closed_form_blocks(spec)
-        closed_match = _trace_det_ok(spec, matrix)
+        closed_match = _trace_det_ok(matrix, closed, block_map, spec.p)
         for k in sorted(block_map):
             indices = block_map[k]
             sub = tuple(tuple(matrix[i][j] for j in indices) for i in indices)
@@ -245,7 +242,7 @@ def spectrum_payload(spec: ModelSpec) -> dict:
                 for e in sorted(bs.exact, key=lambda e: -e.value()):
                     eigenvalues.append(
                         {
-                            "exact": _negated_exact_text(e),
+                            "exact": (-e).exact_text(),
                             "float": -e.value(),
                             "block": bs.block[0],
                             "label": None,
@@ -273,16 +270,8 @@ def spectrum_payload(spec: ModelSpec) -> dict:
     return payload
 
 
-def _negated_exact_text(e) -> str:
-    from .spectra import ExactEig
-
-    return ExactEig(-e.base, -e.sign, e.radicand).exact_text()
-
-
-def _trace_det_ok(spec: ModelSpec, matrix) -> bool:
+def _trace_det_ok(matrix, closed: list, block_map: dict[int, tuple[int, ...]], p: int) -> bool:
     """Per-block trace/det identities against the closed forms, exact."""
-    closed = closed_form_spectrum(spec)
-    block_map = closed_form_blocks(spec)
     by_block: dict[tuple[int, ...], list] = {}
     for e in closed:
         by_block.setdefault(block_map[e.block], []).append(e)
@@ -298,32 +287,23 @@ def _trace_det_ok(spec: ModelSpec, matrix) -> bool:
             tr = sub[0][0] + sub[1][1]
             det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
             # E+ + E- = 2 base, E+ E- = base^2 - radicand: rational identities
-            if tr != ExtScalar.of(plus.base + minus.base, spec.p):
+            if tr != ExtScalar.of(plus.base + minus.base, p):
                 return False
-            if det != ExtScalar.of(plus.base * minus.base - plus.radicand, spec.p):
+            if det != ExtScalar.of(plus.base * minus.base - plus.radicand, p):
                 return False
     return True
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    payloads = []
-    for p in args.p:
-        spec = _model_from_args(args, p)
-        payloads.append(spectrum_payload(spec))
-    _emit_payloads(args, payloads)
-    return 0
+    payloads = [spectrum_payload(_model_from_args(args, p)) for p in args.p]
+    return _emit(args, _format_payloads(args.format, payloads))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    return cmd_spectrum(args)
-
-
-def _emit_payloads(args: argparse.Namespace, payloads: list[dict]) -> None:
-    if args.format == "json":
+def _format_payloads(fmt: str, payloads: list[dict]) -> str:
+    if fmt == "json":
         obj = payloads[0] if len(payloads) == 1 else payloads
-        _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-        return
-    if args.format == "csv":
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
         lines = ["model,p,params,block,label,exact,float"]
         for pl in payloads:
             params = ";".join(f"{k}={v}" for k, v in pl["params"].items())
@@ -341,8 +321,7 @@ def _emit_payloads(args: argparse.Namespace, payloads: list[dict]) -> None:
                         ]
                     )
                 )
-        _emit(args, "\n".join(lines) + "\n")
-        return
+        return "\n".join(lines) + "\n"
     out = []
     for pl in payloads:
         out.append(f"model={pl['model']} p={pl['p']} params={pl['params']}")
@@ -355,22 +334,26 @@ def _emit_payloads(args: argparse.Namespace, payloads: list[dict]) -> None:
             label = e["label"] or "-"
             exact = e["exact"] or "-"
             out.append(f"  {label:6s} block {e['block']:2d}  {exact:28s} {e['float']!r}")
-    _emit(args, "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+def _emit(args: argparse.Namespace, text: str) -> int:
+    """Write text to --out or stdout; exit code 2 when --out cannot be written."""
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 # check-realization -------------------------------------------------------------
 
 def cmd_check_realization(args: argparse.Namespace) -> int:
-    from .diffop import realization
-
     failures = 0
     for p in args.p:
         basis = realization_basis_id(args.which)
@@ -400,10 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, default_p: str = "1..6") -> None:
+    def add_p_and_out(sp: argparse.ArgumentParser, default_p: str) -> None:
         sp.add_argument("--p", type=_parse_p_range, default=_parse_p_range(default_p),
                         help="p value or range A..B")
-        sp.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp_verify = sub.add_parser("verify", help="run the exact identity suites")
@@ -411,23 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp_verify.set_defaults(func=cmd_verify)
 
     sp_rep = sub.add_parser("rep", help="export representation matrices as JSON")
-    add_common(sp_rep, "3")
-    sp_rep.add_argument("--basis", choices=sorted(_BASIS_NAMES), default="lambda_chi")
+    add_p_and_out(sp_rep, "3")
+    sp_rep.add_argument("--basis", choices=sorted(b.value for b in Basis), default="lambda_chi")
     sp_rep.add_argument("--generator", help="e.g. e00_0 or b+ (default: all eight)")
     sp_rep.set_defaults(func=cmd_rep)
 
-    for name, func in (("spectrum", cmd_spectrum), ("sweep", cmd_sweep)):
-        sp_s = sub.add_parser(name, help=f"{name} of a model Hamiltonian")
-        add_common(sp_s, "2")
-        sp_s.add_argument("--model", choices=("sphaleron", "moszkowski", "jc"), required=True)
-        sp_s.add_argument("--case", type=int, choices=(43, 44, 50, 51))
-        sp_s.add_argument("--c", type=_rational)
-        sp_s.add_argument("--V", type=_rational)
-        sp_s.add_argument("--omega", type=_rational)
-        sp_s.add_argument("--omega0", type=_rational)
-        sp_s.add_argument("--g", type=_rational)
-        sp_s.add_argument("--k2", type=_rational)
-        sp_s.set_defaults(func=func)
+    sp_s = sub.add_parser("spectrum", aliases=["sweep"],
+                          help="spectrum of a model Hamiltonian")
+    add_p_and_out(sp_s, "2")
+    sp_s.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    sp_s.add_argument("--model", choices=("sphaleron", "moszkowski", "jc"), required=True)
+    sp_s.add_argument("--case", type=int, choices=(43, 44, 50, 51))
+    for name in ("--c", "--V", "--omega", "--g", "--k2"):
+        sp_s.add_argument(name, type=_rational, default=Fraction(0))
+    sp_s.add_argument("--omega0", type=_rational)
+    sp_s.set_defaults(func=cmd_spectrum)
 
     sp_chk = sub.add_parser("check-realization", help="compare realizations to the abstract matrices")
     sp_chk.add_argument("--which", type=int, choices=(1, 2, 3), required=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 
 from . import linalg
 from .algebra import (
@@ -35,11 +36,12 @@ from .algebra import (
     F_MINUS,
     F_PLUS,
     GeneratorId,
+    SuperElement,
 )
 from .diffop import DiffOp, Pauli, to_matrix, realization_basis
 from .linalg import Matrix
-from .rep import Basis, rep_matrix
-from .scalars import ExtScalar, RationalLike, inv_sqrt_p, rational_sqrt
+from .rep import Basis, rep_of_element
+from .scalars import ExactEig, ExtScalar, RationalLike, inv_sqrt_p
 
 
 class ConstraintError(ValueError):
@@ -163,11 +165,11 @@ def _op_from_rows(p: int, rows: tuple[list, list, list, list]) -> DiffOp:
 
     # upper = s0 + s3 row, lower = s0 - s3 row
     s0 = [
-        [Fraction(a) * half + Fraction(b) * half for a, b in _zip_pad(cu, cl)]
+        [Fraction(a) * half + Fraction(b) * half for a, b in zip_longest(cu, cl, fillvalue=0)]
         for cu, cl in zip(up, low)
     ]
     s3 = [
-        [Fraction(a) * half - Fraction(b) * half for a, b in _zip_pad(cu, cl)]
+        [Fraction(a) * half - Fraction(b) * half for a, b in zip_longest(cu, cl, fillvalue=0)]
         for cu, cl in zip(up, low)
     ]
     out = acc(out, s0, Pauli.S0)
@@ -175,11 +177,6 @@ def _op_from_rows(p: int, rows: tuple[list, list, list, list]) -> DiffOp:
     out = acc(out, sp_, Pauli.SP)
     out = acc(out, sm, Pauli.SM)
     return out
-
-
-def _zip_pad(a: list, b: list) -> list[tuple]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
 
 
 def raw_operator(spec: ModelSpec) -> DiffOp:
@@ -238,15 +235,15 @@ E1_DIFF = "e1_diff"
 E1_SUM = "e1_sum"
 COMBO_NAMES = ("b+", "b-", "f+", "f-", E0_DIFF, E0_SUM, E1_DIFF, E1_SUM)
 
-_COMBOS: dict[str, tuple[tuple[GeneratorId, int], ...]] = {
-    "b+": ((B_PLUS, 1),),
-    "b-": ((B_MINUS, 1),),
-    "f+": ((F_PLUS, 1),),
-    "f-": ((F_MINUS, 1),),
-    E0_DIFF: ((E00_0, 1), (E11_0, -1)),
-    E0_SUM: ((E00_0, 1), (E11_0, 1)),
-    E1_DIFF: ((E00_1, 1), (E11_1, -1)),
-    E1_SUM: ((E00_1, 1), (E11_1, 1)),
+_COMBOS: dict[str, dict[GeneratorId, int]] = {
+    "b+": {B_PLUS: 1},
+    "b-": {B_MINUS: 1},
+    "f+": {F_PLUS: 1},
+    "f-": {F_MINUS: 1},
+    E0_DIFF: {E00_0: 1, E11_0: -1},
+    E0_SUM: {E00_0: 1, E11_0: 1},
+    E1_DIFF: {E00_1: 1, E11_1: -1},
+    E1_SUM: {E00_1: 1, E11_1: 1},
 }
 
 
@@ -274,11 +271,7 @@ class GeneratorExpr:
 
 
 def combo_matrix(name: str, basis: Basis, p: int) -> Matrix:
-    out = None
-    for g, w in _COMBOS[name]:
-        term = linalg.scale(ExtScalar.of(w, p), rep_matrix(g, basis, p))
-        out = term if out is None else linalg.add(out, term)
-    return out
+    return rep_of_element(SuperElement(p, _COMBOS[name]), basis, p)
 
 
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
@@ -414,28 +407,11 @@ def expression_matrix(spec: ModelSpec) -> Matrix:
 # closed-form spectra ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClosedEig:
-    """base + sign * sqrt(radicand), all rational."""
+class ClosedEig(ExactEig):
+    """A closed-form eigenvalue with its label and closed-form block id."""
 
     label: str
-    base: Fraction
-    sign: int
-    radicand: Fraction
     block: int
-
-    def value(self) -> float:
-        import math
-
-        return float(self.base) + self.sign * math.sqrt(float(self.radicand))
-
-    def exact_text(self) -> str:
-        if self.radicand == 0 or self.sign == 0:
-            return str(self.base)
-        root = rational_sqrt(self.radicand)
-        if root is not None:
-            return str(self.base + self.sign * root)
-        op = "+" if self.sign > 0 else "-"
-        return f"{self.base} {op} sqrt({self.radicand})"
 
 
 def closed_form_spectrum(spec: ModelSpec) -> list[ClosedEig]:
@@ -448,26 +424,28 @@ def closed_form_spectrum(spec: ModelSpec) -> list[ClosedEig]:
     if spec.model is Model.MOSZKOWSKI:
         c = spec.param("c")
         v = spec.param("V")
-        out = [ClosedEig("E0+", p * v - (1 - Fraction(p, 2)) * c, 0, Fraction(0), 0)]
-        for k in range(1, p):
-            base = -2 * v * k * (k - p) + c * (Fraction(p, 2) - k)
-            rad = v * v * p * p + c * c - 2 * (p - 2 * k) * v * c
-            out.append(ClosedEig(f"E{k}+", base, 1, rad, k))
-            out.append(ClosedEig(f"E{k}-", base, -1, rad, k))
-        out.append(ClosedEig(f"E{p}+", p * v + (1 - Fraction(p, 2)) * c, 0, Fraction(0), p))
-        return out
-    if spec.model is Model.JAYNES_CUMMINGS:
+        ends = (p * v - (1 - Fraction(p, 2)) * c, p * v + (1 - Fraction(p, 2)) * c)
+        pairs = [
+            (-2 * v * k * (k - p) + c * (Fraction(p, 2) - k),
+             v * v * p * p + c * c - 2 * (p - 2 * k) * v * c)
+            for k in range(1, p)
+        ]
+    elif spec.model is Model.JAYNES_CUMMINGS:
         omega = spec.param("omega")
         g = spec.param("g")
-        out = [ClosedEig("E0+", omega * p + Fraction(p + 1, 2) * g, 0, Fraction(0), 0)]
-        for k in range(1, p):
-            base = omega * (p - k)
-            rad = g * g * (Fraction(p * p, 4) + Fraction(p, 2) + Fraction(1, 4) - k)
-            out.append(ClosedEig(f"E{k}+", base, 1, rad, k))
-            out.append(ClosedEig(f"E{k}-", base, -1, rad, k))
-        out.append(ClosedEig(f"E{p}+", Fraction(p - 1, 2) * g, 0, Fraction(0), p))
-        return out
-    raise NoClosedFormError(f"{spec.model.value} has no closed-form spectrum")
+        ends = (omega * p + Fraction(p + 1, 2) * g, Fraction(p - 1, 2) * g)
+        pairs = [
+            (omega * (p - k), g * g * (Fraction(p * p, 4) + Fraction(p, 2) + Fraction(1, 4) - k))
+            for k in range(1, p)
+        ]
+    else:
+        raise NoClosedFormError(f"{spec.model.value} has no closed-form spectrum")
+    out = [ClosedEig(ends[0], 0, Fraction(0), "E0+", 0)]
+    for k, (base, rad) in enumerate(pairs, start=1):
+        out.append(ClosedEig(base, 1, rad, f"E{k}+", k))
+        out.append(ClosedEig(base, -1, rad, f"E{k}-", k))
+    out.append(ClosedEig(ends[1], 0, Fraction(0), f"E{p}+", p))
+    return out
 
 
 def closed_form_blocks(spec: ModelSpec) -> dict[int, tuple[int, ...]]:
@@ -475,14 +453,13 @@ def closed_form_blocks(spec: ModelSpec) -> dict[int, tuple[int, ...]]:
     p = spec.p
     if spec.model is Model.MOSZKOWSKI:
         # mu ordering: singletons mu_0 and mu_{2p-1}; pairs {mu_k, mu_{p+k-1}}
-        blocks = {0: (0,), p: (2 * p - 1,)}
-        for k in range(1, p):
-            blocks[k] = (k, p + k - 1)
-        return blocks
-    if spec.model is Model.JAYNES_CUMMINGS:
+        last, shift = 2 * p - 1, p - 1
+    elif spec.model is Model.JAYNES_CUMMINGS:
         # Lam/chi ordering: Lam_k at k, chi_k at (p+1) + (k-1)
-        blocks = {0: (0,), p: (p,)}
-        for k in range(1, p):
-            blocks[k] = (k, p + 1 + (k - 1))
-        return blocks
-    raise NoClosedFormError(f"{spec.model.value} has no closed-form blocks")
+        last, shift = p, p
+    else:
+        raise NoClosedFormError(f"{spec.model.value} has no closed-form blocks")
+    blocks = {0: (0,), p: (last,)}
+    for k in range(1, p):
+        blocks[k] = (k, k + shift)
+    return blocks

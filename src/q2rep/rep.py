@@ -50,10 +50,6 @@ class Basis(Enum):
     THIRD = "third"
 
 
-def dim(p: int) -> int:
-    return 2 * p
-
-
 def basis_labels(basis: Basis, p: int) -> list[str]:
     if basis is Basis.VW:
         return (

@@ -10,6 +10,7 @@ norm a^2 - p*b^2, which exist exactly when p is a perfect square.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 RationalLike = int | Fraction
@@ -222,12 +223,44 @@ def rational_sqrt(r: Fraction) -> Fraction | None:
     return None
 
 
+@dataclass(frozen=True)
+class ExactEig:
+    """base + sign * sqrt(radicand) with rational base and radicand >= 0.
+
+    The exact form of an eigenvalue in spectra and models.  It lives here,
+    not in spectra, so that importing models does not import numpy.
+    """
+
+    base: Fraction
+    sign: int
+    radicand: Fraction
+
+    def value(self) -> float:
+        return float(self.base) + self.sign * math.sqrt(float(self.radicand))
+
+    def __neg__(self) -> ExactEig:
+        return ExactEig(-self.base, -self.sign, self.radicand)
+
+    def exact_text(self) -> str:
+        if self.sign == 0 or self.radicand == 0:
+            return str(self.base)
+        # fold perfect squares into the base
+        root = rational_sqrt(self.radicand)
+        if root is not None:
+            return str(self.base + self.sign * root)
+        op = "+" if self.sign > 0 else "-"
+        return f"{self.base} {op} sqrt({self.radicand})"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or "a" into an exact Fraction (no floats accepted)."""
     t = text.strip()
     if "." in t or "e" in t.lower():
         raise ValueError(f"expected exact rational a/b, got {text!r}")
-    return Fraction(t)
+    try:
+        return Fraction(t)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def parse_ext(text: str, p: int) -> ExtScalar:

@@ -29,9 +29,10 @@ from .algebra import (
     F_MINUS,
     F_PLUS,
     GeneratorId,
+    SuperElement,
 )
 from .linalg import Matrix
-from .rep import Basis, gram_matrix, rep_matrix
+from .rep import Basis, gram_matrix, rep_of_element
 from .scalars import ExtScalar
 
 
@@ -259,12 +260,7 @@ def tensor_to_lambda_chi(p: int) -> Matrix:
 
 
 def _q2_matrix(combo: dict[GeneratorId, Fraction | ExtScalar], p: int) -> Matrix:
-    out = None
-    for g, c in combo.items():
-        term = linalg.scale(ExtScalar.of(c, p) if not isinstance(c, ExtScalar) else c,
-                            rep_matrix(g, Basis.LAMBDA_CHI, p))
-        out = term if out is None else linalg.add(out, term)
-    return ext_to_radical_matrix(out)
+    return ext_to_radical_matrix(rep_of_element(SuperElement(p, combo), Basis.LAMBDA_CHI, p))
 
 
 def _so4_combo(parts: list[tuple[Fraction | Radical, list[So4Generator]]], p: int) -> Matrix:

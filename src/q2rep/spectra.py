@@ -8,7 +8,6 @@ eigenvector residuals and the exact characteristic polynomial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Matrix
-from .scalars import ExtScalar, rational_sqrt
+from .scalars import ExactEig, ExtScalar, rational_sqrt
 
 NUMERIC_RTOL = 1e-9
 
@@ -62,28 +61,6 @@ def decompose(m: Matrix) -> BlockDecomposition:
         tuple(tuple(m[i][j] for j in block) for i in block) for block in blocks
     )
     return BlockDecomposition(tuple(blocks), subs)
-
-
-@dataclass(frozen=True)
-class ExactEig:
-    """base + sign * sqrt(radicand) with rational base and radicand >= 0."""
-
-    base: Fraction
-    sign: int
-    radicand: Fraction
-
-    def value(self) -> float:
-        return float(self.base) + self.sign * math.sqrt(float(self.radicand))
-
-    def exact_text(self) -> str:
-        if self.sign == 0 or self.radicand == 0:
-            return str(self.base)
-        # fold perfect squares into the base
-        root = rational_sqrt(self.radicand)
-        if root is not None:
-            return str(self.base + self.sign * root)
-        op = "+" if self.sign > 0 else "-"
-        return f"{self.base} {op} sqrt({self.radicand})"
 
 
 def eigenvalues_exact_small(block: Matrix) -> list[ExactEig]:

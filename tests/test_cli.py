@@ -123,6 +123,33 @@ def test_float_input_rejected():
     assert exc.value.code == 2
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--model", "jc", "--p", "1", "--omega", "1", "--g", "1/0"])
+    assert exc.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_rep_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "--p", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (
+        ["rep", "--p", "1"],
+        ["spectrum", "--model", "jc", "--p", "1", "--omega", "1", "--g", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_rep_export_shape(capsys):
     code, out, _ = run(
         capsys, "rep", "--p", "2", "--basis", "lambda_chi", "--generator", "b+"

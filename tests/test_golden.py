@@ -1,0 +1,56 @@
+"""Golden CLI outputs: the stdout of fixed invocations, recorded in tests/data/.
+
+Each file under tests/data/ is the stdout of ``q2rep <argv>`` for the argv
+listed here.  ``verify`` output is compared byte for byte.  Spectrum output
+is compared byte for byte except for its floats, which numpy may round in
+the last bit differently on another machine: those must agree to 1e-12
+relative (and 1e-12 absolute near zero).  Rewrite a file only for an output
+change that is intended, by saving the stdout of its command.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from q2rep.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+SPECTRUM_MODELS = {
+    "moszkowski": ["--model", "moszkowski", "--c", "2/3", "--V", "1/7"],
+    "jc": ["--model", "jc", "--omega", "1", "--g", "1/10"],
+    "sphaleron51": ["--model", "sphaleron", "--case", "51", "--k2", "1/4"],
+}
+SPECTRUM_CASES = {
+    f"spectrum_{name}_p1-3.{ext}": ["spectrum", *argv, "--p", "1..3", "--format", fmt]
+    for name, argv in SPECTRUM_MODELS.items()
+    for fmt, ext in (("json", "json"), ("csv", "csv"), ("pretty", "txt"))
+}
+
+# a Python float repr (json.dumps, csv and pretty all print repr(float));
+# exact values print as a/b and never contain a dot or an exponent
+FLOAT = re.compile(r"(?<![\w./])-?(?:\d+\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+)(?![\w./])")
+
+
+def stdout_of(capsys, argv: list[str]) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_verify_output_is_golden(capsys):
+    got = stdout_of(capsys, ["verify", "--p", "1..3"])
+    assert got == (DATA / "verify_p1-3.txt").read_text()
+
+
+@pytest.mark.parametrize("fname", sorted(SPECTRUM_CASES))
+def test_spectrum_output_is_golden(capsys, fname):
+    got = stdout_of(capsys, SPECTRUM_CASES[fname])
+    want = (DATA / fname).read_text()
+    assert FLOAT.sub("<float>", got) == FLOAT.sub("<float>", want)
+    got_floats = [float(x) for x in FLOAT.findall(got)]
+    want_floats = [float(x) for x in FLOAT.findall(want)]
+    assert want_floats and len(got_floats) == len(want_floats)
+    for g, w in zip(got_floats, want_floats):
+        assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12), (g, w)

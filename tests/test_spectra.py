@@ -7,6 +7,7 @@ from q2rep.models import Model, ModelSpec, expression_matrix
 from q2rep.rep import Basis, change_of_basis
 from q2rep.scalars import ExtScalar, ext
 from q2rep.spectra import (
+    ExactEig,
     decompose,
     eigenvalues_exact_small,
     eigenvalues_numeric,
@@ -54,6 +55,14 @@ def test_exact_radical_block():
     assert texts == ["0 + sqrt(2)", "0 - sqrt(2)"] or texts == ["0 - sqrt(2)", "0 + sqrt(2)"]
     values = sorted(e.value() for e in eigs)
     assert values_close(values[0], -(2**0.5)) and values_close(values[1], 2**0.5)
+
+
+def test_negated_exact_eig():
+    # sphaleron mode eigenvalues print as -eig(Delta)
+    e = ExactEig(Fraction(-5, 2), 1, Fraction(13, 4))
+    assert (-e).exact_text() == "5/2 - sqrt(13/4)"
+    assert (-e).value() == -e.value()
+    assert (-ExactEig(Fraction(3), 0, Fraction(0))).exact_text() == "-3"
 
 
 def test_exact_rejects_irrational_entries():
