@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg, so4
-from .algebra import GENERATORS, SuperElement, bracket, generator_by_name, graded_jacobi_sum
+from .algebra import ALIASES, GENERATORS, SuperElement, bracket, generator_by_name, graded_jacobi_sum
 from .diffop import realization, realization_basis_id, realization_matrix
 from .models import (
     Model,
@@ -32,7 +32,7 @@ from .models import (
 )
 from .rep import Basis, gram_matrix, rep_matrix, rep_of_element
 from .scalars import ExtScalar, parse_rational
-from .spectra import eigenvalues_numeric, spectrum_of_matrix, values_close
+from .spectra import decompose, eigenvalues_numeric, spectrum_of_matrix, values_close
 
 
 # Largest p any subcommand accepts: the matrices are 2p x 2p and exact, so
@@ -190,14 +190,22 @@ def cmd_rep(args: argparse.Namespace) -> int:
 
 # spectrum ---------------------------------------------------------------------
 
+# the model options each --model takes; an unset one is 0 (omega0: derived)
+MODEL_OPTIONS = {
+    "sphaleron": ("case", "k2"),
+    "moszkowski": ("c", "V"),
+    "jc": ("omega", "omega0", "g"),
+}
+
+
 def _model_from_args(args: argparse.Namespace, p: int) -> ModelSpec:
     if args.model == "sphaleron":
         if args.case is None:
             raise ConstraintError("sphaleron model needs --case {43,44,50,51}")
-        return ModelSpec(Model(f"sphaleron{args.case}"), p, {"k2": args.k2})
+        return ModelSpec(Model(f"sphaleron{args.case}"), p, {"k2": args.k2 or 0})
     if args.model == "moszkowski":
-        return ModelSpec(Model.MOSZKOWSKI, p, {"c": args.c, "V": args.V})
-    params = {"omega": args.omega, "g": args.g}
+        return ModelSpec(Model.MOSZKOWSKI, p, {"c": args.c or 0, "V": args.V or 0})
+    params = {"omega": args.omega or 0, "g": args.g or 0}
     if args.omega0 is not None:
         params["omega0"] = args.omega0
     return ModelSpec(Model.JAYNES_CUMMINGS, p, params)
@@ -207,23 +215,23 @@ def spectrum_payload(spec: ModelSpec) -> dict:
     """Exact matrix, block decomposition and eigenvalues as a JSON-ready dict."""
     sphaleron = spec.model in SPHALERON_MODELS
     matrix = raw_matrix(spec) if sphaleron else expression_matrix(spec)
-    blocks = spectrum_of_matrix(matrix)
     eigenvalues = []
     closed_match: bool | None = None
     if not sphaleron:
+        blocks = decompose(matrix).blocks
         closed = closed_form_spectrum(spec)
+        closed_match = True
         # labels attach through the closed-form pairing, which is always a
         # valid block structure (the sparsity components can be finer, e.g.
         # Moszkowski at V = 0)
-        block_map = closed_form_blocks(spec)
-        closed_match = _trace_det_ok(matrix, closed, block_map, spec.p)
-        for k in sorted(block_map):
-            indices = block_map[k]
+        for k, indices in sorted(closed_form_blocks(spec).items()):
             sub = tuple(tuple(matrix[i][j] for j in indices) for i in indices)
-            computed = sorted(eigenvalues_numeric(sub), key=lambda z: z.real)
             claimed = sorted(
                 (e for e in closed if e.block == k), key=lambda e: e.value()
             )
+            if not _trace_det_ok(sub, claimed):
+                closed_match = False
+            computed = sorted(eigenvalues_numeric(sub), key=lambda z: z.real)
             for ce, z in zip(claimed, computed):
                 if abs(z.imag) > 1e-9 or not values_close(ce.value(), z.real):
                     closed_match = False
@@ -236,7 +244,9 @@ def spectrum_payload(spec: ModelSpec) -> dict:
                     }
                 )
     else:
-        for bs in blocks:
+        solved = spectrum_of_matrix(matrix)
+        blocks = [bs.block for bs in solved]
+        for bs in solved:
             if bs.exact is not None:
                 # mode eigenvalues lam solve (Delta + lam) f = 0
                 for e in sorted(bs.exact, key=lambda e: -e.value()):
@@ -258,7 +268,7 @@ def spectrum_payload(spec: ModelSpec) -> dict:
         "p": spec.p,
         "params": {k: str(v) for k, v in sorted(spec.params.items())},
         "basis": model_basis(spec.model).value,
-        "blocks": [list(bs.block) for bs in blocks],
+        "blocks": [list(block) for block in blocks],
         "eigenvalues": eigenvalues,
     }
     if sphaleron:
@@ -270,31 +280,26 @@ def spectrum_payload(spec: ModelSpec) -> dict:
     return payload
 
 
-def _trace_det_ok(matrix, closed: list, block_map: dict[int, tuple[int, ...]], p: int) -> bool:
-    """Per-block trace/det identities against the closed forms, exact."""
-    by_block: dict[tuple[int, ...], list] = {}
-    for e in closed:
-        by_block.setdefault(block_map[e.block], []).append(e)
-    for block, eigs in by_block.items():
-        sub = [[matrix[i][j] for j in block] for i in block]
-        if len(block) == 1:
-            if len(eigs) != 1 or eigs[0].sign != 0:
-                return False
-            if sub[0][0] != eigs[0].base:
-                return False
-        else:
-            plus, minus = eigs if eigs[0].sign >= eigs[1].sign else (eigs[1], eigs[0])
-            tr = sub[0][0] + sub[1][1]
-            det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            # E+ + E- = 2 base, E+ E- = base^2 - radicand: rational identities
-            if tr != ExtScalar.of(plus.base + minus.base, p):
-                return False
-            if det != ExtScalar.of(plus.base * minus.base - plus.radicand, p):
-                return False
-    return True
+def _trace_det_ok(sub, eigs: list) -> bool:
+    """The trace/det identities of one closed-form block against its closed forms, exact."""
+    if len(sub) == 1:
+        return len(eigs) == 1 and eigs[0].sign == 0 and sub[0][0] == eigs[0].base
+    plus, minus = eigs if eigs[0].sign >= eigs[1].sign else (eigs[1], eigs[0])
+    tr = sub[0][0] + sub[1][1]
+    det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+    # E+ + E- = 2 base, E+ E- = base^2 - radicand: rational identities
+    return tr == plus.base + minus.base and det == plus.base * minus.base - plus.radicand
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    foreign = [
+        f"--{name}"
+        for model, names in MODEL_OPTIONS.items() if model != args.model
+        for name in names if getattr(args, name) is not None
+    ]
+    if foreign:
+        print(f"error: --model {args.model} does not take {' '.join(foreign)}", file=sys.stderr)
+        return 2
     payloads = [spectrum_payload(_model_from_args(args, p)) for p in args.p]
     return _emit(args, _format_payloads(args.format, payloads))
 
@@ -395,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp_rep = sub.add_parser("rep", help="export representation matrices as JSON")
     add_p_and_out(sp_rep, "3")
     sp_rep.add_argument("--basis", choices=sorted(b.value for b in Basis), default="lambda_chi")
-    sp_rep.add_argument("--generator", help="e.g. e00_0 or b+ (default: all eight)")
+    sp_rep.add_argument("--generator", choices=[g.name for g in GENERATORS] + list(ALIASES),
+                        metavar="NAME", help="e.g. e00_0 or b+ (default: all eight)")
     sp_rep.set_defaults(func=cmd_rep)
 
     sp_s = sub.add_parser("spectrum", aliases=["sweep"],
@@ -404,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp_s.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     sp_s.add_argument("--model", choices=("sphaleron", "moszkowski", "jc"), required=True)
     sp_s.add_argument("--case", type=int, choices=(43, 44, 50, 51))
-    for name in ("--c", "--V", "--omega", "--g", "--k2"):
-        sp_s.add_argument(name, type=_rational, default=Fraction(0))
-    sp_s.add_argument("--omega0", type=_rational)
+    for name in ("--c", "--V", "--omega", "--g", "--k2", "--omega0"):
+        sp_s.add_argument(name, type=_rational)
     sp_s.set_defaults(func=cmd_spectrum)
 
     sp_chk = sub.add_parser("check-realization", help="compare realizations to the abstract matrices")

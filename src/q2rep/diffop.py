@@ -107,9 +107,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.p == other.p and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -121,9 +118,6 @@ class Poly:
 
     def __neg__(self) -> Poly:
         return Poly(self.p, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other: Poly | ExtScalar | RationalLike) -> Poly:
         if isinstance(other, (int, Fraction, ExtScalar)):
@@ -182,19 +176,6 @@ class PolyPair:
             raise CapViolationError(
                 f"degrees ({self.upper.degree},{self.lower.degree}) exceed caps {self.caps}"
             )
-
-    @property
-    def p(self) -> int:
-        return self.upper.p
-
-    def __add__(self, other: PolyPair) -> PolyPair:
-        return PolyPair(self.upper + other.upper, self.lower + other.lower, self.caps)
-
-    def scaled(self, c: ExtScalar | RationalLike) -> PolyPair:
-        return PolyPair(self.upper.scaled(c), self.lower.scaled(c), self.caps)
-
-    def __bool__(self) -> bool:
-        return bool(self.upper) or bool(self.lower)
 
 
 def space_dimension(caps: Caps) -> int:
@@ -255,9 +236,6 @@ class DiffOp:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DiffOp) and self.p == other.p and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.p, tuple(sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))))
-
     def __repr__(self) -> str:
         return self.text()
 
@@ -286,21 +264,6 @@ class DiffOp:
                     piece += f"*{pauli.value}"
                 parts.append(piece)
         return " + ".join(parts)
-
-    def json_obj(self) -> list[dict]:
-        """JSON form: one object per term with ascending-power coefficients."""
-        out = []
-        for (k, pauli), poly in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        ):
-            out.append(
-                {
-                    "order": k,
-                    "pauli": pauli.value,
-                    "coeffs": [c.json_obj() for c in poly.coeffs],
-                }
-            )
-        return out
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -406,24 +369,16 @@ def realization_basis_id(which: int) -> Basis:
 def realization_basis(which: int, p: int) -> list[PolyPair]:
     """Polynomial carriers of the abstract basis vectors, in basis order."""
     caps = realization_caps(which, p)
+    if which != 3:
+        # Lam_k / mu_k are x^k in the upper slot, chi_l / mu_{p+k} monomials below
+        return monomial_basis(p, caps)
     zero = Poly.zero(p)
     out: list[PolyPair] = []
-    if which == 1:
-        for k in range(p + 1):
-            out.append(PolyPair(Poly.monomial(p, k), zero, caps))
-        for l in range(1, p):
-            out.append(PolyPair(zero, Poly.monomial(p, l - 1), caps))
-    elif which == 2:
-        for k in range(p):
-            out.append(PolyPair(Poly.monomial(p, k), zero, caps))
-        for k in range(p):
-            out.append(PolyPair(zero, Poly.monomial(p, k), caps))
-    else:
-        for k in range(p + 1):
-            lower = Poly.monomial(p, p - k - 1, p - k) if p - k >= 1 else zero
-            out.append(PolyPair(Poly.monomial(p, p - k, p), lower, caps))
-        for l in range(1, p):
-            out.append(PolyPair(zero, Poly.monomial(p, p - l - 1), caps))
+    for k in range(p + 1):
+        lower = Poly.monomial(p, p - k - 1, p - k) if p - k >= 1 else zero
+        out.append(PolyPair(Poly.monomial(p, p - k, p), lower, caps))
+    for l in range(1, p):
+        out.append(PolyPair(zero, Poly.monomial(p, p - l - 1), caps))
     return out
 
 

@@ -38,7 +38,7 @@ from .algebra import (
     GeneratorId,
     SuperElement,
 )
-from .diffop import DiffOp, Pauli, to_matrix, realization_basis
+from .diffop import DiffOp, Pauli, to_matrix, realization_basis, realization_basis_id
 from .linalg import Matrix
 from .rep import Basis, rep_of_element
 from .scalars import ExactEig, ExtScalar, RationalLike, inv_sqrt_p
@@ -106,11 +106,7 @@ class ModelSpec:
 
 
 def model_basis(model: Model) -> Basis:
-    if model in (Model.SPHALERON_51,):
-        return Basis.LAMBDA_CHI
-    if model is Model.JAYNES_CUMMINGS:
-        return Basis.THIRD
-    return Basis.MU
+    return realization_basis_id(model_space_realization(model))
 
 
 def model_space_realization(model: Model) -> int:

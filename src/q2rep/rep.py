@@ -74,22 +74,6 @@ class FormalVW:
         object.__setattr__(self, "v", {k: c for k, c in self.v.items() if c})
         object.__setattr__(self, "w", {k: c for k, c in self.w.items() if c})
 
-    def __add__(self, other: FormalVW) -> FormalVW:
-        v = dict(self.v)
-        w = dict(self.w)
-        for k, c in other.v.items():
-            v[k] = v.get(k, ExtScalar.zero(self.p)) + c
-        for k, c in other.w.items():
-            w[k] = w.get(k, ExtScalar.zero(self.p)) + c
-        return FormalVW(self.p, v, w)
-
-    def scaled(self, c: ExtScalar) -> FormalVW:
-        return FormalVW(
-            self.p,
-            {k: c * x for k, x in self.v.items()},
-            {k: c * x for k, x in self.w.items()},
-        )
-
     def __bool__(self) -> bool:
         return bool(self.v) or bool(self.w)
 

@@ -3,8 +3,9 @@
 The generator s squares to the positive integer p, so s plays the role of
 sqrt(p).  Elements are kept in canonical form (both components are reduced
 fractions) and s stays symbolic even when p is a perfect square: equality
-is structural in Q[s]/(s^2 - p).  Division guards against elements of zero
-norm a^2 - p*b^2, which exist exactly when p is a perfect square.
+is structural in Q[s]/(s^2 - p).  There is no division operator: `inverse`
+(used by the exact solve) refuses elements of zero norm a^2 - p*b^2, which
+exist exactly when p is a perfect square.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class ExtensionMismatchError(ValueError):
 
 
 class NotInvertibleError(ZeroDivisionError):
-    """Division by an element of zero norm a^2 - p*b^2."""
+    """Inverting an element of zero norm a^2 - p*b^2."""
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -120,41 +121,11 @@ class ExtScalar:
         """The norm a^2 - p*b^2 of a + b*s."""
         return self.rat * self.rat - self.p * self.irr * self.irr
 
-    def conjugate(self) -> ExtScalar:
-        return ExtScalar(self.rat, -self.irr, self.p)
-
     def inverse(self) -> ExtScalar:
         n = self.norm()
         if n == 0:
             raise NotInvertibleError(f"zero norm element {self!r} is not invertible")
         return ExtScalar(self.rat / n, -self.irr / n, self.p)
-
-    def __truediv__(self, other: object) -> ExtScalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> ExtScalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int) -> ExtScalar:
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ExtScalar.one(self.p)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # comparisons and conversions -------------------------------------------
 

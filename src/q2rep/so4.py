@@ -129,9 +129,6 @@ class Radical:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -142,11 +139,6 @@ class Radical:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return self.terms.get(1, Fraction(0))
-
-    def to_float(self) -> float:
-        import math
-
-        return float(sum(float(c) * math.sqrt(r) for r, c in self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from q2rep import cli
+from q2rep import cli, spectra
+from q2rep.models import Model, ModelSpec
 from q2rep.cli import main
 
 
@@ -193,3 +195,70 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "model,p,params,block,label,exact,float"
     assert len(lines) == 1 + 4
+
+
+def test_unknown_generator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "--p", "2", "--generator", "foo"])
+    assert exc.value.code == 2
+    assert "--generator: invalid choice: 'foo'" in capsys.readouterr().err
+    for name in ("e00_0", "e11_1", "b+", "f-"):
+        code, out, _ = run(capsys, "rep", "--p", "1", "--generator", name)
+        assert code == 0 and json.loads(out)["p"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["--model", "moszkowski", "--case", "43"], "--case"),
+        (["--model", "sphaleron", "--case", "43", "--c", "5"], "--c"),
+        (["--model", "jc", "--k2", "3"], "--k2"),
+        (["--model", "jc", "--omega", "1", "--V", "0"], "--V"),
+        (["--model", "moszkowski", "--omega0", "1"], "--omega0"),
+        (["--model", "sphaleron", "--case", "51", "--omega", "1"], "--omega"),
+        (["--model", "moszkowski", "--g", "0"], "--g"),
+    ],
+)
+def test_foreign_model_option_is_usage_error(capsys, argv, foreign):
+    code, out, err = run(capsys, "spectrum", "--p", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert foreign in err and argv[1] in err
+
+
+def test_unset_model_options_print_as_zero(capsys):
+    code, out, _ = run(capsys, "spectrum", "--model", "sphaleron", "--case", "43", "--p", "1")
+    assert code == 0
+    assert json.loads(out)["params"] == {"k2": "0"}
+    code, out, _ = run(capsys, "spectrum", "--model", "moszkowski", "--p", "1", "--V", "1")
+    assert code == 0
+    assert json.loads(out)["params"] == {"V": "1", "c": "0"}
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        (Model.MOSZKOWSKI, {"c": Fraction(2, 3), "V": Fraction(1, 7)}),
+        (Model.MOSZKOWSKI, {"c": Fraction(3, 5), "V": 0}),
+        (Model.JAYNES_CUMMINGS, {"omega": 1, "g": Fraction(1, 10)}),
+    ],
+)
+def test_spectrum_solves_each_closed_form_block_once(monkeypatch, model, params):
+    calls = {"numeric": 0, "exact": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    numeric = counted("numeric", spectra.eigenvalues_numeric)
+    monkeypatch.setattr(spectra, "eigenvalues_numeric", numeric)
+    monkeypatch.setattr(cli, "eigenvalues_numeric", numeric)
+    monkeypatch.setattr(
+        spectra, "eigenvalues_exact_small", counted("exact", spectra.eigenvalues_exact_small)
+    )
+    payload = cli.spectrum_payload(ModelSpec(model, 4, params))
+    assert payload["closed_form_match"] is True
+    # p + 1 closed-form blocks: two 1x1 and p - 1 pairs
+    assert calls == {"numeric": 5, "exact": 0}

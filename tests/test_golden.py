@@ -1,10 +1,10 @@
 """Golden CLI outputs: the stdout of fixed invocations, recorded in tests/data/.
 
 Each file under tests/data/ is the stdout of ``q2rep <argv>`` for the argv
-listed here.  ``verify`` output is compared byte for byte.  Spectrum output
-is compared byte for byte except for its floats, which numpy may round in
-the last bit differently on another machine: those must agree to 1e-12
-relative (and 1e-12 absolute near zero).  Rewrite a file only for an output
+listed here.  ``verify`` and ``check-realization`` output is compared byte
+for byte.  Spectrum output is compared byte for byte except for its floats,
+which numpy may round in the last bit differently on another machine: those
+must agree to 1e-12 relative (and 1e-12 absolute near zero).  Rewrite a file only for an output
 change that is intended, by saving the stdout of its command.
 """
 
@@ -22,6 +22,8 @@ SPECTRUM_MODELS = {
     "moszkowski": ["--model", "moszkowski", "--c", "2/3", "--V", "1/7"],
     "jc": ["--model", "jc", "--omega", "1", "--g", "1/10"],
     "sphaleron51": ["--model", "sphaleron", "--case", "51", "--k2", "1/4"],
+    # V = 0: the sparsity blocks are finer than the closed-form blocks
+    "moszkowski-V0": ["--model", "moszkowski", "--c", "3/5", "--V", "0"],
 }
 SPECTRUM_CASES = {
     f"spectrum_{name}_p1-3.{ext}": ["spectrum", *argv, "--p", "1..3", "--format", fmt]
@@ -42,6 +44,12 @@ def stdout_of(capsys, argv: list[str]) -> str:
 def test_verify_output_is_golden(capsys):
     got = stdout_of(capsys, ["verify", "--p", "1..3"])
     assert got == (DATA / "verify_p1-3.txt").read_text()
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_check_realization_show_is_golden(capsys, which):
+    got = stdout_of(capsys, ["check-realization", "--which", which, "--p", "1..2", "--show"])
+    assert got == (DATA / f"check-realization_{which}_p1-2_show.txt").read_text()
 
 
 @pytest.mark.parametrize("fname", sorted(SPECTRUM_CASES))

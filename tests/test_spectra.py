@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import q2rep
 from q2rep import linalg
 from q2rep.models import Model, ModelSpec, expression_matrix
 from q2rep.rep import Basis, change_of_basis
@@ -110,3 +115,15 @@ def test_similarity_invariance():
         a = sorted(z.real for bs in spectrum_of_matrix(m) for z in bs.numeric)
         b = sorted(z.real for bs in spectrum_of_matrix(m_lc) for z in bs.numeric)
         assert all(values_close(x, y) for x, y in zip(a, b))
+
+
+def test_package_import_loads_no_numpy_or_sympy():
+    # numpy and sympy load only with spectra, cli and reduction; importing
+    # them with the package raises the verify sweep's peak RSS by about 1 MB
+    src = str(Path(q2rep.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, q2rep; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
