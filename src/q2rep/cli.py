@@ -253,7 +253,7 @@ def spectrum_payload(spec: ModelSpec) -> dict:
                     eigenvalues.append(
                         {
                             "exact": (-e).exact_text(),
-                            "float": -e.value(),
+                            "float": (-e).value(),
                             "block": bs.block[0],
                             "label": None,
                         }
@@ -261,7 +261,7 @@ def spectrum_payload(spec: ModelSpec) -> dict:
             else:
                 for z in sorted(bs.numeric, key=lambda z: (-z.real, -z.imag)):
                     eigenvalues.append(
-                        {"exact": None, "float": -z.real, "block": bs.block[0], "label": None}
+                        {"exact": None, "float": 0.0 - z.real, "block": bs.block[0], "label": None}
                     )
     payload = {
         "model": spec.model.value,

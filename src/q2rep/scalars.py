@@ -1,20 +1,28 @@
 """Exact arithmetic in Q and in the quadratic extension ring Q[s]/(s^2 - p).
 
 The generator s squares to the positive integer p, so s plays the role of
-sqrt(p).  Elements are kept in canonical form (both components are reduced
-fractions) and s stays symbolic even when p is a perfect square: equality
-is structural in Q[s]/(s^2 - p).  There is no division operator: `inverse`
-(used by the exact solve) refuses elements of zero norm a^2 - p*b^2, which
-exist exactly when p is a perfect square.
+sqrt(p).  An element is one integer triple (a + b*s)/d in canonical form:
+d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal elements have
+equal triples.  Arithmetic works on ints alone and ends in one normaliser,
+which makes one gcd call (none when d = 1); no Fraction is built.  The
+`rat` and `irr` components are read as Fractions.  s stays symbolic even
+when p is a perfect square: equality is structural in Q[s]/(s^2 - p).
+There is no division operator: `inverse` (used by the exact solve) refuses
+elements of zero norm a^2 - p*b^2, which exist exactly when p is a perfect
+square.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 RationalLike = int | Fraction
+
+_gcd = math.gcd
+_alloc = object.__new__
 
 
 class ExtensionMismatchError(ValueError):
@@ -25,32 +33,74 @@ class NotInvertibleError(ZeroDivisionError):
     """Inverting an element of zero norm a^2 - p*b^2."""
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _num_den(value: RationalLike) -> tuple[int, int]:
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"not a rational value: {value!r}")
 
 
-class ExtScalar:
-    """An element rat + irr*s of Q[s]/(s^2 - p).
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = _gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
-    Instances are immutable.  Mixed arithmetic with int and Fraction is
-    supported; arithmetic between two ExtScalars requires equal p.
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0 and gcd(n, d) = 1, by Python's numeric hash."""
+    if d == 1:
+        return hash(n)
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _mismatch(p: int, q: int) -> ExtensionMismatchError:
+    return ExtensionMismatchError(f"p mismatch: {p} vs {q}")
+
+
+class ExtScalar:
+    """An element rat + irr*s of Q[s]/(s^2 - p), stored as (a + b*s)/d.
+
+    Instances are immutable: the triple lives in private slots, and `rat`,
+    `irr` and `p` are read-only properties.  Mixed arithmetic with int and
+    Fraction is supported; arithmetic between two ExtScalars requires
+    equal p.
     """
 
-    __slots__ = ("rat", "irr", "p")
+    __slots__ = ("_a", "_b", "_d", "_p")
 
     def __init__(self, rat: RationalLike, irr: RationalLike, p: int) -> None:
         if not (isinstance(p, int) and p >= 1):
             raise ValueError(f"extension parameter must be a positive integer, got {p!r}")
-        object.__setattr__(self, "rat", _as_fraction(rat))
-        object.__setattr__(self, "irr", _as_fraction(irr))
-        object.__setattr__(self, "p", p)
+        if type(rat) is int and type(irr) is int:
+            a, b, d = rat, irr, 1
+        else:
+            n1, d1 = _num_den(rat)
+            n2, d2 = _num_den(irr)
+            # over the lcm of two reduced denominators the triple is already canonical
+            d = d1 * d2 // _gcd(d1, d2)
+            a, b = n1 * (d // d1), n2 * (d // d2)
+        self._a = a
+        self._b = b
+        self._d = d
+        self._p = p
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExtScalar is immutable")
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def p(self) -> int:
+        return self._p
 
     @classmethod
     def zero(cls, p: int) -> ExtScalar:
@@ -68,109 +118,147 @@ class ExtScalar:
     @classmethod
     def of(cls, value: RationalLike | ExtScalar, p: int) -> ExtScalar:
         if isinstance(value, ExtScalar):
-            if value.p != p:
-                raise ExtensionMismatchError(f"p mismatch: {value.p} vs {p}")
+            if value._p != p:
+                raise _mismatch(value._p, p)
             return value
         return cls(value, 0, p)
-
-    def _coerce(self, other: object) -> ExtScalar | None:
-        if isinstance(other, ExtScalar):
-            if other.p != self.p:
-                raise ExtensionMismatchError(f"p mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtScalar(other, 0, self.p)
-        return None
 
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other: object) -> ExtScalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtScalar(self.rat + o.rat, self.irr + o.irr, self.p)
+        p, d = self._p, self._d
+        if isinstance(other, ExtScalar):
+            if other._p != p:
+                raise _mismatch(p, other._p)
+            e = other._d
+            return _normal(self._a * e + other._a * d, self._b * e + other._b * d, d * e, p)
+        if isinstance(other, int):
+            return _normal(self._a + other * d, self._b, d, p)
+        if isinstance(other, Fraction):
+            n, e = other.numerator, other.denominator
+            return _normal(self._a * e + n * d, self._b * e, d * e, p)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> ExtScalar:
-        return ExtScalar(-self.rat, -self.irr, self.p)
+        return _normal(-self._a, -self._b, self._d, self._p)
 
     def __sub__(self, other: object) -> ExtScalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtScalar(self.rat - o.rat, self.irr - o.irr, self.p)
+        p, d = self._p, self._d
+        if isinstance(other, ExtScalar):
+            if other._p != p:
+                raise _mismatch(p, other._p)
+            e = other._d
+            return _normal(self._a * e - other._a * d, self._b * e - other._b * d, d * e, p)
+        if isinstance(other, int):
+            return _normal(self._a - other * d, self._b, d, p)
+        if isinstance(other, Fraction):
+            n, e = other.numerator, other.denominator
+            return _normal(self._a * e - n * d, self._b * e, d * e, p)
+        return NotImplemented
 
     def __rsub__(self, other: object) -> ExtScalar:
         return (-self) + other
 
     def __mul__(self, other: object) -> ExtScalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b s)(c + d s) = (ac + bd p) + (ad + bc) s
-        return ExtScalar(
-            self.rat * o.rat + self.irr * o.irr * self.p,
-            self.rat * o.irr + self.irr * o.rat,
-            self.p,
-        )
+        p = self._p
+        if isinstance(other, ExtScalar):
+            if other._p != p:
+                raise _mismatch(p, other._p)
+            # (a + b s)(c + e s) = (ac + be p) + (ae + bc) s
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _normal(a * c + b * e * p, a * e + b * c, self._d * other._d, p)
+        if isinstance(other, int):
+            return _normal(self._a * other, self._b * other, self._d, p)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _normal(self._a * n, self._b * n, self._d * other.denominator, p)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """The norm a^2 - p*b^2 of a + b*s."""
-        return self.rat * self.rat - self.p * self.irr * self.irr
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a - self._p * b * b, d * d)
 
     def inverse(self) -> ExtScalar:
-        n = self.norm()
+        # d / (a + b s) = d (a - b s) / (a^2 - p b^2)
+        a, b, d, p = self._a, self._b, self._d, self._p
+        n = a * a - p * b * b
         if n == 0:
             raise NotInvertibleError(f"zero norm element {self!r} is not invertible")
-        return ExtScalar(self.rat / n, -self.irr / n, self.p)
+        if n < 0:
+            n, d = -n, -d
+        return _normal(d * a, -d * b, n, p)
 
     # comparisons and conversions -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExtScalar):
-            return self.p == other.p and self.rat == other.rat and self.irr == other.irr
-        if isinstance(other, (int, Fraction)):
-            return self.irr == 0 and self.rat == other
+            return (
+                self._a == other._a and self._b == other._b
+                and self._d == other._d and self._p == other._p
+            )
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a * other.denominator == other.numerator * self._d
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.irr, self.p))
+        if self._b == 0:
+            return _rational_hash(self._a, self._d)
+        return hash((self._a, self._b, self._d, self._p))
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.irr)
+        return self._a != 0 or self._b != 0
 
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return self._b == 0
 
     def to_float(self) -> float:
         """Embed into the reals with s -> +sqrt(p)."""
-        return float(self.rat) + float(self.irr) * math.sqrt(self.p)
+        d = self._d
+        return self._a / d + self._b / d * math.sqrt(self._p)
 
     def __float__(self) -> float:
         return self.to_float()
 
     def __repr__(self) -> str:
-        return f"ExtScalar({self.rat}, {self.irr}, p={self.p})"
+        rat, irr = _ratio_text(self._a, self._d), _ratio_text(self._b, self._d)
+        return f"ExtScalar({rat}, {irr}, p={self._p})"
 
     def __str__(self) -> str:
         return self.text()
 
     def text(self) -> str:
         """Canonical textual form "a/b + c/d*sqrt(p)"."""
-        return f"{self.rat} + {self.irr}*sqrt({self.p})"
+        return f"{_ratio_text(self._a, self._d)} + {_ratio_text(self._b, self._d)}*sqrt({self._p})"
 
     def as_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Exact components as ((a, b), (c, d)) integer pairs."""
-        return (
-            (self.rat.numerator, self.rat.denominator),
-            (self.irr.numerator, self.irr.denominator),
-        )
+        a, b, d = self._a, self._b, self._d
+        g, h = _gcd(a, d), _gcd(b, d)
+        return ((a // g, d // g), (b // h, d // h))
 
     def json_obj(self) -> dict[str, str]:
-        return {"rat": str(self.rat), "irr": str(self.irr)}
+        return {"rat": _ratio_text(self._a, self._d), "irr": _ratio_text(self._b, self._d)}
+
+
+def _normal(a: int, b: int, d: int, p: int) -> ExtScalar:
+    """The canonical ExtScalar (a + b*s)/d for d > 0, built without __init__."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    x = _alloc(ExtScalar)
+    x._a = a
+    x._b = b
+    x._d = d
+    x._p = p
+    return x
 
 
 def ext(p: int, rat: RationalLike, irr: RationalLike = 0) -> ExtScalar:

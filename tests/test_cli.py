@@ -262,3 +262,13 @@ def test_spectrum_solves_each_closed_form_block_once(monkeypatch, model, params)
     assert payload["closed_form_match"] is True
     # p + 1 closed-form blocks: two 1x1 and p - 1 pairs
     assert calls == {"numeric": 5, "exact": 0}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_zero_eigenvalue_prints_without_sign(capsys, fmt):
+    # lambda = -eig(Delta) of an exact zero eigenvalue is 0.0, not -0.0
+    code, out, _ = run(
+        capsys, "spectrum", "--model", "sphaleron", "--case", "43", "--p", "1", "--format", fmt
+    )
+    assert code == 0
+    assert "0.0" in out and "-0.0" not in out

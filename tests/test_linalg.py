@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from q2rep import linalg
-from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS
+from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS, GENERATORS
 from q2rep.rep import Basis, rep_matrix
 from q2rep.scalars import ExtScalar, ext
 from q2rep.so4 import RAD_ZERO, Radical
@@ -183,3 +183,36 @@ def test_matmul_multiplies_only_nonzero_pairs(monkeypatch, gx, gy):
     monkeypatch.undo()
     assert calls <= pairs < n ** 3 // 4
     assert linalg.equal(out, naive_matmul(a, b, ExtScalar.zero(p)))
+
+
+def test_ext_kernels_build_no_fraction(monkeypatch):
+    """matmul, sub, scale and equal over Q[sqrt(4)] stay in integer arithmetic."""
+    p = 4
+    mats = [rep_matrix(g, Basis.LAMBDA_CHI, p) for g in GENERATORS]
+    pairs = [(a, b) for a in mats for b in mats]
+    scalars = (3, Fraction(-2, 3), ext(p, Fraction(1, 2), -1))
+    built = 0
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 builds results here
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints",
+            classmethod(counting(Fraction._from_coprime_ints.__func__)),
+        )
+    assert Fraction(1, 2) and built == 1  # the wrapper is live
+    built = 0
+    for a, b in pairs:
+        prod = linalg.matmul(a, b)
+        diff = linalg.sub(prod, linalg.matmul(b, a))
+        for c in scalars:
+            linalg.scale(c, diff)
+        linalg.equal(prod, diff)
+    monkeypatch.undo()
+    assert built == 0
