@@ -142,30 +142,37 @@ class SuperElement:
         return "mixed"
 
 
-def bracket_basis(a: GeneratorId, b: GeneratorId, p: int) -> SuperElement:
-    """[[e_ij^s, e_kl^t]] on basis generators."""
+def _structure_constants(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:
+    """[[a, b]] as integer (generator, coefficient) terms, by the formula above."""
     s, t = a.parity, b.parity
-    out: dict[GeneratorId, ExtScalar] = {}
+    out: dict[GeneratorId, int] = {}
     if a.j == b.i:
-        g = GeneratorId(a.i, b.j, (s + t) % 2)
-        out[g] = out.get(g, ExtScalar.zero(p)) + 1
+        out[GeneratorId(a.i, b.j, (s + t) % 2)] = 1
     if a.i == b.j:
         g = GeneratorId(b.i, a.j, (s + t) % 2)
-        coeff = 1 if (s and t) else -1  # -(-1)^{st}
-        out[g] = out.get(g, ExtScalar.zero(p)) + coeff
-    return SuperElement(p, out)
+        out[g] = out.get(g, 0) + (1 if (s and t) else -1)  # -(-1)^{st}
+    return tuple((g, c) for g, c in out.items() if c)
+
+
+_STRUCTURE = {(a, b): _structure_constants(a, b) for a, b in product(GENERATORS, repeat=2)}
+
+
+def bracket_basis(a: GeneratorId, b: GeneratorId, p: int) -> SuperElement:
+    """[[e_ij^s, e_kl^t]] on basis generators."""
+    return SuperElement(p, dict(_STRUCTURE[a, b]))
 
 
 def bracket(x: SuperElement, y: SuperElement) -> SuperElement:
     """Bilinear extension of the bracket; anticommutator on odd-odd parts."""
     if x.p != y.p:
         raise ValueError("p mismatch")
-    p = x.p
-    out = SuperElement.zero(p)
+    out: dict[GeneratorId, ExtScalar] = {}
     for gx, cx in x.coeffs.items():
         for gy, cy in y.coeffs.items():
-            out = out + bracket_basis(gx, gy, p).scaled(cx * cy)
-    return out
+            for g, k in _STRUCTURE[gx, gy]:
+                c = cx * cy * k
+                out[g] = out[g] + c if g in out else c
+    return SuperElement(x.p, out)
 
 
 def check_graded_jacobi(p: int = 2) -> tuple[bool, int, tuple | None]:

@@ -144,11 +144,6 @@ class Poly:
             cs = tuple(cs[i] * i for i in range(1, len(cs)))
         return Poly(self.p, cs)
 
-    def coefficient(self, degree: int) -> ExtScalar:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return ExtScalar.zero(self.p)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -335,14 +330,16 @@ def to_matrix(op: DiffOp, basis: list[PolyPair], out_caps: Caps | None = None) -
     if nrows == 0:
         raise ValueError("zero-dimensional space")
 
-    def coords(v: PolyPair) -> list[ExtScalar]:
-        return [v.upper.coefficient(d) for d in range(caps[0] + 1)] + [
-            v.lower.coefficient(d) for d in range(caps[1] + 1)
-        ]
+    def coords(v: PolyPair) -> dict[int, ExtScalar]:
+        out = dict(enumerate(v.upper.coeffs[: caps[0] + 1]))
+        out.update((caps[0] + 1 + d, c) for d, c in enumerate(v.lower.coeffs[: caps[1] + 1]))
+        return out
 
-    bmat = linalg.transpose(linalg.freeze([coords(b) for b in basis]))
-    images = [apply(op, b, caps) for b in basis]
-    imat = linalg.transpose(linalg.freeze([coords(v) for v in images]))
+    def matrix(vectors: list[PolyPair]) -> Matrix:
+        return linalg.transpose(linalg.sparse(nrows, ExtScalar.zero(p), map(coords, vectors)))
+
+    bmat = matrix(basis)
+    imat = matrix([apply(op, b, caps) for b in basis])
     try:
         return linalg.solve(bmat, imat)
     except linalg.InconsistentSystemError as exc:

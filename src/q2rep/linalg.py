@@ -1,26 +1,60 @@
-"""Small exact matrix helpers that skip zero entries.
+"""Exact matrices as tuples of sparse rows.
 
-Matrices are immutable tuples of tuples of ring elements (ExtScalar, Radical,
-Fraction, ...); the two matrices a kernel combines hold one element type.
-Representation matrices here have O(1) nonzeros per column, so the kernels
-do exact arithmetic only on nonzero entries: `matmul` gathers each row of
-the right factor's nonzeros once and accumulates row by row, and `add`,
-`sub` and `scale` pass zero operands through.  Every entry left zero is one
-shared zero of the result's type.  Each product entry still sums its terms
-over ascending k, so the results are the same exact values a dense product
-gives.
+A `Row` keeps its length, the one shared zero of its entry type (ExtScalar
+of the right p, Radical, Fraction, ...) and a dict `nz` of its nonzero
+entries by ascending column.  `len(row)`, `row[j]` and iteration give the
+dense view, zeros included.  A kernel indexes a plain sequence of sequences
+once on entry (`freeze`).
+
+The kernels, `solve` included, do arithmetic, comparisons and truth tests
+on stored nonzeros only.  Each product entry still sums its terms over
+ascending k, entries that cancel are dropped, and a result's zero comes
+from its operands' zeros, so every entry has the value, type and p a dense
+kernel gives.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from collections.abc import Sequence
+from itertools import repeat
 from typing import TypeVar
 
 from .scalars import ExtScalar, NotInvertibleError
 
 T = TypeVar("T")
-Matrix = tuple[tuple[T, ...], ...]
+
+
+class Row:
+    """One matrix row; immutable by convention, since kernels share `nz` dicts."""
+
+    __slots__ = ("n", "zero", "nz")
+
+    def __init__(self, n: int, zero: T, nz: dict[int, T]) -> None:
+        self.n, self.zero, self.nz = n, zero, nz
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j):
+        if type(j) is int and 0 <= j < self.n:
+            return self.nz.get(j, self.zero)
+        return tuple(self)[j]
+
+    def __iter__(self):
+        return map(self.nz.get, range(self.n), repeat(self.zero))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Row:
+            return self.n == other.n and self.nz == other.nz
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, list)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+Matrix = tuple[Row, ...]
 
 
 class SingularMatrixError(ValueError):
@@ -31,8 +65,25 @@ class InconsistentSystemError(ValueError):
     """An exact linear system has no solution (image leaves the span)."""
 
 
+def _as_row(r: Sequence[T]) -> Row:
+    if type(r) is Row:
+        return r
+    r = tuple(r)
+    return Row(len(r), r[0] - r[0] if r else None, {j: x for j, x in enumerate(r) if x})
+
+
+def _rows(a: Sequence[Sequence[T]]) -> Matrix:
+    return a if all(type(r) is Row for r in a) else tuple(map(_as_row, a))
+
+
 def freeze(rows: Sequence[Sequence[T]]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
+    """The matrix of dense rows; Rows pass through."""
+    return tuple(map(_as_row, rows))
+
+
+def sparse(m: int, zero: T, rows: Iterable[dict[int, T]]) -> Matrix:
+    """Rows of length m from {column: entry} dicts; zero entries are dropped."""
+    return tuple(Row(m, zero, {j: x for j in sorted(d) if (x := d[j])}) for d in rows)
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -40,7 +91,7 @@ def shape(a: Matrix) -> tuple[int, int]:
 
 
 def identity(n: int, one: T, zero: T) -> Matrix:
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return tuple(Row(n, zero, {i: one}) for i in range(n))
 
 
 def ext_identity(n: int, p: int) -> Matrix:
@@ -48,12 +99,18 @@ def ext_identity(n: int, p: int) -> Matrix:
 
 
 def ext_zeros(n: int, m: int, p: int) -> Matrix:
-    z = ExtScalar.zero(p)
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
+    return sparse(m, ExtScalar.zero(p), ({} for _ in range(n)))
 
 
 def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+    a = _rows(a)
+    if not a:
+        return ()
+    cols: list[dict] = [{} for _ in range(a[0].n)]
+    for i, row in enumerate(a):
+        for j, x in row.nz.items():
+            cols[j][i] = x
+    return tuple(Row(len(a), a[0].zero, col) for col in cols)
 
 
 def _check_shapes(a: Matrix, b: Matrix) -> None:
@@ -61,87 +118,90 @@ def _check_shapes(a: Matrix, b: Matrix) -> None:
         raise ValueError(f"shape mismatch {shape(a)} vs {shape(b)}")
 
 
-def _zero_like(x: T) -> T:
-    """The zero of x's type.
-
-    Callers pass a combination of both operands' first entries, so operands
-    from different extensions still raise as a dense kernel would.
-    """
-    return x - x
+def _combine(a: Matrix, b: Matrix, op: Callable, lone: Callable) -> Matrix:
+    """Entrywise op(x, y), with lone(y) where x is zero."""
+    a, b = _rows(a), _rows(b)
+    _check_shapes(a, b)
+    m = len(a[0]) if a else 0
+    # zeros combine as entries do: operands from two extensions raise here
+    zero = op(a[0].zero, b[0].zero) if m else None
+    out = []
+    for ra, rb in zip(a, b):
+        nz = ra.nz
+        if rb.nz:
+            nz = dict(nz)
+            for j, y in rb.nz.items():
+                x = nz.get(j)
+                if x is None:
+                    nz[j] = lone(y)
+                elif v := op(x, y):
+                    nz[j] = v
+                else:
+                    del nz[j]
+            nz = dict(sorted(nz.items()))
+        out.append(Row(m, zero, nz))
+    return tuple(out)
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    _check_shapes(a, b)
-    zero = _zero_like(a[0][0] + b[0][0]) if a and a[0] else None
-    return tuple(
-        tuple((x + y if y else x) if x else (y if y else zero) for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
+    return _combine(a, b, operator.add, lambda y: y)
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    _check_shapes(a, b)
-    zero = _zero_like(a[0][0] - b[0][0]) if a and a[0] else None
-    return tuple(
-        tuple((x - y if y else x) if x else (-y if y else zero) for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
+    return _combine(a, b, operator.sub, operator.neg)
 
 
 def scale(c: T, a: Matrix) -> Matrix:
-    zero = _zero_like(c * a[0][0]) if a and a[0] else None
-    return tuple(tuple(c * x if x else zero for x in row) for row in a)
+    a = _rows(a)
+    m = len(a[0]) if a else 0
+    zero = c * a[0].zero if m else None
+    return tuple(Row(m, zero, {j: v for j, x in r.nz.items() if (v := c * x)}) for r in a)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    a, b = _rows(a), _rows(b)
     n, k = shape(a)
     k2, m = shape(b)
     if k != k2:
         raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
     # built by addition, so that every multiplication here is of a nonzero pair
-    zero = _zero_like(a[0][0] + b[0][0]) if n and m and k else None
-    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    zero = a[0].zero + b[0].zero if n and m and k else None
+    b_nz = [row.nz for row in b]
     out = []
     for row in a:
-        acc: list = [None] * m
-        for x, nonzeros in zip(row, b_nonzeros):
-            if nonzeros and x:
-                for j, y in nonzeros:
-                    t = acc[j]
-                    acc[j] = x * y if t is None else t + x * y
-        out.append(tuple(zero if t is None else t for t in acc))
+        acc: dict = {}
+        for kk, x in row.nz.items():
+            for j, y in b_nz[kk].items():
+                t = acc.get(j)
+                acc[j] = x * y if t is None else t + x * y
+        out.append(Row(m, zero, {j: v for j in sorted(acc) if (v := acc[j])}))
     return tuple(out)
 
 
 def equal(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and all(
-        x is y or x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
+    a, b = _rows(a), _rows(b)
+    return shape(a) == shape(b) and all(ra.nz == rb.nz for ra, rb in zip(a, b))
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int] | None:
+    """The first (row, column) where a and b differ, or None; shapes must match."""
+    a, b = _rows(a), _rows(b)
+    _check_shapes(a, b)
     for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if x is not y and x != y:
-                return i, j
+        if ra.nz != rb.nz:
+            for j in sorted(ra.nz.keys() | rb.nz.keys()):
+                if ra[j] != rb[j]:
+                    return i, j
     return None
 
 
 def is_scalar_matrix(a: Matrix) -> bool:
+    a = _rows(a)
     n, m = shape(a)
     if n != m or n == 0:
         return False
     d = a[0][0]
-    return all(
-        (a[i][j] == d) if i == j else (not a[i][j]) for i in range(n) for j in range(n)
-    )
-
-
-def _try_inverse(x: T) -> T | None:
-    try:
-        return x.inverse()
-    except NotInvertibleError:
-        return None
+    return all(row.nz == ({i: d} if d else {}) for i, row in enumerate(a))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -152,37 +212,34 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     when no invertible pivot exists and InconsistentSystemError when the
     system has no solution.
     """
-    m, n = shape(a)
-    mb, q = shape(b)
+    a, b = _rows(a), _rows(b)
+    (m, n), (mb, q) = shape(a), shape(b)
     if m != mb:
         raise ValueError("row count mismatch between matrix and right-hand side")
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    r = 0
+    # the rows of [a | b], the columns of b shifted by n
+    rows = [ra.nz | {n + j: y for j, y in rb.nz.items()} for ra, rb in zip(a, b)]
     for c in range(n):
-        pivot, pinv = None, None
-        for rr in range(r, m):
-            if rows[rr][c]:
-                inv = _try_inverse(rows[rr][c])
-                if inv is not None:
-                    pivot, pinv = rr, inv
-                    break
-        if pivot is None:
+        for r in range(c, m):
+            try:
+                pinv = rows[r][c].inverse()
+                break
+            except (KeyError, NotInvertibleError):  # no entry, or a zero divisor
+                pass
+        else:
             raise SingularMatrixError(f"no invertible pivot in column {c}")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [pinv * x for x in rows[r]]
-        for rr in range(m):
-            if rr == r:
-                continue
-            f = rows[rr][c]
-            if not f:
-                continue
-            rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        r += 1
-    for rr in range(r, m):
-        for c in range(n, n + q):
-            if rows[rr][c]:
-                raise InconsistentSystemError("system has no exact solution")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot = rows[c] = {j: pinv * x for j, x in rows[c].items()}
+        for row in rows:
+            if row is not pivot and (f := row.get(c)) is not None:
+                for j, y in pivot.items():
+                    if v := row[j] - f * y if j in row else -(f * y):
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+    if any(row for row in rows[n:]):
+        raise InconsistentSystemError("system has no exact solution")
+    zero = a[0].zero + b[0].zero if n and q else None
+    return sparse(q, zero, ({j - n: x for j, x in row.items() if j >= n} for row in rows[:n]))
 
 
 def ext_invert(a: Matrix, p: int) -> Matrix:

@@ -162,12 +162,10 @@ def _rvw_index(kind: str, k: int, p: int) -> int:
     return p + k - 1
 
 
-def _rvw_coords(x: FormalVW, p: int) -> list[ExtScalar]:
-    out = [ExtScalar.zero(p)] * (2 * p)
-    for k, c in x.v.items():
-        out[_rvw_index("v", k, p)] = c
-    for k, c in x.w.items():
-        out[_rvw_index("w", k, p)] = c
+def _rvw_coords(x: FormalVW, p: int) -> dict[int, ExtScalar]:
+    """The nonzero reduced coordinates of x, by index."""
+    out = {_rvw_index("v", k, p): c for k, c in x.v.items()}
+    out.update((_rvw_index("w", k, p), c) for k, c in x.w.items())
     return out
 
 
@@ -175,8 +173,7 @@ def _rvw_coords(x: FormalVW, p: int) -> list[ExtScalar]:
 def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
     """Columns express the basis vectors in reduced VW coordinates."""
     n = 2 * p
-    zero = ExtScalar.zero(p)
-    cols: list[list[ExtScalar]] = []
+    cols: list[dict[int, ExtScalar]] = []
 
     def lam(k: int) -> FormalVW:
         if k < p:
@@ -204,10 +201,12 @@ def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
         lam_cols = [_rvw_coords(lam(k), p) for k in range(p + 1)]
         chi_cols = [None] + [_rvw_coords(chi(l), p) for l in range(1, p)]
 
-        def combo(kl: int, kc: int, c_chi: int) -> list[ExtScalar]:
-            col = list(lam_cols[kl])
+        def combo(kl: int, kc: int, c_chi: int) -> dict[int, ExtScalar]:
+            col = dict(lam_cols[kl])
             if c_chi and 1 <= kc <= p - 1:
-                col = [a + ExtScalar.of(c_chi, p) * b for a, b in zip(col, chi_cols[kc])]
+                for i, b in chi_cols[kc].items():
+                    c = ExtScalar.of(c_chi, p) * b
+                    col[i] = col[i] + c if i in col else c
             return col
 
         for k in range(p):  # mu_k = Lam_{p-k} - k chi_{p-k}
@@ -216,8 +215,7 @@ def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
             cols.append(combo(p - k - 1, p - k - 1, p - k - 1))
     else:
         raise KeyError(basis)
-    assert all(len(c) == n for c in cols)
-    return linalg.transpose(linalg.freeze(cols))
+    return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 
 
 @lru_cache(maxsize=None)
@@ -335,8 +333,10 @@ _MU_SINGLES = {
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
     """Exact 2p x 2p matrix of the generator in the requested ordered basis."""
     n = 2 * p
-    zero = ExtScalar.zero(p)
-    cols: list[list[ExtScalar]] = [[zero] * n for _ in range(n)]
+    cols: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
+
+    def put(col: int, row: int, c: ExtScalar) -> None:
+        cols[col][row] = cols[col][row] + c if row in cols[col] else c
 
     if basis in (Basis.LAMBDA_CHI, Basis.THIRD):
         def pos(kind: str, idx: int) -> int:
@@ -345,31 +345,30 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
         for col in range(n):
             kind, idx = ("L", col) if col <= p else ("C", col - p)
             for tkind, tidx, c in _lc_action(g, kind, idx, p):
-                cols[col][pos(tkind, tidx)] = cols[col][pos(tkind, tidx)] + c
+                put(col, pos(tkind, tidx), c)
     elif basis is Basis.MU:
         for col in range(n):
             for name, weight in _MU_SINGLES[g]:
                 for tidx, c in _mu_action_combo(name, col, p):
-                    cols[col][tidx] = cols[col][tidx] + c * weight
+                    put(col, tidx, c * weight)
     elif basis is Basis.VW:
-        exp = expansion_in_rvw(Basis.VW, p)
-        for col in range(n):
+        for col, coords in enumerate(linalg.transpose(expansion_in_rvw(Basis.VW, p))):
+            # reduced coordinates: v_k at k, w_k at p + k - 1
             vec = FormalVW(
                 p,
-                {k: exp[_rvw_index("v", k, p)][col] for k in range(p)},
-                {k: exp[_rvw_index("w", k, p)][col] for k in range(1, p + 1)},
+                {i: c for i, c in coords.nz.items() if i < p},
+                {i - p + 1: c for i, c in coords.nz.items() if i >= p},
             )
-            image = reduce_quotient(act_vw(g, vec, p), p)
-            coords = _rvw_coords(image, p)
-            # re-express in the VW basis: w_p content sits on the last vector
-            wp = coords[_rvw_index("w", p, p)]
+            image = _rvw_coords(reduce_quotient(act_vw(g, vec, p), p), p)
+            # re-express in the VW basis: w_p content sits on the last vector,
+            # which is also the index of w_p in reduced coordinates
+            wp = image.get(_rvw_index("w", p, p))
             if wp:
-                coords[_rvw_index("w", p, p)] = zero
-                coords[n - 1] = wp * inv_sqrt_p(p) * Fraction(1, 2)
-            cols[col] = coords
+                image[n - 1] = wp * inv_sqrt_p(p) * Fraction(1, 2)
+            cols[col] = image
     else:
         raise KeyError(basis)
-    return linalg.transpose(linalg.freeze(cols))
+    return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 
 
 def rep_of_element(x: SuperElement, basis: Basis, p: int) -> Matrix:
@@ -384,8 +383,7 @@ def rep_of_element(x: SuperElement, basis: Basis, p: int) -> Matrix:
 def _gram_rvw(p: int) -> Matrix:
     """Gram matrix of the reduced coordinates v_0..v_{p-1}, w_1..w_p."""
     n = 2 * p
-    s = _s(p)
-    rows = [[ExtScalar.zero(p)] * n for _ in range(n)]
+    rows: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
     for k in range(p):
         rows[k][k] = ExtScalar.of(
             Fraction(factorial(k) * factorial(p), factorial(p - k)), p
@@ -400,7 +398,7 @@ def _gram_rvw(p: int) -> Matrix:
         c = ExtScalar.of(Fraction(factorial(k) * factorial(p), factorial(p - k)), p) * inv_sqrt_p(p)
         rows[i][j] = c
         rows[j][i] = c
-    return linalg.freeze(rows)
+    return linalg.sparse(n, ExtScalar.zero(p), rows)
 
 
 @lru_cache(maxsize=None)

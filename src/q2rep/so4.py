@@ -185,7 +185,7 @@ def _m_value(i_m: int, p: int) -> Fraction:
 def so4_matrix(g: So4Generator, p: int) -> Matrix:
     """Exact matrix of a J/K generator in the tensor basis."""
     n = 2 * p
-    rows = [[RAD_ZERO] * n for _ in range(n)]
+    rows: list[dict[int, Radical]] = [{} for _ in range(n)]
     j = Fraction(p - 1, 2)
     for i_m in range(p):
         m = _m_value(i_m, p)
@@ -208,7 +208,7 @@ def so4_matrix(g: So4Generator, p: int) -> Matrix:
                 target_imu = i_mu - sign
                 if coeff > 0 and 0 <= target_imu < 2:
                     rows[_tensor_index(i_m, target_imu, p)][col] = Radical.sqrt(coeff)
-    return linalg.freeze(rows)
+    return linalg.sparse(n, RAD_ZERO, rows)
 
 
 def rad_identity(n: int) -> Matrix:
@@ -221,17 +221,18 @@ def rad_scale(c: Fraction | Radical, a: Matrix) -> Matrix:
 
 
 def ext_to_radical_matrix(a: Matrix) -> Matrix:
-    return tuple(tuple(Radical.from_ext(x) for x in row) for row in a)
+    rows = ({j: Radical.from_ext(x) for j, x in row.nz.items()} for row in a)
+    return linalg.sparse(len(a[0]) if a else 0, RAD_ZERO, rows)
 
 
 @lru_cache(maxsize=None)
 def tensor_to_lambda_chi(p: int) -> Matrix:
     """Columns express Lam_0..Lam_p, chi_1..chi_{p-1} in tensor coordinates."""
     n = 2 * p
-    cols: list[list[Radical]] = []
+    cols: list[dict[int, Radical]] = []
     pf = factorial(p)
     for k in range(p + 1):
-        col = [RAD_ZERO] * n
+        col = {}
         norm = Fraction(factorial(p - k) * factorial(k), pf)
         if k < p:
             amp = Radical.sqrt(norm) * Radical.sqrt(Fraction(p - k, p))
@@ -241,14 +242,14 @@ def tensor_to_lambda_chi(p: int) -> Matrix:
             col[_tensor_index(k - 1, 1, p)] = amp  # m = (p+1)/2 - k, mu = -1/2
         cols.append(col)
     for l in range(1, p):
-        col = [RAD_ZERO] * n
+        col = {}
         norm = Fraction(factorial(p - l - 1) * factorial(l - 1), pf)
         col[_tensor_index(l, 0, p)] = Radical.sqrt(norm) * Radical.sqrt(Fraction(l, p))
         col[_tensor_index(l - 1, 1, p)] = -(
             Radical.sqrt(norm) * Radical.sqrt(Fraction(p - l, p))
         )
         cols.append(col)
-    return linalg.transpose(linalg.freeze(cols))
+    return linalg.transpose(linalg.sparse(n, RAD_ZERO, cols))
 
 
 def _q2_matrix(combo: dict[GeneratorId, Fraction | ExtScalar], p: int) -> Matrix:

@@ -1,4 +1,4 @@
-"""Block detection and eigenvalue computation for small dense exact matrices.
+"""Block detection and eigenvalue computation for small exact matrices.
 
 Blocks are the connected components of the symmetrized sparsity graph.
 Blocks of size 1 or 2 are solved exactly (quadratic radicals); larger blocks
@@ -32,35 +32,34 @@ class BlockDecomposition:
 
 def decompose(m: Matrix) -> BlockDecomposition:
     """Connected components of the symmetrized sparsity graph of m."""
+    m = linalg.freeze(m)
     n, nc = linalg.shape(m)
     if n != nc:
         raise ValueError("square matrices only")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and (m[i][j] or m[j][i]):
-                adj[i].add(j)
-                adj[j].add(i)
-    seen = [False] * n
+    adj = [set(row.nz) for row in m]
+    for i, row in enumerate(m):
+        for j in row.nz:
+            adj[j].add(i)
+    # each block starts at the first index no earlier block holds
+    seen: set[int] = set()
     blocks: list[tuple[int, ...]] = []
     for start in range(n):
-        if seen[start]:
+        if start in seen:
             continue
-        stack, comp = [start], []
-        seen[start] = True
+        comp, stack = {start}, [start]
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+            new = adj[stack.pop()] - comp
+            comp |= new
+            stack.extend(new)
+        seen |= comp
         blocks.append(tuple(sorted(comp)))
-    blocks.sort(key=lambda b: b[0])
-    subs = tuple(
-        tuple(tuple(m[i][j] for j in block) for i in block) for block in blocks
-    )
-    return BlockDecomposition(tuple(blocks), subs)
+    subs = []
+    for block in blocks:
+        pos = {j: t for t, j in enumerate(block)}
+        # every nonzero of a row lies in the row's block
+        rows = ({pos[j]: x for j, x in m[i].nz.items()} for i in block)
+        subs.append(linalg.sparse(len(block), m[block[0]].zero, rows))
+    return BlockDecomposition(tuple(blocks), tuple(subs))
 
 
 def eigenvalues_exact_small(block: Matrix) -> list[ExactEig]:

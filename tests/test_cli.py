@@ -25,6 +25,25 @@ def test_verify_includes_degenerate_p1(capsys):
     assert code == 0
 
 
+def test_verify_p16_passes_every_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--p", "16")
+    assert code == 0
+    suites = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 4 and parts[2] == "checks":
+            suites[parts[0]] = (int(parts[1]), parts[3])
+    assert suites == {
+        "graded-jacobi": (512, "pass"),
+        "rep-homomorphism": (256, "pass"),
+        "gram-adjointness": (2, "pass"),
+        "lambda-chi-orthogonality": (1, "pass"),
+        "so4-identification": (8, "pass"),
+        "so4-casimir-scalar": (3, "pass"),
+    }
+    assert "casimir values p=16: C1=129/2 C2=63" in out
+
+
 def test_malformed_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", "nonsense"])

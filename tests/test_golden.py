@@ -1,8 +1,9 @@
 """Golden CLI outputs: the stdout of fixed invocations, recorded in tests/data/.
 
 Each file under tests/data/ is the stdout of ``q2rep <argv>`` for the argv
-listed here.  ``verify`` and ``check-realization`` output is compared byte
-for byte.  Spectrum output is compared byte for byte except for its floats,
+listed here.  ``verify``, ``check-realization`` and ``rep`` output is
+compared byte for byte; the ``rep`` export prints every entry of the dense
+view, zeros included.  Spectrum output is compared byte for byte except for its floats,
 which numpy may round in the last bit differently on another machine: those
 must agree to 1e-12 relative (and 1e-12 absolute near zero).  Rewrite a file only for an output
 change that is intended, by saving the stdout of its command.
@@ -44,6 +45,12 @@ def stdout_of(capsys, argv: list[str]) -> str:
 def test_verify_output_is_golden(capsys):
     got = stdout_of(capsys, ["verify", "--p", "1..3"])
     assert got == (DATA / "verify_p1-3.txt").read_text()
+
+
+@pytest.mark.parametrize("basis", ["vw", "lambda_chi", "mu", "third"])
+def test_rep_export_is_golden(capsys, basis):
+    got = stdout_of(capsys, ["rep", "--p", "3", "--basis", basis])
+    assert got == (DATA / f"rep_{basis}_p3.json").read_text()
 
 
 @pytest.mark.parametrize("which", ["1", "2", "3"])

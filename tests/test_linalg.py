@@ -1,9 +1,10 @@
-"""The zero-skipping kernels against a naive dense reference.
+"""The sparse-row kernels against a naive dense reference.
 
-Matrices are drawn with about 70% zero entries over Fraction, over
-Q[sqrt(p)] at p = 2 and at p = 4 (a perfect square, so nonzero elements can
-multiply to zero) and over the multi-radical scalars of so(4).  Every entry
-must equal the reference exactly and have the reference's type (and p).
+Matrices are drawn as plain tuples of tuples with about 70% zero entries
+over Fraction, over Q[sqrt(p)] at p = 2 and at p = 4 (a perfect square, so
+nonzero elements can multiply to zero) and over the multi-radical scalars
+of so(4).  Every entry of a result's dense view must equal the reference
+exactly and have the reference's type (and p).
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from q2rep import linalg
 from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS, GENERATORS
 from q2rep.rep import Basis, rep_matrix
-from q2rep.scalars import ExtScalar, ext
+from q2rep.scalars import ExtScalar, NotInvertibleError, ext
 from q2rep.so4 import RAD_ZERO, Radical
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -68,6 +69,14 @@ def assert_same(got, want):
     for got_row, want_row in zip(got, want):
         for x, y in zip(got_row, want_row):
             assert type(x) is type(y) and x == y, (x, y)
+            assert getattr(x, "p", None) == getattr(y, "p", None), (x, y)
+
+
+def assert_canonical(m):
+    """Kernel output: sparse rows storing only nonzeros, in ascending column."""
+    for row in m:
+        assert type(row) is linalg.Row
+        assert list(row.nz) == sorted(row.nz) and all(row.nz.values())
 
 
 def naive_matmul(a, b, zero):
@@ -137,6 +146,111 @@ def test_equal_and_first_difference(data, case):
         assert all(a[r][c] == b[r][c] for r in range(n) for c in range(m) if (r, c) < diff)
 
 
+@given(st.data(), ring_and_shapes(), st.booleans())
+def test_kernels_mix_sparse_rows_and_plain_tuples(data, case, sparse_left):
+    ring, n, k, m = case
+    zero = RINGS[ring][0]
+
+    def draw(rows, cols):
+        plain = data.draw(matrices(ring, rows, cols))
+        blank = data.draw(st.sets(st.integers(0, rows - 1)))
+        return tuple(
+            tuple(zero for _ in row) if i in blank else row for i, row in enumerate(plain)
+        )
+
+    def mixed(x, y):
+        """One operand as kernel-made sparse rows, the other a plain tuple of tuples."""
+        return (linalg.freeze(x), y) if sparse_left else (x, linalg.freeze(y))
+
+    a, b, c = draw(n, k), draw(k, m), draw(n, k)
+    cases = [
+        (linalg.matmul(*mixed(a, b)), naive_matmul(a, b, zero)),
+        (linalg.add(*mixed(a, c)), naive_entrywise(lambda x, y: x + y, a, c)),
+        (linalg.sub(*mixed(a, c)), naive_entrywise(lambda x, y: x - y, a, c)),
+        (linalg.transpose(mixed(a, c)[0]), tuple(zip(*a))),
+    ]
+    s = data.draw(entries(ring))
+    cases.append((linalg.scale(s, linalg.freeze(a)), tuple(tuple(s * x for x in row) for row in a)))
+    for got, want in cases:
+        assert_canonical(got)
+        assert_same(got, want)
+    x, y = mixed(a, c)
+    diff = linalg.first_difference(x, y)
+    assert linalg.equal(x, y) == (diff is None) == (a == c)
+    if diff is not None:
+        i, j = diff
+        assert a[i][j] != c[i][j]
+        assert all(a[r][t] == c[r][t] for r in range(n) for t in range(k) if (r, t) < diff)
+
+
+def naive_solve(a, b):
+    """Dense Gauss-Jordan, taking the first invertible entry of a column as pivot."""
+    m, n = linalg.shape(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for c in range(n):
+        for r in range(c, m):
+            try:
+                inv = rows[r][c].inverse()
+                break
+            except NotInvertibleError:
+                pass
+        else:
+            raise linalg.SingularMatrixError
+        rows[c], rows[r] = rows[r], rows[c]
+        rows[c] = [inv * x for x in rows[c]]
+        for r in range(m):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    if any(x for row in rows[n:] for x in row):
+        raise linalg.InconsistentSystemError
+    return tuple(tuple(row[n:]) for row in rows[:n])
+
+
+@given(st.data(), st.sampled_from(["ext-p2", "ext-p4"]), sizes, sizes, st.integers(0, 2))
+def test_solve_matches_dense_elimination(data, ring, n, q, extra):
+    a = data.draw(matrices(ring, n + extra, n))
+    if data.draw(st.booleans()):  # a shifted diagonal makes most systems solvable
+        d = data.draw(RINGS[ring][1])
+        a = tuple(tuple(x + d if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a))
+    b = data.draw(matrices(ring, n + extra, q))
+    if data.draw(st.booleans()):
+        b = linalg.matmul(a, data.draw(matrices(ring, n, q)))
+
+    def outcome(solve):
+        try:
+            return solve(a, b)
+        except (linalg.SingularMatrixError, linalg.InconsistentSystemError) as exc:
+            return type(exc)
+
+    got, want = outcome(linalg.solve), outcome(naive_solve)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_canonical(got)
+        assert_same(got, want)
+
+
+def test_equal_compares_only_stored_nonzeros(monkeypatch):
+    """Two separately built matrices: no pair of zeros reaches ExtScalar.__eq__."""
+    p = 8
+    build = rep_matrix.__wrapped__  # past the cache, so no entry is shared
+    pairs = [(build(g, basis, p), build(g, basis, p)) for basis in Basis for g in GENERATORS]
+    stored = sum(len(row.nz) for a, _ in pairs for row in a)
+    calls = 0
+    original = ExtScalar.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(ExtScalar, "__eq__", counted)
+    assert all(linalg.equal(a, b) for a, b in pairs)
+    monkeypatch.undo()
+    assert 0 < calls <= stored < len(pairs) * (2 * p) ** 2 // 8
+
+
 def test_shape_mismatch_raises():
     z = Fraction(0)
     a = ((z, z, z), (z, z, z))  # 2 x 3
@@ -146,6 +260,11 @@ def test_shape_mismatch_raises():
         linalg.add(a, linalg.transpose(a))
     with pytest.raises(ValueError):
         linalg.sub(a, a[:1])
+    # equal says False here, so first_difference must not say "no difference"
+    two, three = linalg.ext_identity(2, 3), linalg.ext_identity(3, 3)
+    assert not linalg.equal(two, three)
+    with pytest.raises(ValueError):
+        linalg.first_difference(two, three)
 
 
 @pytest.mark.parametrize("p", [1, 3, 4])
@@ -161,6 +280,11 @@ def test_zero_divisor_product_is_an_ext_zero():
     # (2 + s)(2 - s) = 0 at p = 4
     out = linalg.matmul(((ext(4, 2, 1), ext(4, 0)),), ((ext(4, 2, -1),), (ext(4, 0),)))
     assert out == ((ext(4, 0),),) and out[0][0].p == 4
+    # the zero a sum or a scaling reaches is dropped, leaving the shared zero
+    rows = linalg.freeze(((ext(4, 2, 1), ext(4, 0)),))
+    for out in (linalg.add(rows, ((ext(4, -2, -1), ext(4, 0)),)), linalg.scale(ext(4, 2, -1), rows)):
+        assert_canonical(out)
+        assert not out[0].nz and all(type(x) is ExtScalar and x.p == 4 and not x for x in out[0])
 
 
 @pytest.mark.parametrize("gx, gy", [(B_PLUS, B_MINUS), (F_PLUS, E00_1), (E00_1, E00_1)])
