@@ -142,24 +142,19 @@ class SuperElement:
         return "mixed"
 
 
-def _structure_constants(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:
-    """[[a, b]] as integer (generator, coefficient) terms, by the formula above."""
+def structure_terms(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:
+    """[[a, b]] as the (generator, +-1) terms of the formula above, unmerged:
+    a = b = e_ii^s gives two terms on e_ii^0, which cancel for even s."""
     s, t = a.parity, b.parity
-    out: dict[GeneratorId, int] = {}
+    out = []
     if a.j == b.i:
-        out[GeneratorId(a.i, b.j, (s + t) % 2)] = 1
+        out.append((GeneratorId(a.i, b.j, (s + t) % 2), 1))
     if a.i == b.j:
-        g = GeneratorId(b.i, a.j, (s + t) % 2)
-        out[g] = out.get(g, 0) + (1 if (s and t) else -1)  # -(-1)^{st}
-    return tuple((g, c) for g, c in out.items() if c)
+        out.append((GeneratorId(b.i, a.j, (s + t) % 2), 1 if (s and t) else -1))  # -(-1)^{st}
+    return tuple(out)
 
 
-_STRUCTURE = {(a, b): _structure_constants(a, b) for a, b in product(GENERATORS, repeat=2)}
-
-
-def bracket_basis(a: GeneratorId, b: GeneratorId, p: int) -> SuperElement:
-    """[[e_ij^s, e_kl^t]] on basis generators."""
-    return SuperElement(p, dict(_STRUCTURE[a, b]))
+_STRUCTURE = {(a, b): structure_terms(a, b) for a, b in product(GENERATORS, repeat=2)}
 
 
 def bracket(x: SuperElement, y: SuperElement) -> SuperElement:

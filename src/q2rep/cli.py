@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg, so4
-from .algebra import ALIASES, GENERATORS, SuperElement, bracket, generator_by_name, graded_jacobi_sum
+from .algebra import ALIASES, GENERATORS, generator_by_name, graded_jacobi_sum, structure_terms
 from .diffop import realization, realization_basis_id, realization_matrix
 from .models import (
     Model,
@@ -30,9 +30,9 @@ from .models import (
     model_basis,
     raw_matrix,
 )
-from .rep import Basis, gram_matrix, rep_matrix, rep_of_element
+from .rep import Basis, gram_matrix, rep_matrix
 from .scalars import ExtScalar, parse_rational
-from .spectra import decompose, eigenvalues_numeric, spectrum_of_matrix, values_close
+from .spectra import decompose, spectrum_of_matrix
 
 
 # Largest p any subcommand accepts: the matrices are 2p x 2p and exact, so
@@ -63,6 +63,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+RATIONAL_OPTIONS = ("--c", "--V", "--omega", "--g", "--k2", "--omega0")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--c -1/2" as "--c=-1/2": argparse would read "-1/2" as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in RATIONAL_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 # verify ----------------------------------------------------------------------
 # Each suite yields (where, ok) for every exact check it makes; `where` names
 # the check in the report when it is the suite's first failure.
@@ -74,17 +88,16 @@ def _jacobi_checks():
 
 def _homomorphism_checks(p_values):
     for p in p_values:
+        one = ExtScalar.one(p)
         for basis in Basis:
             for gx, gy in itertools.product(GENERATORS, repeat=2):
                 mx = rep_matrix(gx, basis, p)
                 my = rep_matrix(gy, basis, p)
-                sign = ExtScalar.of(-1 if (gx.parity and gy.parity) else 1, p)
-                lhs = linalg.sub(
-                    linalg.matmul(mx, my), linalg.scale(sign, linalg.matmul(my, mx))
-                )
-                rhs = rep_of_element(
-                    bracket(SuperElement.basis(gx, p), SuperElement.basis(gy, p)), basis, p
-                )
+                # [[x, y]] is x y + y x when both are odd, x y - y x otherwise
+                sign = 1 if (gx.parity and gy.parity) else -1
+                lhs = linalg.sum_of_products([(1, [mx, my]), (sign, [my, mx])], 2 * p, one)
+                terms = ((c, [rep_matrix(g, basis, p)]) for g, c in structure_terms(gx, gy))
+                rhs = linalg.sum_of_products(terms, 2 * p, one)
                 yield f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", linalg.equal(lhs, rhs)
 
 
@@ -228,20 +241,14 @@ def spectrum_payload(spec: ModelSpec) -> dict:
             claimed = sorted(
                 (e for e in closed if e.block == k), key=lambda e: e.value()
             )
+            # trace and determinant certify the closed forms exactly, so the
+            # floats are their values and no numeric solve is needed
             if not _trace_det_ok(sub, claimed):
                 closed_match = False
-            computed = sorted(eigenvalues_numeric(sub), key=lambda z: z.real)
-            for ce, z in zip(claimed, computed):
-                if abs(z.imag) > 1e-9 or not values_close(ce.value(), z.real):
-                    closed_match = False
-                eigenvalues.append(
-                    {
-                        "exact": ce.exact_text(),
-                        "float": z.real,
-                        "block": indices[0],
-                        "label": ce.label,
-                    }
-                )
+            eigenvalues += [
+                {"exact": e.exact_text(), "float": e.value(), "block": indices[0], "label": e.label}
+                for e in claimed
+            ]
     else:
         solved = spectrum_of_matrix(matrix)
         blocks = [bs.block for bs in solved]
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_s.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     sp_s.add_argument("--model", choices=("sphaleron", "moszkowski", "jc"), required=True)
     sp_s.add_argument("--case", type=int, choices=(43, 44, 50, 51))
-    for name in ("--c", "--V", "--omega", "--g", "--k2", "--omega0"):
+    for name in RATIONAL_OPTIONS:
         sp_s.add_argument(name, type=_rational)
     sp_s.set_defaults(func=cmd_spectrum)
 
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConstraintError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from . import linalg
@@ -482,7 +481,6 @@ def _real3(g: GeneratorId, p: int) -> DiffOp:
     return total.scaled(half) + diff.scaled(half * sign)
 
 
-@lru_cache(maxsize=None)
 def realization(which: int, g: GeneratorId, p: int) -> DiffOp:
     """The differential operator realizing generator g for the given p."""
     if which == 1:

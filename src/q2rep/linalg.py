@@ -98,10 +98,6 @@ def ext_identity(n: int, p: int) -> Matrix:
     return identity(n, ExtScalar.one(p), ExtScalar.zero(p))
 
 
-def ext_zeros(n: int, m: int, p: int) -> Matrix:
-    return sparse(m, ExtScalar.zero(p), ({} for _ in range(n)))
-
-
 def transpose(a: Matrix) -> Matrix:
     a = _rows(a)
     if not a:
@@ -176,6 +172,27 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc[j] = x * y if t is None else t + x * y
         out.append(Row(m, zero, {j: v for j in sorted(acc) if (v := acc[j])}))
     return tuple(out)
+
+
+def sum_of_products(terms: Iterable[tuple[T, Sequence[Matrix]]], n: int, one: T) -> Matrix:
+    """The n x n matrix sum of c * (M_1 ... M_k) over the (c, [M_1, ..., M_k]) terms.
+
+    An empty product is the identity and an empty sum the zero matrix over the
+    ring of `one`; a term with c = +-1 is added or subtracted with no scaling.
+    """
+    zero = one - one
+    empty = sparse(n, zero, ({} for _ in range(n)))
+    total = None
+    for c, factors in terms:
+        prod = _rows(factors[0]) if factors else identity(n, one, zero)
+        for f in factors[1:]:
+            prod = matmul(prod, f)
+        if c == -1:
+            total = sub(empty if total is None else total, prod)
+        else:
+            prod = prod if c == 1 else scale(c, prod)
+            total = prod if total is None else add(total, prod)
+    return empty if total is None else total
 
 
 def equal(a: Matrix, b: Matrix) -> bool:
@@ -259,9 +276,8 @@ def ext_charpoly(a: Matrix, p: int) -> list[ExtScalar]:
         raise ValueError("characteristic polynomial needs a square matrix")
     one = ExtScalar.one(p)
     zero = ExtScalar.zero(p)
-    ident = identity(n, one, zero)
     coeffs: list[ExtScalar] = [zero] * n + [one]
-    m_prev = ident
+    m_prev = identity(n, one, zero)
     for k in range(1, n + 1):
         mk = matmul(a, m_prev)
         tr = zero
@@ -270,5 +286,5 @@ def ext_charpoly(a: Matrix, p: int) -> list[ExtScalar]:
         ck = tr * Fraction(-1, k)
         coeffs[n - k] = ck
         if k < n:
-            m_prev = add(mk, scale(ck, ident))
+            m_prev = sum_of_products([(1, [mk]), (ck, [])], n, one)
     return coeffs

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
 
 from . import linalg
@@ -266,19 +265,12 @@ class GeneratorExpr:
         return out
 
 
-def combo_matrix(name: str, basis: Basis, p: int) -> Matrix:
-    return rep_of_element(SuperElement(p, _COMBOS[name]), basis, p)
-
-
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
     """Substitute representation matrices into the expression, exactly."""
-    n = 2 * p
-    terms = []
-    for coeff, factors in expr.terms:
-        mats = [combo_matrix(name, basis, p) for name in factors]
-        term = reduce(linalg.matmul, mats) if mats else linalg.ext_identity(n, p)
-        terms.append(linalg.scale(coeff, term))
-    return reduce(linalg.add, terms) if terms else linalg.ext_zeros(n, n, p)
+    names = {name for _, factors in expr.terms for name in factors}
+    combos = {name: rep_of_element(SuperElement(p, _COMBOS[name]), basis, p) for name in names}
+    terms = ((c, [combos[name] for name in factors]) for c, factors in expr.terms)
+    return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
 
 def _E(p: int, value: RationalLike) -> ExtScalar:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 
 from . import linalg
@@ -218,16 +218,11 @@ def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
     return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 
 
-@lru_cache(maxsize=None)
-def _expansion_inverse(basis: Basis, p: int) -> Matrix:
-    return linalg.ext_invert(expansion_in_rvw(basis, p), p)
-
-
 def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
     """T with T @ (coordinates in `frm`) = coordinates in `to`."""
     if frm == to:
         return linalg.ext_identity(2 * p, p)
-    return linalg.matmul(_expansion_inverse(to, p), expansion_in_rvw(frm, p))
+    return linalg.matmul(linalg.ext_invert(expansion_in_rvw(to, p), p), expansion_in_rvw(frm, p))
 
 
 # direct action tables ------------------------------------------------------
@@ -373,8 +368,8 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
 
 def rep_of_element(x: SuperElement, basis: Basis, p: int) -> Matrix:
     """Matrix of a general algebra element (linear combination of generators)."""
-    terms = [linalg.scale(c, rep_matrix(g, basis, p)) for g, c in x.coeffs.items()]
-    return reduce(linalg.add, terms) if terms else linalg.ext_zeros(2 * p, 2 * p, p)
+    terms = ((c, [rep_matrix(g, basis, p)]) for g, c in x.coeffs.items())
+    return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
 
 # metric ---------------------------------------------------------------------
@@ -401,7 +396,6 @@ def _gram_rvw(p: int) -> Matrix:
     return linalg.sparse(n, ExtScalar.zero(p), rows)
 
 
-@lru_cache(maxsize=None)
 def gram_matrix(basis: Basis, p: int) -> Matrix:
     """Exact Gram matrix of the requested basis (congruence from closed forms)."""
     e = expansion_in_rvw(basis, p)

@@ -295,7 +295,13 @@ class ExactEig:
     radicand: Fraction
 
     def value(self) -> float:
-        return float(self.base) + self.sign * math.sqrt(float(self.radicand))
+        """The nearest float to within a few ulps; an exact zero is 0.0, never -0.0."""
+        root = math.sqrt(self.radicand)
+        if self.sign * self.base >= 0:
+            return float(self.base) + self.sign * root
+        # opposite signs may cancel: divide the exact base^2 - radicand by base - sign*root
+        num = self.base * self.base - self.radicand
+        return float(num) / (float(self.base) - self.sign * root) if num else 0.0
 
     def __neg__(self) -> ExactEig:
         return ExactEig(-self.base, -self.sign, self.radicand)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd
 
 from . import linalg
 from .algebra import (
@@ -28,7 +28,6 @@ from .algebra import (
     E11_1,
     F_MINUS,
     F_PLUS,
-    GeneratorId,
     SuperElement,
 )
 from .linalg import Matrix
@@ -115,9 +114,10 @@ class Radical:
         out: dict[int, Fraction] = {}
         for r1, c1 in self.terms.items():
             for r2, c2 in other.terms.items():
-                # sqrt(r1) sqrt(r2) = g sqrt(m) with g = gcd, m squarefree
-                outer, inner = _squarefree_split(r1 * r2)
-                out[inner] = out.get(inner, Fraction(0)) + c1 * c2 * outer
+                # r1 = g a and r2 = g b are squarefree, so sqrt(r1) sqrt(r2) = g sqrt(a b)
+                g = gcd(r1, r2)
+                inner = r1 // g * (r2 // g)
+                out[inner] = out.get(inner, Fraction(0)) + c1 * c2 * g
         return Radical(out)
 
     __rmul__ = __mul__
@@ -169,7 +169,6 @@ JM = So4Generator("J", "-")
 K0 = So4Generator("K", "0")
 KP = So4Generator("K", "+")
 KM = So4Generator("K", "-")
-SO4_GENERATORS = (J0, JP, JM, K0, KP, KM)
 
 
 def _tensor_index(i_m: int, i_mu: int, p: int) -> int:
@@ -211,21 +210,11 @@ def so4_matrix(g: So4Generator, p: int) -> Matrix:
     return linalg.sparse(n, RAD_ZERO, rows)
 
 
-def rad_identity(n: int) -> Matrix:
-    return linalg.identity(n, RAD_ONE, RAD_ZERO)
-
-
-def rad_scale(c: Fraction | Radical, a: Matrix) -> Matrix:
-    c = c if isinstance(c, Radical) else Radical.rational(c)
-    return linalg.scale(c, a)
-
-
 def ext_to_radical_matrix(a: Matrix) -> Matrix:
     rows = ({j: Radical.from_ext(x) for j, x in row.nz.items()} for row in a)
     return linalg.sparse(len(a[0]) if a else 0, RAD_ZERO, rows)
 
 
-@lru_cache(maxsize=None)
 def tensor_to_lambda_chi(p: int) -> Matrix:
     """Columns express Lam_0..Lam_p, chi_1..chi_{p-1} in tensor coordinates."""
     n = 2 * p
@@ -252,17 +241,9 @@ def tensor_to_lambda_chi(p: int) -> Matrix:
     return linalg.transpose(linalg.sparse(n, RAD_ZERO, cols))
 
 
-def _q2_matrix(combo: dict[GeneratorId, Fraction | ExtScalar], p: int) -> Matrix:
-    return ext_to_radical_matrix(rep_of_element(SuperElement(p, combo), Basis.LAMBDA_CHI, p))
-
-
 def _so4_combo(parts: list[tuple[Fraction | Radical, list[So4Generator]]], p: int) -> Matrix:
-    terms = []
-    for coeff, factors in parts:
-        mats = [so4_matrix(g, p) for g in factors]
-        term = reduce(linalg.matmul, mats) if mats else rad_identity(2 * p)
-        terms.append(rad_scale(coeff, term))
-    return reduce(linalg.add, terms)
+    terms = ((c, [so4_matrix(g, p) for g in factors]) for c, factors in parts)
+    return linalg.sum_of_products(terms, 2 * p, RAD_ONE)
 
 
 @dataclass(frozen=True)
@@ -315,7 +296,8 @@ def identification_lines(p: int) -> list[IdentificationLine]:
     T = tensor_to_lambda_chi(p)
     out = []
     for label, q2_combo, so4_parts in lines:
-        lhs = linalg.matmul(T, _q2_matrix(q2_combo, p))
+        q2 = rep_of_element(SuperElement(p, q2_combo), Basis.LAMBDA_CHI, p)
+        lhs = linalg.matmul(T, ext_to_radical_matrix(q2))
         rhs = linalg.matmul(_so4_combo(so4_parts, p), T)
         diff = linalg.first_difference(rhs, lhs)
         out.append(IdentificationLine(label, diff is None, diff))
@@ -333,37 +315,33 @@ def so4_relation_report(p: int) -> list[tuple[str, bool]]:
     {K+, K-} = I and K0^2 = I/4; all q(2) identification lines are
     consistent with that normalization.
     """
-    n = 2 * p
-    ident = rad_identity(n)
 
-    def comm(a: Matrix, b: Matrix) -> Matrix:
-        return linalg.sub(linalg.matmul(a, b), linalg.matmul(b, a))
+    def bracket(a: So4Generator, b: So4Generator, sign: int) -> list:
+        return [(1, [a, b]), (sign, [b, a])]  # [a, b] for sign -1, {a, b} for +1
 
-    def anti(a: Matrix, b: Matrix) -> Matrix:
-        return linalg.add(linalg.matmul(a, b), linalg.matmul(b, a))
-
-    m = {g: so4_matrix(g, p) for g in SO4_GENERATORS}
-    checks = [
-        ("[J0, J+] = +J+", linalg.equal(comm(m[J0], m[JP]), m[JP])),
-        ("[J0, J-] = -J-", linalg.equal(comm(m[J0], m[JM]), rad_scale(Fraction(-1), m[JM]))),
-        ("[J+, J-] = 2 J0", linalg.equal(comm(m[JP], m[JM]), rad_scale(Fraction(2), m[J0]))),
-        ("[K0, K+] = +K+", linalg.equal(comm(m[K0], m[KP]), m[KP])),
-        ("[K0, K-] = -K-", linalg.equal(comm(m[K0], m[KM]), rad_scale(Fraction(-1), m[KM]))),
-        ("[K+, K-] = 2 K0", linalg.equal(comm(m[KP], m[KM]), rad_scale(Fraction(2), m[K0]))),
-        ("(K+)^2 = 0", linalg.equal(linalg.matmul(m[KP], m[KP]), rad_scale(Fraction(0), ident))),
-        ("(K-)^2 = 0", linalg.equal(linalg.matmul(m[KM], m[KM]), rad_scale(Fraction(0), ident))),
-        ("K0^2 = I/4", linalg.equal(linalg.matmul(m[K0], m[K0]), rad_scale(Fraction(1, 4), ident))),
-        ("{K+, K-} = I", linalg.equal(anti(m[KP], m[KM]), ident)),
-        ("{K0, K+} = 0", linalg.equal(anti(m[K0], m[KP]), rad_scale(Fraction(0), ident))),
-        ("{K0, K-} = 0", linalg.equal(anti(m[K0], m[KM]), rad_scale(Fraction(0), ident))),
+    relations = [
+        ("[J0, J+] = +J+", bracket(J0, JP, -1), [(1, [JP])]),
+        ("[J0, J-] = -J-", bracket(J0, JM, -1), [(-1, [JM])]),
+        ("[J+, J-] = 2 J0", bracket(JP, JM, -1), [(2, [J0])]),
+        ("[K0, K+] = +K+", bracket(K0, KP, -1), [(1, [KP])]),
+        ("[K0, K-] = -K-", bracket(K0, KM, -1), [(-1, [KM])]),
+        ("[K+, K-] = 2 K0", bracket(KP, KM, -1), [(2, [K0])]),
+        ("(K+)^2 = 0", [(1, [KP, KP])], []),
+        ("(K-)^2 = 0", [(1, [KM, KM])], []),
+        ("K0^2 = I/4", [(1, [K0, K0])], [(Fraction(1, 4), [])]),
+        ("{K+, K-} = I", bracket(KP, KM, 1), [(1, [])]),
+        ("{K0, K+} = 0", bracket(K0, KP, 1), []),
+        ("{K0, K-} = 0", bracket(K0, KM, 1), []),
     ]
-    for a in (J0, JP, JM):
-        for b in (K0, KP, KM):
-            checks.append(
-                (f"[{a.family}{a.component}, {b.family}{b.component}] = 0",
-                 linalg.equal(comm(m[a], m[b]), rad_scale(Fraction(0), rad_identity(n)))),
-            )
-    return checks
+    relations += [
+        (f"[{a.family}{a.component}, {b.family}{b.component}] = 0", bracket(a, b, -1), [])
+        for a in (J0, JP, JM)
+        for b in (K0, KP, KM)
+    ]
+    return [
+        (label, linalg.equal(_so4_combo(lhs, p), _so4_combo(rhs, p)))
+        for label, lhs, rhs in relations
+    ]
 
 
 def casimir(which: int, p: int) -> tuple[Matrix, Fraction]:
@@ -376,15 +354,11 @@ def casimir(which: int, p: int) -> tuple[Matrix, Fraction]:
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    sign = Fraction(1) if which == 1 else Fraction(-1)
-    m = {g: so4_matrix(g, p) for g in SO4_GENERATORS}
+    sign = 1 if which == 1 else -1
     half = Fraction(1, 2)
-    out = linalg.matmul(m[J0], m[J0])
-    out = linalg.add(out, rad_scale(sign, linalg.matmul(m[K0], m[K0])))
-    anti_j = linalg.add(linalg.matmul(m[JP], m[JM]), linalg.matmul(m[JM], m[JP]))
-    anti_k = linalg.add(linalg.matmul(m[KP], m[KM]), linalg.matmul(m[KM], m[KP]))
-    out = linalg.add(out, rad_scale(half, anti_j))
-    out = linalg.add(out, rad_scale(sign * half, anti_k))
+    j_part = [(1, [J0, J0]), (half, [JP, JM]), (half, [JM, JP])]
+    k_part = [(sign, [K0, K0]), (sign * half, [KP, KM]), (sign * half, [KM, KP])]
+    out = _so4_combo(j_part + k_part, p)
     if not linalg.is_scalar_matrix(out):
         raise ValueError(f"Casimir C{which} is not scalar for p={p}")
     return out, out[0][0].rational_value()

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from q2rep import linalg
+from q2rep import cli, linalg
 from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS, GENERATORS
 from q2rep.rep import Basis, rep_matrix
 from q2rep.scalars import ExtScalar, NotInvertibleError, ext
-from q2rep.so4 import RAD_ZERO, Radical
+from q2rep.so4 import RAD_ONE, RAD_ZERO, Radical
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 nonzero_rationals = rationals.filter(bool)
@@ -46,6 +46,9 @@ RINGS = {
                      min_size=1, max_size=2),
         ).filter(bool),
     ),
+}
+ONES = {
+    "fraction": Fraction(1), "ext-p2": ExtScalar.one(2), "ext-p4": ExtScalar.one(4), "radical": RAD_ONE
 }
 sizes = st.integers(1, 4)
 
@@ -131,6 +134,74 @@ def test_scale_mixing_rational_and_ext_gives_ext(data, n, m):
         (data.draw(entries("ext-p2")), data.draw(matrices("fraction", n, m))),
     ):
         assert_same(linalg.scale(c, a), tuple(tuple(c * x for x in row) for row in a))
+
+
+def naive_sum_of_products(terms, n, one):
+    """Dense: scale every entry of each product, then add it to the running sum."""
+    zero = one - one
+    ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    total = tuple(tuple(zero for _ in range(n)) for _ in range(n))
+    for c, factors in terms:
+        prod = ident
+        for f in factors:
+            prod = naive_matmul(prod, f, zero)
+        total = naive_entrywise(lambda x, y: x + c * y, total, prod)
+    return total
+
+
+@given(st.data(), st.sampled_from(sorted(RINGS)), sizes)
+def test_sum_of_products_matches_naive_fold(data, ring, n):
+    # +-1 as int and as Fraction, any rational (0 included) and any ring element
+    units = st.sampled_from([1, -1, Fraction(1), Fraction(-1)])
+    coeffs = st.one_of(units, rationals, RINGS[ring][1])
+    term = st.tuples(coeffs, st.lists(matrices(ring, n, n), max_size=3))
+    terms = data.draw(st.lists(term, max_size=4))
+    got = linalg.sum_of_products(terms, n, ONES[ring])
+    assert_canonical(got)
+    assert_same(got, naive_sum_of_products(terms, n, ONES[ring]))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_empty_sum_and_empty_product(ring):
+    one = ONES[ring]
+    zero = RINGS[ring][0]
+    empty = linalg.sum_of_products([], 3, one)
+    assert_canonical(empty)
+    assert_same(empty, ((zero,) * 3,) * 3)
+    for c in (1, -1):
+        ident = linalg.sum_of_products([(c, [])], 3, one)
+        want = tuple(tuple(c * one if i == j else zero for j in range(3)) for i in range(3))
+        assert_same(ident, want)
+
+
+def test_unit_coefficients_are_not_multiplied(monkeypatch):
+    """One p = 4 homomorphism suite: every coefficient is +-1, so no ExtScalar
+    product happens inside linalg.scale."""
+    in_scale = scaled = 0
+    scale, mul = linalg.scale, ExtScalar.__mul__
+
+    def counted_scale(c, a):
+        nonlocal in_scale
+        in_scale += 1
+        try:
+            return scale(c, a)
+        finally:
+            in_scale -= 1
+
+    def counted_mul(self, other):
+        nonlocal scaled
+        scaled += bool(in_scale)
+        return mul(self, other)
+
+    monkeypatch.setattr(linalg, "scale", counted_scale)
+    monkeypatch.setattr(ExtScalar, "__mul__", counted_mul)
+    monkeypatch.setattr(ExtScalar, "__rmul__", counted_mul)
+    checks = list(cli._homomorphism_checks([4]))
+    assert len(checks) == len(Basis) * len(GENERATORS) ** 2 and all(ok for _, ok in checks)
+    assert scaled == 0
+    # the counter is live: a coefficient 2 is a scaling pass
+    linalg.sum_of_products([(2, [rep_matrix(E00_1, Basis.MU, 4)])], 8, ExtScalar.one(4))
+    assert scaled > 0
 
 
 @given(st.data(), ring_and_shapes())
@@ -269,8 +340,8 @@ def test_shape_mismatch_raises():
 
 @pytest.mark.parametrize("p", [1, 3, 4])
 def test_all_zero_product_keeps_ext_type(p):
-    a = linalg.ext_zeros(3, 2, p)
-    b = linalg.ext_zeros(2, 4, p)
+    a = linalg.sparse(2, ExtScalar.zero(p), [{}] * 3)
+    b = linalg.sparse(4, ExtScalar.zero(p), [{}] * 2)
     out = linalg.matmul(a, b)
     assert linalg.shape(out) == (3, 4)
     assert all(type(x) is ExtScalar and x.p == p and not x for row in out for x in row)

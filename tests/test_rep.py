@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
+import q2rep
 from q2rep import linalg
 from q2rep.algebra import (
     B_MINUS,
@@ -231,3 +234,20 @@ def test_expansion_matrices_invertible():
         for basis in Basis:
             e = expansion_in_rvw(basis, p)
             linalg.ext_invert(e, p)  # raises if singular
+
+
+def test_unbounded_caches_are_the_listed_ones():
+    """Each of these caches has hits in a CLI run; a new lru_cache needs an entry here."""
+    found = set()
+    for info in pkgutil.iter_modules(q2rep.__path__):
+        module = importlib.import_module(f"q2rep.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found.add(f"{info.name}.{name}")
+    assert found == {
+        "rep.rep_matrix",
+        "rep.expansion_in_rvw",
+        "rep._gram_rvw",
+        "so4.so4_matrix",
+        "reduction.derived_matrix",
+    }

@@ -8,13 +8,13 @@ from q2rep.so4 import (
     K0,
     KM,
     KP,
+    RAD_ONE,
+    RAD_ZERO,
     Radical,
     casimir,
     gram_in_tensor_basis,
     identification_lines,
     lambda_chi_gram_as_radical,
-    rad_identity,
-    rad_scale,
     so4_matrix,
     so4_relation_report,
     tensor_to_lambda_chi,
@@ -32,6 +32,15 @@ def test_radical_arithmetic():
     assert (Radical.sqrt(2) + Radical.sqrt(3)) * (Radical.sqrt(2) - Radical.sqrt(3)) == Radical.rational(-1)
 
 
+def test_radical_products_match_sqrt_of_the_product():
+    squarefree = [r for r in range(1, 61) if all(r % (d * d) for d in range(2, 8))]
+    for r1 in squarefree:
+        for r2 in squarefree:
+            assert Radical.sqrt(r1) * Radical.sqrt(r2) == Radical.sqrt(r1 * r2), (r1, r2)
+    product = Radical.sqrt(6) * Radical({2: Fraction(1, 3), 5: 2})
+    assert product == Radical({3: Fraction(2, 3), 30: 2})  # 2 sqrt(3)/3 + 2 sqrt(30)
+
+
 def test_radical_rejects_negative():
     with pytest.raises(ValueError):
         Radical.sqrt(-1)
@@ -43,10 +52,11 @@ def test_k_family_relations():
         kp = so4_matrix(KP, p)
         km = so4_matrix(KM, p)
         k0 = so4_matrix(K0, p)
-        assert linalg.equal(linalg.matmul(kp, kp), rad_scale(Fraction(0), rad_identity(n)))
+        ident = linalg.identity(n, RAD_ONE, RAD_ZERO)
+        assert linalg.equal(linalg.matmul(kp, kp), linalg.scale(Fraction(0), ident))
         anti = linalg.add(linalg.matmul(kp, km), linalg.matmul(km, kp))
-        assert linalg.equal(anti, rad_identity(n))
-        assert linalg.equal(linalg.matmul(k0, k0), rad_scale(Fraction(1, 4), rad_identity(n)))
+        assert linalg.equal(anti, ident)
+        assert linalg.equal(linalg.matmul(k0, k0), linalg.scale(Fraction(1, 4), ident))
         # K0 is diag(+-1/2) across the spin-1/2 label
         assert k0[0][0] == Radical.rational(Fraction(1, 2))
         assert k0[1][1] == Radical.rational(Fraction(-1, 2))
@@ -69,7 +79,7 @@ def test_all_commutation_relations():
 def test_tensor_map_p1():
     t = tensor_to_lambda_chi(1)
     # Lam_0 = |0,0> x |up>, Lam_1 = |0,0> x |down>, no chi sector
-    assert linalg.equal(t, rad_identity(2))
+    assert linalg.equal(t, linalg.identity(2, RAD_ONE, RAD_ZERO))
 
 
 def test_tensor_map_invertibility_via_gram():

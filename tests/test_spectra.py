@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +70,28 @@ def test_negated_exact_eig():
     assert (-e).exact_text() == "5/2 - sqrt(13/4)"
     assert (-e).value() == -e.value()
     assert (-ExactEig(Fraction(3), 0, Fraction(0))).exact_text() == "-3"
+
+
+def test_exact_eig_value_does_not_cancel():
+    # 10^8 - sqrt(10^16 - 1) = 1 / (10^8 + sqrt(10^16 - 1)), about 5e-9; the
+    # radicand rounds to 10^16 as a float, so base + sign*sqrt would give 0.0
+    e = ExactEig(Fraction(10**8), -1, Fraction(10**16 - 1))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = float(1 / (Decimal(10**8) + Decimal(10**16 - 1).sqrt()))
+    for got, target in ((e.value(), want), ((-e).value(), -want)):
+        assert abs(got - target) <= 1e-15 * abs(target)
+
+
+@pytest.mark.parametrize(
+    "base, sign, radicand",
+    [(0, 0, 0), (0, -1, 0), (0, 1, 0), (-1, 1, 1), (1, -1, 1),
+     (Fraction(3, 2), -1, Fraction(9, 4))],
+)
+def test_exact_zero_eig_value_is_positive_zero(base, sign, radicand):
+    e = ExactEig(Fraction(base), sign, Fraction(radicand))
+    for v in (e.value(), (-e).value()):
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 def test_exact_rejects_irrational_entries():
