@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg, so4
 from .algebra import ALIASES, GENERATORS, generator_by_name, graded_jacobi_sum, structure_terms
-from .diffop import realization, realization_basis_id, realization_matrix
+from .diffop import realization, realization_basis, realization_basis_id, to_matrix
 from .models import (
     Model,
     ModelSpec,
@@ -365,14 +365,14 @@ def _emit(args: argparse.Namespace, text: str) -> int:
 # check-realization -------------------------------------------------------------
 
 def cmd_check_realization(args: argparse.Namespace) -> int:
-    failures = 0
+    failures, basis = 0, realization_basis_id(args.which)
     for p in args.p:
-        basis = realization_basis_id(args.which)
+        carriers = realization_basis(args.which, p)
         for g in GENERATORS:
+            op = realization(args.which, g, p)
             if args.show:
-                print(f"p={p} {g.name}: {realization(args.which, g, p).text()}")
-            got = realization_matrix(args.which, g, p)
-            want = rep_matrix(g, basis, p)
+                print(f"p={p} {g.name}: {op.text()}")
+            got, want = to_matrix(op, carriers), rep_matrix(g, basis, p)
             if not linalg.equal(got, want):
                 i, j = linalg.first_difference(got, want)
                 print(

@@ -25,51 +25,83 @@ Cases 43, 44, 50 act on (P, Q) of degrees (p-1, p-1); case 51 on (p, p-2).
 After eliminating the prefactors the equations reorganize into two polynomial
 rows (upper paired with P, lower with Q) whose lam-part is the identity; the
 lam-free part is the sector matrix.  This module performs that reorganization
-mechanically with sympy and is used as the oracle that anchors the closed-form
-operators in `models`.
+with polynomials over Fraction, and is the oracle that anchors the closed-form
+operators in `models`; it imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-import sympy as sp
-
-_x, _lam = sp.symbols("x lam")
+Poly = tuple  # coefficients over Fraction, lowest degree first, no trailing zeros
+X, ONE = (Fraction(0), Fraction(1)), (Fraction(1),)  # the polynomials x and 1
+COUPLING = 2  # the f equation reads D41 f + COUPLING sqrt(A/x) W = 0
 
 
 class ReductionError(RuntimeError):
     """The substitution did not produce the expected polynomial system."""
 
 
-def _conjugated(coeffs: tuple, eps_x: int, eps_a: int, k2: sp.Rational):
-    """Coefficients of F^{-1} D F for F = x^{eps_x/2} A^{eps_a/2}."""
-    a = (1 - _x) * (1 - k2 * _x)
-    phi = sp.Rational(eps_x, 2) / _x + sp.Rational(eps_a, 2) * sp.diff(a, _x) / a
+def _trim(out: list) -> Poly:
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _add(*polys: Poly) -> Poly:
+    out = [Fraction(0)] * max(map(len, polys))
+    for a in polys:
+        for i, c in enumerate(a):
+            out[i] += c
+    return _trim(out)
+
+
+def _mul(a: Poly, *factors) -> Poly:
+    """The product of a polynomial with polynomials and scalars."""
+    for b in factors:
+        b = b if isinstance(b, tuple) else (Fraction(b),)
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, c in enumerate(a):
+            for j, e in enumerate(b):
+                out[i + j] += c * e
+        a = _trim(out)
+    return a
+
+
+def _diff(a: Poly) -> Poly:
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _sub(r: tuple[Poly, Poly], s: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """r - s for (numerator, denominator) pairs, over the product of the denominators."""
+    (rn, rd), (sn, sd) = r, s
+    return _add(_mul(rn, sd), _mul(sn, rd, -1)), _mul(rd, sd)
+
+
+def _poly_or_raise(num: Poly, den: Poly, label: str) -> Poly:
+    """num / den by exact long division; a nonzero remainder raises."""
+    rem, quot = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = q = rem[i + len(den) - 1] / den[-1]
+        for j, e in enumerate(den):
+            rem[i + j] -= q * e
+    if any(rem):
+        raise ReductionError(f"{label} is not polynomial")
+    return _trim(quot)
+
+
+def _conjugated(coeffs: tuple, eps_x: int, eps_a: int, a: Poly) -> tuple:
+    """F^-1 D F as (n0, n1, n2, den) = (n2 d^2 + n1 d + n0) / den, F = x^(eps_x/2) A^(eps_a/2)."""
     c0, c1, c2 = coeffs
-    return (
-        sp.together(c0 + c1 * phi + c2 * (sp.diff(phi, _x) + phi**2)),
-        sp.together(c1 + 2 * c2 * phi),
-        c2,
-    )
+    n, d = _add(_mul(a, eps_x), _mul(X, _diff(a), eps_a)), _mul(X, a, 2)  # phi = n / d
+    phi_terms = _add(_mul(_diff(n), d), _mul(n, _diff(d), -1), _mul(n, n))  # (phi' + phi^2) d^2
+    n0 = _add(_mul(c0, d, d), _mul(c1, n, d), _mul(c2, phi_terms))
+    return n0, _add(_mul(c1, d, d), _mul(c2, n, d, 2)), _mul(c2, d, d), _mul(d, d)
 
 
-def _apply(coeffs: tuple, poly: sp.Expr) -> sp.Expr:
-    c0, c1, c2 = coeffs
-    return c2 * sp.diff(poly, _x, 2) + c1 * sp.diff(poly, _x) + c0 * poly
-
-
-def _as_poly(expr: sp.Expr, label: str) -> sp.Poly:
-    expr = sp.cancel(sp.together(expr))
-    num, den = sp.fraction(expr)
-    if not den.is_number:
-        raise ReductionError(f"{label} is not polynomial: denominator {den}")
-    return sp.Poly(sp.expand(num / den), _x)
-
-
-def _divide_x(expr: sp.Expr, power: int, label: str) -> sp.Expr:
-    return sp.cancel(sp.together(expr / _x**power))
+def _apply(op: tuple, pol: Poly) -> tuple[Poly, Poly]:
+    n0, n1, n2, den = op
+    return _add(_mul(n2, _diff(_diff(pol))), _mul(n1, _diff(pol)), _mul(n0, pol)), den
 
 
 _CASES = {
@@ -78,99 +110,65 @@ _CASES = {
     50: {"theta2": lambda p: 2 * p * (2 * p - 1), "caps": lambda p: (p - 1, p - 1)},
     51: {"theta2": lambda p: 2 * p * (2 * p - 1), "caps": lambda p: (p, p - 2)},
 }
+_EPS = {43: ((0, 0), (1, 1)), 44: ((0, 1), (1, 0)), 50: ((1, 0), (0, 1)), 51: ((1, 1), (0, 0))}
 
 
 def sector_caps(case: int, p: int) -> tuple[int, int]:
     return _CASES[case]["caps"](p)
 
 
-def _rows_for_basis_vector(
-    case: int, p: int, k2: sp.Rational, lam: sp.Expr, pol_p: sp.Expr, pol_q: sp.Expr
-) -> tuple[sp.Expr, sp.Expr]:
-    """The (upper, lower) polynomial rows evaluated on one (P, Q) pair."""
-    a = (1 - _x) * (1 - k2 * _x)
-    u = _x * a
-    th2 = _CASES[case]["theta2"](p)
-    d40 = (lam - th2 * k2 * _x, 2 * sp.diff(u, _x), 4 * u)
-    d41 = (lam - th2 * k2 * _x, 2 * (-1 + k2 * _x**2), 4 * u)
+def _sector_rows(case: int, p: int, k2: Fraction, lam: int):
+    """rows(P, Q) -> (upper, lower); D40 and D41 are conjugated once, by the W and f prefactors."""
+    a, th2 = _add(ONE, _mul(X, -1 - k2), _mul(X, X, k2)), _CASES[case]["theta2"](p)
+    c0, u4 = _add(_mul(ONE, lam), _mul(X, -th2 * k2)), _mul(X, a, 4)
+    (wx, wa), (fx, fa) = _EPS[case]
+    conj_w = _conjugated((c0, _mul(_diff(u4), Fraction(1, 2)), u4), wx, wa, a)
+    conj_f = _conjugated((c0, _add(_mul(ONE, -2), _mul(X, X, 2 * k2)), u4), fx, fa, a)
+    g, up, low = -COUPLING, f"upper row (case {case})", f"lower row (case {case})"
 
-    if case == 43:
-        s_w = pol_p + _x * pol_q
-        e_w = _apply(d40, s_w)  # polynomial already
-        conj = _conjugated(d41, 1, 1, k2)
-        # the 1/x poles of the conjugated operator cancel against the coupling
-        row_up = sp.cancel(sp.together(_apply(conj, pol_p) + 2 * s_w / _x))
-        row_low = _divide_x(sp.together(e_w - row_up), 1, "row_low(43)")
-    elif case == 44:
-        conj_w = _conjugated(d40, 0, 1, k2)
-        row_up = sp.cancel(sp.together(_apply(conj_w, pol_p)))
-        conj_f = _conjugated(d41, 1, 0, k2)
-        s_f = pol_p + _x * pol_q
-        norm2 = _x * sp.together(_apply(conj_f, s_f) + 2 * (a / _x) * pol_p)
-        row_low = _divide_x(sp.together(norm2 - _x * row_up), 2, "row_low(44)")
-    elif case == 50:
-        conj_f = _conjugated(d41, 0, 1, k2)
-        row_up = sp.cancel(sp.together(_apply(conj_f, pol_p) + 2 * pol_q))
-        conj_w = _conjugated(d40, 1, 0, k2)
-        row_low = sp.cancel(sp.together(_apply(conj_w, pol_q)))
-    elif case == 51:
-        row_up = sp.expand(_apply(d41, pol_p) + 2 * a * pol_q)
-        conj_w = _conjugated(d40, 1, 1, k2)
-        row_low = sp.cancel(sp.together(_apply(conj_w, pol_q)))
-    else:
-        raise ValueError(f"unknown sector {case}")
-    return row_up, row_low
+    def rows(pol_p: Poly, pol_q: Poly) -> tuple[Poly, Poly]:
+        if case == 43:
+            s_w = _add(pol_p, _mul(X, pol_q))
+            # the 1/x poles of the conjugated operator cancel against the coupling
+            row_up = _poly_or_raise(*_sub(_apply(conj_f, pol_p), (_mul(s_w, g), X)), up)
+            num, den = _sub(_apply(conj_w, s_w), (row_up, ONE))
+            return row_up, _poly_or_raise(num, _mul(X, den), low)
+        if case == 44:
+            row_up = _poly_or_raise(*_apply(conj_w, pol_p), up)
+            s_f = _add(pol_p, _mul(X, pol_q))
+            num, den = _sub(_apply(conj_f, s_f), (_mul(a, pol_p, g), X))
+            num, den = _sub((_mul(X, num), den), (_mul(X, row_up), ONE))
+            return row_up, _poly_or_raise(num, _mul(X, X, den), low)
+        coupling = _mul(pol_q, g) if case == 50 else _mul(a, pol_q, g)
+        row_up = _poly_or_raise(*_sub(_apply(conj_f, pol_p), (coupling, ONE)), up)
+        return row_up, _poly_or_raise(*_apply(conj_w, pol_q), low)
+
+    return rows
 
 
-@lru_cache(maxsize=None)
 def derived_matrix(case: int, p: int, k2: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     """The exact 2p x 2p sector matrix M with (M + lam I) (P, Q) = 0.
 
-    Derived from scratch for each basis monomial; validates along the way
-    that the rows are polynomial, respect the degree caps, and carry lam
-    exactly on the diagonal.
+    Derived from scratch for each basis monomial; validates along the way that
+    the rows are polynomial, respect the degree caps, and carry lam exactly on
+    the diagonal (the rows are affine in lam: the lam-part is row(1) - row(0)).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    k2s = sp.Rational(k2.numerator, k2.denominator)
     d_up, d_low = sector_caps(case, p)
     n_up, n_low = d_up + 1, d_low + 1
-    n = n_up + n_low
-    if n != 2 * p:
+    if n_up + n_low != 2 * p:
         raise AssertionError("sector dimension mismatch")
-    cols: list[list[Fraction]] = []
-    for idx in range(n):
-        if idx < n_up:
-            pol_p, pol_q = _x**idx, sp.Integer(0)
-        else:
-            pol_p, pol_q = sp.Integer(0), _x ** (idx - n_up)
-        row_up, row_low = _rows_for_basis_vector(case, p, k2s, _lam, pol_p, pol_q)
-        pu = _as_poly(row_up, f"upper row (case {case})")
-        pl = (
-            _as_poly(row_low, f"lower row (case {case})")
-            if n_low
-            else sp.Poly(0, _x)
-        )
-        # lam must appear exactly as lam * (P, Q)
-        lam_up = sp.Poly(sp.expand(sp.diff(pu.as_expr(), _lam)), _x)
-        lam_low = sp.Poly(sp.expand(sp.diff(pl.as_expr(), _lam)), _x)
-        if lam_up.as_expr() != sp.expand(pol_p) or lam_low.as_expr() != sp.expand(pol_q):
+    rows0, rows1 = (_sector_rows(case, p, Fraction(k2), lam) for lam in (0, 1))
+    cols, zeros = [], (Fraction(0),) * (2 * p)
+    for idx in range(n_up + n_low):
+        mono = zeros[: idx if idx < n_up else idx - n_up] + ONE
+        pol_p, pol_q = (mono, ()) if idx < n_up else ((), mono)
+        (up0, low0), (up1, low1) = rows0(pol_p, pol_q), rows1(pol_p, pol_q)
+        if _add(up1, _mul(up0, -1)) != pol_p or _add(low1, _mul(low0, -1)) != pol_q:
             raise ReductionError(f"lam does not pair with the identity (case {case})")
-        pu0 = sp.Poly(pu.as_expr().subs(_lam, 0), _x)
-        pl0 = sp.Poly(pl.as_expr().subs(_lam, 0), _x)
-        if pu0.degree() > d_up or (n_low and pl0.degree() > d_low):
-            raise ReductionError(
-                f"degree cap violated in case {case} (p={p}): "
-                f"{pu0.degree()}, {pl0.degree()} vs {d_up}, {d_low}"
-            )
-        col = [_to_fraction(pu0.as_expr().coeff(_x, d)) for d in range(n_up)]
-        col += [_to_fraction(pl0.as_expr().coeff(_x, d)) for d in range(n_low)]
-        cols.append(col)
-    return tuple(zip(*[tuple(c) for c in cols]))
-
-
-def _to_fraction(value: sp.Expr) -> Fraction:
-    value = sp.nsimplify(value)
-    if not value.is_rational:
-        raise ReductionError(f"non-rational matrix entry {value}")
-    return Fraction(int(sp.numer(value)), int(sp.denom(value)))
+        if len(up0) > n_up or len(low0) > n_low:
+            degrees = f"{len(up0) - 1}, {len(low0) - 1} vs {d_up}, {d_low}"
+            raise ReductionError(f"degree cap violated in case {case} (p={p}): {degrees}")
+        cols.append(up0 + zeros[: n_up - len(up0)] + low0 + zeros[: n_low - len(low0)])
+    return tuple(zip(*cols))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from q2rep import cli, spectra
+from q2rep import cli, diffop, spectra
 from q2rep.models import Model, ModelSpec
 from q2rep.cli import main
 
@@ -75,6 +75,20 @@ def test_check_realization(capsys):
         code, out, _ = run(capsys, "check-realization", "--which", which, "--p", "1..4")
         assert code == 0
         assert "32/32" in out
+
+
+def test_check_realization_show_builds_each_operator_once(monkeypatch, capsys):
+    original, calls = diffop.realization, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(diffop, "realization", counting)
+    monkeypatch.setattr(cli, "realization", counting)
+    code, out, _ = run(capsys, "check-realization", "--which", "2", "--p", "3", "--show")
+    assert code == 0 and "8/8" in out
+    assert len(calls) == 8
 
 
 def test_spectrum_moszkowski_example(capsys):

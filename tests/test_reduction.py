@@ -1,9 +1,13 @@
+import ast
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from q2rep import reduction
 from q2rep.models import SPHALERON_MODELS, ModelSpec, raw_matrix
-from q2rep.reduction import derived_matrix, sector_caps
+from q2rep.reduction import ReductionError, derived_matrix, sector_caps
 
 K2_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
@@ -23,25 +27,54 @@ def test_p1_matrices_match_hand_reduction():
         assert derived_matrix(51, 1, k2) == ((0, -2), (-2 * k2, 0))
 
 
+def _assert_operators_match_derivation(p):
+    for model, case in SPHALERON_MODELS.items():
+        for k2 in K2_GRID:
+            rm = raw_matrix(ModelSpec(model, p, {"k2": k2}))
+            assert all(x.is_rational() for row in rm for x in row)
+            got = tuple(tuple(x.rat for x in row) for row in rm)
+            assert got == derived_matrix(case, p, k2), (model, p, k2)
+
+
 def test_closed_form_operators_match_derivation():
     """The packaged operators agree with the from-scratch substitution."""
-    for p in (1, 2, 3):
-        for model, case in SPHALERON_MODELS.items():
-            for k2 in K2_GRID:
-                rm = raw_matrix(ModelSpec(model, p, {"k2": k2}))
-                assert all(x.is_rational() for row in rm for x in row)
-                got = tuple(tuple(x.rat for x in row) for row in rm)
-                assert got == derived_matrix(case, p, k2), (model, p, k2)
+    for p in (1, 2, 3, 5, 6):
+        _assert_operators_match_derivation(p)
 
 
 def test_closed_form_operators_match_derivation_p4():
-    k2 = Fraction(1, 2)
-    for model, case in SPHALERON_MODELS.items():
-        rm = raw_matrix(ModelSpec(model, 4, {"k2": k2}))
-        got = tuple(tuple(x.rat for x in row) for row in rm)
-        assert got == derived_matrix(case, 4, k2), model
+    _assert_operators_match_derivation(4)
 
 
 def test_unknown_sector_rejected():
     with pytest.raises(KeyError):
         derived_matrix(45, 2, Fraction(0))
+
+
+@pytest.mark.parametrize("case", sorted(SPHALERON_MODELS.values()))
+def test_wrong_theta2_violates_the_degree_cap(monkeypatch, case):
+    theta2 = reduction._CASES[case]["theta2"]
+    monkeypatch.setitem(reduction._CASES[case], "theta2", lambda p: theta2(p) + 2)
+    for p in (2, 3):
+        with pytest.raises(ReductionError, match="degree cap violated"):
+            derived_matrix(case, p, Fraction(3, 5))
+
+
+def test_flipped_coupling_leaves_a_pole(monkeypatch):
+    # with the sign of the coupling flipped, the 1/x poles of case 43 no longer cancel
+    monkeypatch.setattr(reduction, "COUPLING", -reduction.COUPLING)
+    with pytest.raises(ReductionError, match=r"upper row \(case 43\) is not polynomial"):
+        derived_matrix(43, 2, Fraction(3, 5))
+
+
+def test_oracle_imports_only_the_standard_library():
+    tree = ast.parse(Path(reduction.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            names = [node.module]
+        else:
+            continue
+        assert all(name.split(".")[0] in sys.stdlib_module_names for name in names), names

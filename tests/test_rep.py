@@ -249,5 +249,4 @@ def test_unbounded_caches_are_the_listed_ones():
         "rep.expansion_in_rvw",
         "rep._gram_rvw",
         "so4.so4_matrix",
-        "reduction.derived_matrix",
     }
