@@ -8,6 +8,14 @@ Basis elements are e_{ij}^sigma with i, j in {0, 1} and parity sigma in
 is a commutator unless both arguments are odd, in which case it is an
 anticommutator.  Mixed-parity elements are handled by splitting into
 homogeneous parts and extending bilinearly.
+
+Two tables here are what the other modules read.  `_STRUCTURE` holds the
+integer structure constants; the graded Jacobi and antisymmetry checks run
+on them directly, with no coefficient ring.  `COMBINATIONS` names the
+ladder generators b+-, f+- and the diagonal combinations e0_sum/e0_diff =
+e00_0 +- e11_0 and e1_sum/e1_diff = e00_1 +- e11_1, in which the V_p
+action, the realizations and the models are written; `AS_COMBINATIONS` is
+its inverse, e00 = (sum + diff)/2 and e11 = (sum - diff)/2.
 """
 
 from __future__ import annotations
@@ -142,9 +150,7 @@ class SuperElement:
         return "mixed"
 
 
-def structure_terms(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:
-    """[[a, b]] as the (generator, +-1) terms of the formula above, unmerged:
-    a = b = e_ii^s gives two terms on e_ii^0, which cancel for even s."""
+def _bracket_terms(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:
     s, t = a.parity, b.parity
     out = []
     if a.j == b.i:
@@ -154,7 +160,37 @@ def structure_terms(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, 
     return tuple(out)
 
 
-_STRUCTURE = {(a, b): structure_terms(a, b) for a, b in product(GENERATORS, repeat=2)}
+_STRUCTURE = {(a, b): _bracket_terms(a, b) for a, b in product(GENERATORS, repeat=2)}
+
+
+def structure_terms(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:
+    """[[a, b]] as the (generator, +-1) terms of the formula above, unmerged:
+    a = b = e_ii^s gives two terms on e_ii^0, which cancel for even s."""
+    return _STRUCTURE[a, b]
+
+
+COMBINATIONS: dict[str, dict[GeneratorId, int]] = {
+    "b+": {B_PLUS: 1},
+    "b-": {B_MINUS: 1},
+    "f+": {F_PLUS: 1},
+    "f-": {F_MINUS: 1},
+    "e0_sum": {E00_0: 1, E11_0: 1},
+    "e0_diff": {E00_0: 1, E11_0: -1},
+    "e1_sum": {E00_1: 1, E11_1: 1},
+    "e1_diff": {E00_1: 1, E11_1: -1},
+}
+
+_HALF = Fraction(1, 2)
+AS_COMBINATIONS: dict[GeneratorId, tuple[tuple[str, Fraction], ...]] = {
+    B_PLUS: (("b+", Fraction(1)),),
+    B_MINUS: (("b-", Fraction(1)),),
+    F_PLUS: (("f+", Fraction(1)),),
+    F_MINUS: (("f-", Fraction(1)),),
+    E00_0: (("e0_sum", _HALF), ("e0_diff", _HALF)),
+    E11_0: (("e0_sum", _HALF), ("e0_diff", -_HALF)),
+    E00_1: (("e1_sum", _HALF), ("e1_diff", _HALF)),
+    E11_1: (("e1_sum", _HALF), ("e1_diff", -_HALF)),
+}
 
 
 def bracket(x: SuperElement, y: SuperElement) -> SuperElement:
@@ -170,42 +206,49 @@ def bracket(x: SuperElement, y: SuperElement) -> SuperElement:
     return SuperElement(x.p, out)
 
 
-def check_graded_jacobi(p: int = 2) -> tuple[bool, int, tuple | None]:
+def _graded_sign(a: GeneratorId, b: GeneratorId) -> int:
+    """(-1)^{|a||b|}."""
+    return -1 if (a.parity and b.parity) else 1
+
+
+def _merged(terms) -> dict[GeneratorId, int]:
+    """Sum (generator, integer) terms per generator, dropping zeros."""
+    out: dict[GeneratorId, int] = {}
+    for g, k in terms:
+        out[g] = out.get(g, 0) + k
+    return {g: k for g, k in out.items() if k}
+
+
+def graded_jacobi_sum(gx: GeneratorId, gy: GeneratorId, gz: GeneratorId) -> dict[GeneratorId, int]:
+    """The nonzero integer coefficients of the graded Jacobi sum of a basis triple,
+
+        (-1)^{|x||z|} [[x, [[y, z]]]] + (-1)^{|y||x|} [[y, [[z, x]]]]
+            + (-1)^{|z||y|} [[z, [[x, y]]]],
+
+    read from the structure constants; empty when the identity holds.
+    """
+    terms = []
+    for a, b, c in ((gx, gy, gz), (gy, gz, gx), (gz, gx, gy)):
+        for inner, k in _STRUCTURE[b, c]:
+            terms += [(g, _graded_sign(a, c) * k * m) for g, m in _STRUCTURE[a, inner]]
+    return _merged(terms)
+
+
+def check_graded_jacobi() -> tuple[bool, int, tuple | None]:
     """Sweep the graded Jacobi identity over all 8^3 basis triples.
 
-    Returns (passed, number checked, first violating triple or None).  The
-    structure constants are integers, so the extension parameter p is
-    irrelevant to the outcome; it only fixes the coefficient ring.
+    Returns (passed, number checked, first violating triple or None).
     """
-    checked = 0
-    for triple in product(GENERATORS, repeat=3):
-        checked += 1
-        if graded_jacobi_sum(*triple, p):
+    for checked, triple in enumerate(product(GENERATORS, repeat=3), start=1):
+        if graded_jacobi_sum(*triple):
             return False, checked, triple
     return True, checked, None
 
 
-def graded_jacobi_sum(gx: GeneratorId, gy: GeneratorId, gz: GeneratorId, p: int = 2) -> SuperElement:
-    """The graded Jacobi sum of a basis triple; zero when the identity holds."""
-    x = SuperElement.basis(gx, p)
-    y = SuperElement.basis(gy, p)
-    z = SuperElement.basis(gz, p)
-    sxz = -1 if (gx.parity and gz.parity) else 1
-    syx = -1 if (gy.parity and gx.parity) else 1
-    szy = -1 if (gz.parity and gy.parity) else 1
-    return (
-        bracket(x, bracket(y, z)).scaled(Fraction(sxz))
-        + bracket(y, bracket(z, x)).scaled(Fraction(syx))
-        + bracket(z, bracket(x, y)).scaled(Fraction(szy))
-    )
-
-
-def graded_antisymmetry_holds(p: int = 2) -> bool:
+def graded_antisymmetry_holds() -> bool:
     """[[x, y]] = -(-1)^{|x||y|} [[y, x]] on all homogeneous basis pairs."""
-    for gx, gy in product(GENERATORS, repeat=2):
-        x = SuperElement.basis(gx, p)
-        y = SuperElement.basis(gy, p)
-        sign = -1 if (gx.parity and gy.parity) else 1
-        if bracket(x, y) != bracket(y, x).scaled(Fraction(-1 * sign)):
-            return False
-    return True
+    return all(
+        _merged(_STRUCTURE[x, y])
+        == _merged((g, -_graded_sign(x, y) * k) for g, k in _STRUCTURE[y, x])
+        for x, y in product(GENERATORS, repeat=2)
+    )

@@ -5,7 +5,9 @@ kept in normal order: polynomial coefficients to the left of derivatives, one
 Pauli factor per term.  This gives a unique canonical form, so operator
 equality is plain term comparison.
 
-The three realizations map the eight q(2) generators to such operators:
+The three realizations map the eight combinations of algebra.COMBINATIONS
+to such operators, and each generator to the weighted sum of its
+combinations:
 
     1   acts on (P(p), P(p-2)), basis Lam_k = (x^k, 0), chi_l = (0, x^{l-1})
     2   acts on (P(p-1), P(p-1)), basis mu_k = (x^k, 0), mu_{p+k} = (0, x^k)
@@ -23,15 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .algebra import (
-    B_MINUS,
-    B_PLUS,
-    E00_0,
-    E11_0,
-    F_MINUS,
-    F_PLUS,
-    GeneratorId,
-)
+from .algebra import AS_COMBINATIONS, GeneratorId
 from .linalg import Matrix
 from .rep import Basis
 from .scalars import ExtScalar, RationalLike, inv_sqrt_p
@@ -348,18 +342,12 @@ def to_matrix(op: DiffOp, basis: list[PolyPair], out_caps: Caps | None = None) -
 # realizations ---------------------------------------------------------------
 
 def realization_caps(which: int, p: int) -> Caps:
-    if which == 1:
-        return (p, p - 2)
-    if which == 2:
-        return (p - 1, p - 1)
-    if which == 3:
-        return (p, p - 1)
-    raise ValueError(f"realization must be 1, 2 or 3, got {which}")
+    return _realization(which)[1](p)
 
 
 def realization_basis_id(which: int) -> Basis:
     """The abstract basis whose matrices each realization reproduces."""
-    return {1: Basis.LAMBDA_CHI, 2: Basis.MU, 3: Basis.THIRD}[which]
+    return _realization(which)[0]
 
 
 def realization_basis(which: int, p: int) -> list[PolyPair]:
@@ -378,21 +366,23 @@ def realization_basis(which: int, p: int) -> list[PolyPair]:
     return out
 
 
-def _real1(g: GeneratorId, p: int) -> DiffOp:
+# Each _realN gives the operator of one combination of algebra.COMBINATIONS.
+
+def _real1(name: str, p: int) -> DiffOp:
     isp = inv_sqrt_p(p)
     s = ExtScalar.sqrt_p(p)
     T = DiffOp.term
-    if g == B_MINUS:
+    if name == "b-":
         return T(p, [1], 1)
-    if g == B_PLUS:
+    if name == "b+":
         return T(p, [0, 0, -1], 1) + T(p, [0, p - 1]) + T(p, [0, 1], 0, Pauli.S3)
-    if g == F_MINUS:
+    if name == "f-":
         return (
             T(p, [isp], 1, Pauli.S3)
             + T(p, [-isp], 0, Pauli.SP)
             + T(p, [isp], 2, Pauli.SM)
         )
-    if g == F_PLUS:
+    if name == "f+":
         return (
             T(p, [0, 0, -isp], 1, Pauli.S3)
             + T(p, [0, isp * (p - 1)], 0, Pauli.S3)
@@ -404,43 +394,41 @@ def _real1(g: GeneratorId, p: int) -> DiffOp:
                 + T(p, [isp * (p * (p - 1))], 0, Pauli.SM)
             )
         )
-    # diagonal generators via the two parity combinations
-    if g in (E00_0, E11_0):
-        diff = T(p, [0, -2], 1) + T(p, [p - 1]) + T(p, [1], 0, Pauli.S3)
-        total = T(p, [p])
-    else:
-        diff = (
-            T(p, [0, -2 * isp], 1, Pauli.S3)
-            + T(p, [isp * (p - 1)], 0, Pauli.S3)
-            + T(p, [isp])
-            + T(p, [0, 2 * isp], 0, Pauli.SP)
-            + T(p, [0, -2 * isp], 2, Pauli.SM)
-            + T(p, [isp * (2 * (p - 1))], 1, Pauli.SM)
-        )
-        total = T(p, [s], 0, Pauli.S3)
-    half = Fraction(1, 2)
-    sign = 1 if g.i == 0 else -1
-    return total.scaled(half) + diff.scaled(half * sign)
+    if name == "e0_sum":
+        return T(p, [p])
+    if name == "e0_diff":
+        return T(p, [0, -2], 1) + T(p, [p - 1]) + T(p, [1], 0, Pauli.S3)
+    if name == "e1_sum":
+        return T(p, [s], 0, Pauli.S3)
+    # e1_diff
+    return (
+        T(p, [0, -2 * isp], 1, Pauli.S3)
+        + T(p, [isp * (p - 1)], 0, Pauli.S3)
+        + T(p, [isp])
+        + T(p, [0, 2 * isp], 0, Pauli.SP)
+        + T(p, [0, -2 * isp], 2, Pauli.SM)
+        + T(p, [isp * (2 * (p - 1))], 1, Pauli.SM)
+    )
 
 
-def _real2(g: GeneratorId, p: int) -> DiffOp:
+def _real2(name: str, p: int) -> DiffOp:
     isp = inv_sqrt_p(p)
     s = ExtScalar.sqrt_p(p)
     T = DiffOp.term
-    if g == B_MINUS:
+    if name == "b-":
         return T(p, [0, 0, -1], 1) + T(p, [0, p - 1]) + T(p, [1], 0, Pauli.SM)
-    if g == B_PLUS:
+    if name == "b+":
         return T(p, [1], 1) + T(p, [1], 0, Pauli.SP)
-    if g == F_MINUS:
+    if name == "f-":
         return T(p, [s], 0, Pauli.SM)
-    if g == F_PLUS:
+    if name == "f+":
         return T(p, [s], 0, Pauli.SP)
-    if g in (E00_0, E11_0):
-        diff = T(p, [0, 2], 1) + T(p, [1 - p]) + T(p, [-1], 0, Pauli.S3)
-        total = T(p, [p])
-    else:
-        diff = T(p, [-s], 0, Pauli.S3)
-        total = (
+    if name == "e0_sum":
+        return T(p, [p])
+    if name == "e0_diff":
+        return T(p, [0, 2], 1) + T(p, [1 - p]) + T(p, [-1], 0, Pauli.S3)
+    if name == "e1_sum":
+        return (
             T(p, [0, -2 * isp], 1, Pauli.S3)
             + T(p, [isp])
             + T(p, [isp * (p - 1)], 0, Pauli.S3)
@@ -448,48 +436,57 @@ def _real2(g: GeneratorId, p: int) -> DiffOp:
             + T(p, [0, isp * (2 * (p - 1))], 0, Pauli.SP)
             + T(p, [0, 0, -2 * isp], 1, Pauli.SP)
         )
-    half = Fraction(1, 2)
-    sign = 1 if g.i == 0 else -1
-    return total.scaled(half) + diff.scaled(half * sign)
+    return T(p, [-s], 0, Pauli.S3)  # e1_diff
 
 
-def _real3(g: GeneratorId, p: int) -> DiffOp:
+def _real3(name: str, p: int) -> DiffOp:
     isp = inv_sqrt_p(p)
     s = ExtScalar.sqrt_p(p)
     T = DiffOp.term
-    if g == B_MINUS:
+    if name == "b-":
         return (
             T(p, [0, 0, -1], 1)
             + T(p, [0, p - 1])
             + T(p, [0, 1], 0, Pauli.S3)
             + T(p, [1], 0, Pauli.SM)
         )
-    if g == B_PLUS:
+    if name == "b+":
         return T(p, [1], 1)
-    if g == F_MINUS:
+    if name == "f-":
         return T(p, [0, s], 0, Pauli.S3) + T(p, [s], 0, Pauli.SM) + T(p, [0, 0, -s], 0, Pauli.SP)
-    if g == F_PLUS:
+    if name == "f+":
         return T(p, [s], 0, Pauli.SP)
-    if g in (E00_0, E11_0):
-        diff = T(p, [0, 2], 1) + T(p, [1 - p]) + T(p, [-1], 0, Pauli.S3)
-        total = T(p, [p])
-    else:
-        diff = T(p, [-s], 0, Pauli.S3) + T(p, [0, 2 * s], 0, Pauli.SP)
-        total = T(p, [s], 0, Pauli.S3) + T(p, [2 * isp], 1, Pauli.SM)
-    half = Fraction(1, 2)
-    sign = 1 if g.i == 0 else -1
-    return total.scaled(half) + diff.scaled(half * sign)
+    if name == "e0_sum":
+        return T(p, [p])
+    if name == "e0_diff":
+        return T(p, [0, 2], 1) + T(p, [1 - p]) + T(p, [-1], 0, Pauli.S3)
+    if name == "e1_sum":
+        return T(p, [s], 0, Pauli.S3) + T(p, [2 * isp], 1, Pauli.SM)
+    return T(p, [-s], 0, Pauli.S3) + T(p, [0, 2 * s], 0, Pauli.SP)  # e1_diff
+
+
+# which -> (abstract basis, degree caps of p, operator of a combination)
+_REALIZATIONS = {
+    1: (Basis.LAMBDA_CHI, lambda p: (p, p - 2), _real1),
+    2: (Basis.MU, lambda p: (p - 1, p - 1), _real2),
+    3: (Basis.THIRD, lambda p: (p, p - 1), _real3),
+}
+
+
+def _realization(which: int) -> tuple:
+    if which not in _REALIZATIONS:
+        raise ValueError(f"realization must be 1, 2 or 3, got {which}")
+    return _REALIZATIONS[which]
 
 
 def realization(which: int, g: GeneratorId, p: int) -> DiffOp:
-    """The differential operator realizing generator g for the given p."""
-    if which == 1:
-        return _real1(g, p)
-    if which == 2:
-        return _real2(g, p)
-    if which == 3:
-        return _real3(g, p)
-    raise ValueError(f"realization must be 1, 2 or 3, got {which}")
+    """The differential operator realizing generator g for the given p:
+    the weighted sum of its combinations (algebra.AS_COMBINATIONS)."""
+    combination = _realization(which)[2]
+    out = DiffOp.zero(p)
+    for name, weight in AS_COMBINATIONS[g]:
+        out = out + combination(name, p).scaled(weight)
+    return out
 
 
 def realization_of_element(which: int, x, p: int) -> DiffOp:

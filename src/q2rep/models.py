@@ -25,18 +25,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import linalg
-from .algebra import (
-    B_MINUS,
-    B_PLUS,
-    E00_0,
-    E00_1,
-    E11_0,
-    E11_1,
-    F_MINUS,
-    F_PLUS,
-    GeneratorId,
-    SuperElement,
-)
+from .algebra import COMBINATIONS, SuperElement
 from .diffop import DiffOp, Pauli, to_matrix, realization_basis, realization_basis_id
 from .linalg import Matrix
 from .rep import Basis, rep_of_element
@@ -224,27 +213,10 @@ def raw_matrix(spec: ModelSpec) -> Matrix:
 
 # generator expressions -------------------------------------------------------
 
-E0_DIFF = "e0_diff"
-E0_SUM = "e0_sum"
-E1_DIFF = "e1_diff"
-E1_SUM = "e1_sum"
-COMBO_NAMES = ("b+", "b-", "f+", "f-", E0_DIFF, E0_SUM, E1_DIFF, E1_SUM)
-
-_COMBOS: dict[str, dict[GeneratorId, int]] = {
-    "b+": {B_PLUS: 1},
-    "b-": {B_MINUS: 1},
-    "f+": {F_PLUS: 1},
-    "f-": {F_MINUS: 1},
-    E0_DIFF: {E00_0: 1, E11_0: -1},
-    E0_SUM: {E00_0: 1, E11_0: 1},
-    E1_DIFF: {E00_1: 1, E11_1: -1},
-    E1_SUM: {E00_1: 1, E11_1: 1},
-}
-
-
 @dataclass(frozen=True)
 class GeneratorExpr:
-    """Sum of coefficient * (at most quadratic) products of generator combos."""
+    """Sum of coefficient * (at most quadratic) products of the combinations
+    named in algebra.COMBINATIONS."""
 
     p: int
     terms: tuple[tuple[ExtScalar, tuple[str, ...]], ...]
@@ -254,7 +226,7 @@ class GeneratorExpr:
             if len(factors) > 2:
                 raise ValueError("expressions are at most quadratic in the generators")
             for f in factors:
-                if f not in COMBO_NAMES:
+                if f not in COMBINATIONS:
                     raise KeyError(f"unknown generator combination {f!r}")
 
     def constant_part(self) -> ExtScalar:
@@ -268,7 +240,7 @@ class GeneratorExpr:
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
     """Substitute representation matrices into the expression, exactly."""
     names = {name for _, factors in expr.terms for name in factors}
-    combos = {name: rep_of_element(SuperElement(p, _COMBOS[name]), basis, p) for name in names}
+    combos = {name: rep_of_element(SuperElement(p, COMBINATIONS[name]), basis, p) for name in names}
     terms = ((c, [combos[name] for name in factors]) for c, factors in expr.terms)
     return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
@@ -290,73 +262,73 @@ def generator_expression(spec: ModelSpec) -> GeneratorExpr:
         case = SPHALERON_MODELS[spec.model]
         if case in (43, 44):
             terms: list[tuple[ExtScalar, tuple[str, ...]]] = [
-                (_E(p, 2), (E0_DIFF, "b+")),
-                (isp * -2, (E0_DIFF, "f+")),
-                (_E(p, -2 * k2), (E0_DIFF, "b-")),
-                (isp * (2 * k2), (E1_DIFF, "b-")),
-                (_E(p, -d), (E0_DIFF, E0_DIFF)),
-                (isp * 2, ("b+", E1_DIFF)),
-                (_E(p, Fraction(-6, p)), ("f+", E1_DIFF)),
-                (isp * d, (E1_DIFF, E0_DIFF)),
-                (isp * (-2 * k2), (E0_DIFF, "f-")),
-                (_E(p, Fraction(2, p) * k2), (E1_DIFF, "f-")),
+                (_E(p, 2), ("e0_diff", "b+")),
+                (isp * -2, ("e0_diff", "f+")),
+                (_E(p, -2 * k2), ("e0_diff", "b-")),
+                (isp * (2 * k2), ("e1_diff", "b-")),
+                (_E(p, -d), ("e0_diff", "e0_diff")),
+                (isp * 2, ("b+", "e1_diff")),
+                (_E(p, Fraction(-6, p)), ("f+", "e1_diff")),
+                (isp * d, ("e1_diff", "e0_diff")),
+                (isp * (-2 * k2), ("e0_diff", "f-")),
+                (_E(p, Fraction(2, p) * k2), ("e1_diff", "f-")),
                 (isp * (4 * d), ("b+", "f-")),
                 (_E(p, Fraction(-4, p) * d), ("f+", "f-")),
                 (_E(p, 2 * (p + 2)), ("b+",)),
                 (_E(p, -6 * k2 * p), ("b-",)),
-                (_E(p, -d * (2 * p + 1)), (E0_DIFF,)),
+                (_E(p, -d * (2 * p + 1)), ("e0_diff",)),
                 (_E(p, -p * (p + 1) * d) + _E(p, lam), ()),
             ]
             if case == 43:
                 terms += [
                     (isp * (-2 * k2 * (1 - p)), ("f-",)),
                     (isp * -(2 * (p - 1)), ("f+",)),
-                    (sq * d, (E1_DIFF,)),
+                    (sq * d, ("e1_diff",)),
                 ]
             else:
                 terms += [
                     (sq * (2 * k2), ("f-",)),
                     (sq * -2, ("f+",)),
-                    (isp * (d * (p + 1)), (E1_DIFF,)),
+                    (isp * (d * (p + 1)), ("e1_diff",)),
                 ]
         elif case == 50:
             terms = [
-                (_E(p, 2), (E0_DIFF, "b+")),
-                (isp * -2, (E0_DIFF, "f+")),
-                (_E(p, -2 * k2), (E0_DIFF, "b-")),
-                (isp * (2 * k2), (E0_DIFF, "f-")),
-                (isp * (2 * k2), (E1_DIFF, "b-")),
-                (_E(p, Fraction(-2, p) * k2), (E1_DIFF, "f-")),
-                (_E(p, -d), (E0_DIFF, E0_DIFF)),
-                (isp * 2, ("b+", E1_DIFF)),
-                (_E(p, Fraction(-6, p)), ("f+", E1_DIFF)),
-                (isp * d, (E1_DIFF, E0_DIFF)),
+                (_E(p, 2), ("e0_diff", "b+")),
+                (isp * -2, ("e0_diff", "f+")),
+                (_E(p, -2 * k2), ("e0_diff", "b-")),
+                (isp * (2 * k2), ("e0_diff", "f-")),
+                (isp * (2 * k2), ("e1_diff", "b-")),
+                (_E(p, Fraction(-2, p) * k2), ("e1_diff", "f-")),
+                (_E(p, -d), ("e0_diff", "e0_diff")),
+                (isp * 2, ("b+", "e1_diff")),
+                (_E(p, Fraction(-6, p)), ("f+", "e1_diff")),
+                (isp * d, ("e1_diff", "e0_diff")),
                 (_E(p, 2 * p), ("b+",)),
                 (isp * (2 * (3 - p)), ("f+",)),
                 (_E(p, -2 * k2 * (3 * p - 2)), ("b-",)),
                 (isp * (2 * k2 * (3 * p - 2)), ("f-",)),
-                (_E(p, d * (-2 * p + 1)), (E0_DIFF,)),
-                (isp * (-d * (1 - p)), (E1_DIFF,)),
+                (_E(p, d * (-2 * p + 1)), ("e0_diff",)),
+                (isp * (-d * (1 - p)), ("e1_diff",)),
                 (_E(p, -p * (p - 1) * d) + _E(p, lam), ()),
             ]
         else:  # case 51, first realization space
             terms = [
-                (_E(p, 2 * k2), ("b+", E0_DIFF)),
-                (_E(p, -k2), ("f+", E1_SUM)),
-                (isp * -1, ("b-", E1_SUM)),
-                (_E(p, -2), (E0_DIFF, "b-")),
-                (isp * k2, ("b+", E1_SUM)),
+                (_E(p, 2 * k2), ("b+", "e0_diff")),
+                (_E(p, -k2), ("f+", "e1_sum")),
+                (isp * -1, ("b-", "e1_sum")),
+                (_E(p, -2), ("e0_diff", "b-")),
+                (isp * k2, ("b+", "e1_sum")),
                 (_E(p, 4 * d), ("b+", "b-")),
-                (one, ("f-", E1_SUM)),
-                (_E(p, Fraction(d, 2)), (E1_DIFF, E1_SUM)),
-                (isp * Fraction(-d, 2), (E0_DIFF, E1_SUM)),
+                (one, ("f-", "e1_sum")),
+                (_E(p, Fraction(d, 2)), ("e1_diff", "e1_sum")),
+                (isp * Fraction(-d, 2), ("e0_diff", "e1_sum")),
                 (_E(p, 2 * p - 1), ("b-",)),
                 (sq * k2, ("f+",)),
                 (_E(p, k2 * (-6 * p + 1)), ("b+",)),
                 (sq * -1, ("f-",)),
-                (_E(p, d * (2 * p + Fraction(1, 2))), (E0_DIFF,)),
-                (sq * -d, (E1_SUM,)),
-                (sq * Fraction(-d, 2), (E1_DIFF,)),
+                (_E(p, d * (2 * p + Fraction(1, 2))), ("e0_diff",)),
+                (sq * -d, ("e1_sum",)),
+                (sq * Fraction(-d, 2), ("e1_diff",)),
                 (_E(p, (-2 * p * p + p) * d) + _E(p, lam), ()),
             ]
         return GeneratorExpr(p, tuple(terms))
@@ -366,11 +338,11 @@ def generator_expression(spec: ModelSpec) -> GeneratorExpr:
         return GeneratorExpr(
             p,
             (
-                (isp * c, (E1_DIFF,)),
-                (_E(p, -Fraction(c, 2)), (E0_DIFF,)),
+                (isp * c, ("e1_diff",)),
+                (_E(p, -Fraction(c, 2)), ("e0_diff",)),
                 (_E(p, v * Fraction(p * p, 2)), ()),
-                (_E(p, -Fraction(v, 2)), (E0_DIFF, E0_DIFF)),
-                (sq * v, (E1_SUM,)),
+                (_E(p, -Fraction(v, 2)), ("e0_diff", "e0_diff")),
+                (sq * v, ("e1_sum",)),
             ),
         )
     omega = spec.param("omega")
@@ -380,10 +352,10 @@ def generator_expression(spec: ModelSpec) -> GeneratorExpr:
     return GeneratorExpr(
         p,
         (
-            (_E(p, Fraction(omega, 2)), (E0_DIFF,)),
+            (_E(p, Fraction(omega, 2)), ("e0_diff",)),
             (_E(p, Fraction(p, 2) * omega), ()),
-            (sq * Fraction(g, 2), (E1_SUM,)),
-            (isp * Fraction(g, 2), (E1_DIFF,)),
+            (sq * Fraction(g, 2), ("e1_sum",)),
+            (isp * Fraction(g, 2), ("e1_diff",)),
         ),
     )
 

@@ -28,6 +28,7 @@ from math import factorial
 
 from . import linalg
 from .algebra import (
+    AS_COMBINATIONS,
     B_MINUS,
     B_PLUS,
     E00_0,
@@ -270,7 +271,7 @@ def _lc_action(g: GeneratorId, kind: str, k: int, p: int) -> list[tuple[str, int
 
 
 def _mu_action_combo(name: str, idx: int, p: int) -> list[tuple[int, ExtScalar]]:
-    """Action of the diagonal combinations and ladder generators on mu vectors.
+    """Action of the combinations of `algebra.COMBINATIONS` on mu vectors.
 
     idx is the absolute basis index 0..2p-1; the first family is mu_k
     (k = idx < p), the second mu_{p+k} (k = idx - p).
@@ -312,18 +313,6 @@ def _mu_action_combo(name: str, idx: int, p: int) -> list[tuple[int, ExtScalar]]
     return out
 
 
-_MU_SINGLES = {
-    E00_0: (("e0_sum", Fraction(1, 2)), ("e0_diff", Fraction(1, 2))),
-    E11_0: (("e0_sum", Fraction(1, 2)), ("e0_diff", Fraction(-1, 2))),
-    E00_1: (("e1_sum", Fraction(1, 2)), ("e1_diff", Fraction(1, 2))),
-    E11_1: (("e1_sum", Fraction(1, 2)), ("e1_diff", Fraction(-1, 2))),
-    B_PLUS: (("b+", Fraction(1)),),
-    B_MINUS: (("b-", Fraction(1)),),
-    F_PLUS: (("f+", Fraction(1)),),
-    F_MINUS: (("f-", Fraction(1)),),
-}
-
-
 @lru_cache(maxsize=None)
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
     """Exact 2p x 2p matrix of the generator in the requested ordered basis."""
@@ -343,7 +332,7 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
                 put(col, pos(tkind, tidx), c)
     elif basis is Basis.MU:
         for col in range(n):
-            for name, weight in _MU_SINGLES[g]:
+            for name, weight in AS_COMBINATIONS[g]:
                 for tidx, c in _mu_action_combo(name, col, p):
                     put(col, tidx, c * weight)
     elif basis is Basis.VW:

@@ -19,17 +19,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from . import linalg
-from .algebra import (
-    B_MINUS,
-    B_PLUS,
-    E00_0,
-    E00_1,
-    E11_0,
-    E11_1,
-    F_MINUS,
-    F_PLUS,
-    SuperElement,
-)
+from .algebra import COMBINATIONS, SuperElement
 from .linalg import Matrix
 from .rep import Basis, gram_matrix, rep_of_element
 from .scalars import ExtScalar
@@ -266,25 +256,18 @@ def identification_lines(p: int) -> list[IdentificationLine]:
     two_over_sp = Radical.sqrt(Fraction(4, p))
     half = Fraction(1, 2)
 
-    lines: list[tuple[str, dict, list]] = [
-        ("b- = J+ + K+", {B_MINUS: one}, [(one, [JP]), (one, [KP])]),
-        ("b+ = J- + K-", {B_PLUS: one}, [(one, [JM]), (one, [KM])]),
-        (
-            "e00_0 - e11_0 = 2J0 + 2K0",
-            {E00_0: one, E11_0: -one},
-            [(two, [J0]), (two, [K0])],
-        ),
-        ("f- = sqrt(p) K+", {F_MINUS: one}, [(sp, [KP])]),
-        ("f+ = sqrt(p) K-", {F_PLUS: one}, [(sp, [KM])]),
-        (
-            "e00_1 - e11_1 = 2 sqrt(p) K0",
-            {E00_1: one, E11_1: -one},
-            [(Radical.rational(2) * sp, [K0])],
-        ),
-        ("e00_0 + e11_0 = p", {E00_0: one, E11_0: one}, [(Fraction(p), [])]),
+    # each line: label, the q(2) combination (algebra.COMBINATIONS), the so(4) side
+    lines: list[tuple[str, str, list]] = [
+        ("b- = J+ + K+", "b-", [(one, [JP]), (one, [KP])]),
+        ("b+ = J- + K-", "b+", [(one, [JM]), (one, [KM])]),
+        ("e00_0 - e11_0 = 2J0 + 2K0", "e0_diff", [(two, [J0]), (two, [K0])]),
+        ("f- = sqrt(p) K+", "f-", [(sp, [KP])]),
+        ("f+ = sqrt(p) K-", "f+", [(sp, [KM])]),
+        ("e00_1 - e11_1 = 2 sqrt(p) K0", "e1_diff", [(Radical.rational(2) * sp, [K0])]),
+        ("e00_0 + e11_0 = p", "e0_sum", [(Fraction(p), [])]),
         (
             "e00_1 + e11_1 = (2/sqrt(p)) (2 J0 K0 + J+ K- + J- K+ + 1/2)",
-            {E00_1: one, E11_1: one},
+            "e1_sum",
             [
                 (two_over_sp * Fraction(2), [J0, K0]),
                 (two_over_sp, [JP, KM]),
@@ -295,8 +278,8 @@ def identification_lines(p: int) -> list[IdentificationLine]:
     ]
     T = tensor_to_lambda_chi(p)
     out = []
-    for label, q2_combo, so4_parts in lines:
-        q2 = rep_of_element(SuperElement(p, q2_combo), Basis.LAMBDA_CHI, p)
+    for label, name, so4_parts in lines:
+        q2 = rep_of_element(SuperElement(p, COMBINATIONS[name]), Basis.LAMBDA_CHI, p)
         lhs = linalg.matmul(T, ext_to_radical_matrix(q2))
         rhs = linalg.matmul(_so4_combo(so4_parts, p), T)
         diff = linalg.first_difference(rhs, lhs)

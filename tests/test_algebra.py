@@ -4,9 +4,12 @@ from itertools import product
 from hypothesis import given
 from hypothesis import strategies as st
 
+from q2rep import algebra, cli
 from q2rep.algebra import (
+    AS_COMBINATIONS,
     B_MINUS,
     B_PLUS,
+    COMBINATIONS,
     E00_0,
     E00_1,
     E11_0,
@@ -65,6 +68,29 @@ def test_graded_antisymmetry():
 def test_graded_jacobi_full_sweep():
     ok, checked, violation = check_graded_jacobi()
     assert ok and checked == 512 and violation is None
+
+
+def test_negated_structure_entry_fails_the_sweeps(monkeypatch, capsys):
+    # the checks read the structure table itself, so a wrong sign there shows
+    terms = algebra._STRUCTURE[B_PLUS, F_MINUS]
+    monkeypatch.setitem(algebra._STRUCTURE, (B_PLUS, F_MINUS), tuple((g, -k) for g, k in terms))
+    ok, checked, violation = check_graded_jacobi()
+    assert not ok and checked == 22 and violation == (E00_0, B_PLUS, F_MINUS)
+    assert not graded_antisymmetry_holds()
+    assert cli.main(["verify", "--p", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("graded-jacobi") and "FAIL (triple (" in line for line in lines)
+    assert any(line.startswith("rep-homomorphism") and "FAIL (" in line for line in lines)
+
+
+def test_combination_tables_are_inverse():
+    # each generator is the weighted sum of the forward combinations its inverse entry names
+    for g in GENERATORS:
+        total = {}
+        for name, weight in AS_COMBINATIONS[g]:
+            for h, k in COMBINATIONS[name].items():
+                total[h] = total.get(h, 0) + weight * k
+        assert {h: c for h, c in total.items() if c} == {g: 1}, g.name
 
 
 def test_bracket_parity_grading_all_64_pairs():

@@ -162,3 +162,14 @@ def test_p1_degenerate_lower_space():
         for v in monomial_basis(p, caps):
             out = apply(realization(1, g, p), v)
             assert not out.lower
+
+
+@pytest.mark.parametrize("which", [0, 4])
+def test_unknown_realization_is_value_error(which):
+    message = f"realization must be 1, 2 or 3, got {which}"
+    with pytest.raises(ValueError, match=message):
+        realization_caps(which, 2)
+    with pytest.raises(ValueError, match=message):
+        realization_basis_id(which)
+    with pytest.raises(ValueError, match=message):
+        realization(which, B_PLUS, 2)

@@ -67,6 +67,27 @@ def test_flipped_coupling_leaves_a_pole(monkeypatch):
         derived_matrix(43, 2, Fraction(3, 5))
 
 
+@pytest.mark.parametrize("case", sorted(SPHALERON_MODELS.values()))
+def test_lam_off_the_identity_is_refused(monkeypatch, case):
+    # at lam = 1 the upper row gains an extra pol_p, so lam pairs with 2 on the upper diagonal
+    sector_rows = reduction._sector_rows
+
+    def skewed(case, p, k2, lam):
+        rows = sector_rows(case, p, k2, lam)
+        if lam != 1:
+            return rows
+
+        def shifted(pol_p, pol_q):
+            up, low = rows(pol_p, pol_q)
+            return reduction._add(up, pol_p), low
+
+        return shifted
+
+    monkeypatch.setattr(reduction, "_sector_rows", skewed)
+    with pytest.raises(ReductionError, match="lam does not pair with the identity"):
+        derived_matrix(case, 2, Fraction(3, 5))
+
+
 def test_oracle_imports_only_the_standard_library():
     tree = ast.parse(Path(reduction.__file__).read_text())
     for node in ast.walk(tree):
