@@ -13,9 +13,11 @@ Two tables here are what the other modules read.  `_STRUCTURE` holds the
 integer structure constants; the graded Jacobi and antisymmetry checks run
 on them directly, with no coefficient ring.  `COMBINATIONS` names the
 ladder generators b+-, f+- and the diagonal combinations e0_sum/e0_diff =
-e00_0 +- e11_0 and e1_sum/e1_diff = e00_1 +- e11_1, in which the V_p
-action, the realizations and the models are written; `AS_COMBINATIONS` is
-its inverse, e00 = (sum + diff)/2 and e11 = (sum - diff)/2.
+e00_0 +- e11_0 and e1_sum/e1_diff = e00_1 +- e11_1, in which the
+realizations, the models and the so(4) identification are written;
+`AS_COMBINATIONS` is its inverse, e00 = (sum + diff)/2 and e11 = (sum -
+diff)/2, read only by `diffop.realization`.  The V_p action tables in `rep`
+are written on the generators themselves and read neither table.
 """
 
 from __future__ import annotations

@@ -308,7 +308,7 @@ def apply(op: DiffOp, vec: PolyPair, out_caps: Caps | None = None) -> PolyPair:
     return PolyPair(up_acc, low_acc, caps)
 
 
-def to_matrix(op: DiffOp, basis: list[PolyPair], out_caps: Caps | None = None) -> Matrix:
+def to_matrix(op: DiffOp, basis: list[PolyPair]) -> Matrix:
     """Matrix whose column c are the coordinates of apply(op, basis[c]).
 
     Coordinates are taken in the supplied basis; when the basis spans a
@@ -318,7 +318,7 @@ def to_matrix(op: DiffOp, basis: list[PolyPair], out_caps: Caps | None = None) -
     if not basis:
         raise ValueError("empty basis")
     p = op.p
-    caps = basis[0].caps if out_caps is None else out_caps
+    caps = basis[0].caps
     nrows = space_dimension(caps)
     if nrows == 0:
         raise ValueError("zero-dimensional space")

@@ -196,7 +196,7 @@ def raw_operator(spec: ModelSpec) -> DiffOp:
     # Jaynes-Cummings with a+ = x, a- = d/dx
     omega = spec.param("omega")
     g = spec.param("g")
-    omega0 = spec.param("omega0", omega - g * (p - 1))
+    omega0 = spec.param("omega0")
     return (
         T(p, [0, omega], 1)
         + T(p, [omega * Fraction(1, 2)])

@@ -10,12 +10,16 @@ Bases and their fixed orderings:
 
     VW          v_0..v_{p-1}, w_1..w_{p-1}, v_p + sqrt(p) w_p
     LAMBDA_CHI  Lam_0..Lam_p, chi_1..chi_{p-1}
-    MU          mu_0..mu_{2p-1}
+    MU          mu_0..mu_{2p-1}, defined from LAMBDA_CHI by one exact matrix
+                C (`_mu_change`); its action and expansion are those of
+                LAMBDA_CHI carried over by C
     THIRD       same abstract vectors as LAMBDA_CHI (only the polynomial
-                realization differs), so its matrices coincide
+                realization differs), so it shares LAMBDA_CHI's matrices
 
-All matrices are exact over Q[s]/(s^2 - p) and column c holds the image of
-basis vector c.
+The V_p action is written out on VW (`act_vw`) and on LAMBDA_CHI
+(`_lc_action`) only; realization 2 in `diffop` checks the MU matrices
+independently of C.  All matrices are exact over Q[s]/(s^2 - p) and column
+c holds the image of basis vector c.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from math import factorial
 
 from . import linalg
 from .algebra import (
-    AS_COMBINATIONS,
     B_MINUS,
     B_PLUS,
     E00_0,
@@ -199,24 +202,34 @@ def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
         for l in range(1, p):
             cols.append(_rvw_coords(chi(l), p))
     elif basis is Basis.MU:
-        lam_cols = [_rvw_coords(lam(k), p) for k in range(p + 1)]
-        chi_cols = [None] + [_rvw_coords(chi(l), p) for l in range(1, p)]
-
-        def combo(kl: int, kc: int, c_chi: int) -> dict[int, ExtScalar]:
-            col = dict(lam_cols[kl])
-            if c_chi and 1 <= kc <= p - 1:
-                for i, b in chi_cols[kc].items():
-                    c = ExtScalar.of(c_chi, p) * b
-                    col[i] = col[i] + c if i in col else c
-            return col
-
-        for k in range(p):  # mu_k = Lam_{p-k} - k chi_{p-k}
-            cols.append(combo(p - k, p - k, -k))
-        for k in range(p):  # mu_{p+k} = Lam_{p-k-1} + (p-k-1) chi_{p-k-1}
-            cols.append(combo(p - k - 1, p - k - 1, p - k - 1))
+        return linalg.matmul(expansion_in_rvw(Basis.LAMBDA_CHI, p), _mu_change(p)[0])
     else:
         raise KeyError(basis)
     return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
+
+
+def _mu_change(p: int) -> tuple[Matrix, Matrix]:
+    """(C, C^-1): the columns of C are mu_0..mu_{2p-1} in LAMBDA_CHI coordinates.
+
+    mu_0 = Lam_p and mu_{2p-1} = Lam_0.  For 1 <= j <= p-1 the pair
+    mu_{p-j} = Lam_j - (p-j) chi_j and mu_{2p-1-j} = Lam_j + j chi_j is a
+    2x2 block of determinant p, so C^-1 has the closed form
+    Lam_j = (j mu_{p-j} + (p-j) mu_{2p-1-j})/p, chi_j = (mu_{2p-1-j} - mu_{p-j})/p.
+    """
+    n = 2 * p
+    one = ExtScalar.one(p)
+    mu: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of C
+    lc: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of C^-1
+    mu[0], lc[p] = {p: one}, {0: one}
+    mu[n - 1], lc[0] = {0: one}, {n - 1: one}
+    for j in range(1, p):
+        a, b, chi = p - j, n - 1 - j, p + j
+        mu[a] = {j: one, chi: one * (j - p)}
+        mu[b] = {j: one, chi: one * j}
+        lc[j] = {a: one * Fraction(j, p), b: one * Fraction(p - j, p)}
+        lc[chi] = {a: one * Fraction(-1, p), b: one * Fraction(1, p)}
+    zero = ExtScalar.zero(p)
+    return tuple(linalg.transpose(linalg.sparse(n, zero, cols)) for cols in (mu, lc))
 
 
 def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
@@ -270,71 +283,21 @@ def _lc_action(g: GeneratorId, kind: str, k: int, p: int) -> list[tuple[str, int
     return out
 
 
-def _mu_action_combo(name: str, idx: int, p: int) -> list[tuple[int, ExtScalar]]:
-    """Action of the combinations of `algebra.COMBINATIONS` on mu vectors.
-
-    idx is the absolute basis index 0..2p-1; the first family is mu_k
-    (k = idx < p), the second mu_{p+k} (k = idx - p).
-    """
-    s = _s(p)
-    isp = inv_sqrt_p(p)
-    one = ExtScalar.one(p)
-    if idx < p:
-        k = idx
-        table = {
-            "b+": [(k - 1, one * k)],
-            "b-": [(k + 1, one * (p - k - 1)), (p + k, one)],
-            "f+": [],
-            "f-": [(p + k, s)],
-            "e0_sum": [(k, one * p)],
-            "e0_diff": [(k, one * (2 * k - p))],
-            "e1_sum": [(k, isp * (p - 2 * k)), (p + k - 1, isp * (2 * k))],
-            "e1_diff": [(k, -s)],
-        }[name]
-    else:
-        k = idx - p
-        table = {
-            "b+": [(k, one), (p + k - 1, one * k)],
-            "b-": [(p + k + 1, one * (p - k - 1))],
-            "f+": [(k, s)],
-            "f-": [],
-            "e0_sum": [(p + k, one * p)],
-            "e0_diff": [(p + k, one * (2 * k + 2 - p))],
-            "e1_sum": [(p + k, isp * (2 * k + 2 - p)), (k + 1, isp * (2 * (p - k - 1)))],
-            "e1_diff": [(p + k, s)],
-        }[name]
-    out = []
-    for j, c in table:
-        if not c:
-            continue
-        if not 0 <= j <= 2 * p - 1:
-            raise AssertionError(f"nonzero mu image out of range: {name} on mu{idx} -> {j}")
-        out.append((j, c))
-    return out
-
-
 @lru_cache(maxsize=None)
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
     """Exact 2p x 2p matrix of the generator in the requested ordered basis."""
+    if basis is Basis.THIRD:
+        return rep_matrix(g, Basis.LAMBDA_CHI, p)
+    if basis is Basis.MU:
+        c, c_inv = _mu_change(p)
+        return linalg.matmul(c_inv, linalg.matmul(rep_matrix(g, Basis.LAMBDA_CHI, p), c))
     n = 2 * p
     cols: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
-
-    def put(col: int, row: int, c: ExtScalar) -> None:
-        cols[col][row] = cols[col][row] + c if row in cols[col] else c
-
-    if basis in (Basis.LAMBDA_CHI, Basis.THIRD):
-        def pos(kind: str, idx: int) -> int:
-            return idx if kind == "L" else (p + 1) + (idx - 1)
-
+    if basis is Basis.LAMBDA_CHI:
         for col in range(n):
             kind, idx = ("L", col) if col <= p else ("C", col - p)
             for tkind, tidx, c in _lc_action(g, kind, idx, p):
-                put(col, pos(tkind, tidx), c)
-    elif basis is Basis.MU:
-        for col in range(n):
-            for name, weight in AS_COMBINATIONS[g]:
-                for tidx, c in _mu_action_combo(name, col, p):
-                    put(col, tidx, c * weight)
+                cols[col][tidx if tkind == "L" else p + tidx] = c
     elif basis is Basis.VW:
         for col, coords in enumerate(linalg.transpose(expansion_in_rvw(Basis.VW, p))):
             # reduced coordinates: v_k at k, w_k at p + k - 1

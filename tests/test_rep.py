@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 
 import q2rep
-from q2rep import linalg
+from q2rep import cli, linalg, rep
 from q2rep.algebra import (
     B_MINUS,
     B_PLUS,
@@ -186,6 +186,39 @@ def test_conjugation_consistency():
             assert linalg.equal(lhs, rhs)
 
 
+def test_mu_change_inverse_is_exact():
+    for p in range(1, 65):
+        c, c_inv = rep._mu_change(p)
+        assert linalg.equal(linalg.matmul(c, c_inv), linalg.ext_identity(2 * p, p))
+
+
+def test_realization_2_checks_mu_independently_of_c(monkeypatch):
+    # A consistent but wrong C (one chi weight off by one, inverse rebuilt to
+    # match) keeps every bracket, so verify passes; only realization 2 sees it.
+    true_change = rep._mu_change
+
+    def wrong_change(p):
+        c, _ = true_change(p)
+        rows = [dict(r.nz) for r in c]
+        # mu_{p-1} = Lam_1 - p chi_1 in place of Lam_1 - (p-1) chi_1
+        rows[p + 1][p - 1] = rows[p + 1][p - 1] - ExtScalar.one(p)
+        c = linalg.sparse(2 * p, ExtScalar.zero(p), rows)
+        return c, linalg.ext_invert(c, p)
+
+    monkeypatch.setattr(rep, "_mu_change", wrong_change)
+    rep.rep_matrix.cache_clear()
+    rep.expansion_in_rvw.cache_clear()
+    try:
+        assert cli.main(["check-realization", "--which", "2", "--p", "3"]) == 1
+        for which in ("1", "3"):
+            assert cli.main(["check-realization", "--which", which, "--p", "3"]) == 0
+        assert cli.main(["verify", "--p", "3"]) == 0
+    finally:
+        monkeypatch.undo()
+        rep.rep_matrix.cache_clear()
+        rep.expansion_in_rvw.cache_clear()
+
+
 def test_homomorphism_sample():
     # full 64-pair sweep over all bases for small p; the acceptance suite
     # extends this to p = 8
@@ -222,6 +255,12 @@ def test_third_basis_matches_lambda_chi():
             assert linalg.equal(
                 rep_matrix(g, Basis.THIRD, p), rep_matrix(g, Basis.LAMBDA_CHI, p)
             )
+
+
+def test_third_shares_lambda_chi_matrices():
+    for p in range(1, 6):
+        for g in GENERATORS:
+            assert rep_matrix(g, Basis.THIRD, p) is rep_matrix(g, Basis.LAMBDA_CHI, p)
 
 
 def test_p1_has_no_chi_sector():
