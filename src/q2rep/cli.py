@@ -1,10 +1,10 @@
 """Command-line interface: verification suites, matrix export, spectra, sweeps.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error (including an
---out path that cannot be written), 3 constraint violation.  All numeric
-inputs are exact rationals ("a/b" or integers); floats appear only in
-output.  Output is deterministic: identical configs produce byte-identical
-files.
+Exit codes: 0 success, 1 identity failure or a spectrum that cannot be
+certified real, 2 usage error (including an --out path that cannot be
+written), 3 constraint violation.  All numeric inputs are exact rationals
+("a/b" or integers); floats appear only in output.  Output is
+deterministic: identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .models import (
     closed_form_spectrum,
     expression_matrix,
     model_basis,
-    raw_matrix,
+    sector_matrix,
 )
 from .rep import Basis, gram_matrix, rep_matrix
 from .scalars import ExtScalar, parse_rational
-from .spectra import decompose, spectrum_of_matrix
+from .spectra import SolverError, decompose, spectrum_of_matrix
 
 
 # Largest p any subcommand accepts: the matrices are 2p x 2p and exact, so
@@ -226,7 +226,7 @@ def _model_from_args(args: argparse.Namespace, p: int) -> ModelSpec:
 def spectrum_payload(spec: ModelSpec) -> dict:
     """Exact matrix, block decomposition and eigenvalues as a JSON-ready dict."""
     sphaleron = spec.model in SPHALERON_MODELS
-    matrix = raw_matrix(spec) if sphaleron else expression_matrix(spec)
+    matrix = sector_matrix(spec) if sphaleron else expression_matrix(spec)
     eigenvalues = []
     closed_match: bool | None = None
     if not sphaleron:
@@ -238,9 +238,7 @@ def spectrum_payload(spec: ModelSpec) -> dict:
         # Moszkowski at V = 0)
         for k, indices in sorted(closed_form_blocks(spec).items()):
             sub = tuple(tuple(matrix[i][j] for j in indices) for i in indices)
-            claimed = sorted(
-                (e for e in closed if e.block == k), key=lambda e: e.value()
-            )
+            claimed = sorted((e for e in closed if e.block == k), key=lambda e: e.value())
             # trace and determinant certify the closed forms exactly, so the
             # floats are their values and no numeric solve is needed
             if not _trace_det_ok(sub, claimed):
@@ -252,23 +250,12 @@ def spectrum_payload(spec: ModelSpec) -> dict:
     else:
         solved = spectrum_of_matrix(matrix)
         blocks = [bs.block for bs in solved]
-        for bs in solved:
-            if bs.exact is not None:
-                # mode eigenvalues lam solve (Delta + lam) f = 0
-                for e in sorted(bs.exact, key=lambda e: -e.value()):
-                    eigenvalues.append(
-                        {
-                            "exact": (-e).exact_text(),
-                            "float": (-e).value(),
-                            "block": bs.block[0],
-                            "label": None,
-                        }
-                    )
-            else:
-                for z in sorted(bs.numeric, key=lambda z: (-z.real, -z.imag)):
-                    eigenvalues.append(
-                        {"exact": None, "float": 0.0 - z.real, "block": bs.block[0], "label": None}
-                    )
+        # mode eigenvalues lam solve (Delta + lam) f = 0, so lam = -eig, ascending per block
+        eigenvalues = [
+            {"exact": None if e is None else (-e).exact_text(), "float": 0.0 - z.real,
+             "block": bs.block[0], "label": None}
+            for bs in solved for e, z in reversed(list(zip(bs.exact, bs.numeric)))
+        ]
     payload = {
         "model": spec.model.value,
         "p": spec.p,
@@ -319,19 +306,9 @@ def _format_payloads(fmt: str, payloads: list[dict]) -> str:
         for pl in payloads:
             params = ";".join(f"{k}={v}" for k, v in pl["params"].items())
             for e in pl["eigenvalues"]:
-                lines.append(
-                    ",".join(
-                        [
-                            pl["model"],
-                            str(pl["p"]),
-                            params,
-                            str(e["block"]),
-                            e["label"] or "",
-                            (e["exact"] or "").replace(",", ";"),
-                            repr(e["float"]),
-                        ]
-                    )
-                )
+                exact = (e["exact"] or "").replace(",", ";")
+                fields = [pl["model"], str(pl["p"]), params, str(e["block"]), e["label"] or ""]
+                lines.append(",".join([*fields, exact, repr(e["float"])]))
         return "\n".join(lines) + "\n"
     out = []
     for pl in payloads:
@@ -440,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoClosedFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SolverError as exc:
+        print(f"error: uncertified spectrum: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

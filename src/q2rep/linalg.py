@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Sequence
-from fractions import Fraction
 from itertools import repeat
 from typing import TypeVar
 
@@ -265,26 +264,3 @@ def ext_invert(a: Matrix, p: int) -> Matrix:
         raise ValueError("only square matrices can be inverted")
     return solve(a, ext_identity(n, p))
 
-
-def ext_charpoly(a: Matrix, p: int) -> list[ExtScalar]:
-    """Exact characteristic polynomial det(tI - A) by Faddeev-LeVerrier.
-
-    Returns coefficients [c_0, c_1, ..., c_{n-1}, 1] by ascending power of t.
-    """
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    one = ExtScalar.one(p)
-    zero = ExtScalar.zero(p)
-    coeffs: list[ExtScalar] = [zero] * n + [one]
-    m_prev = identity(n, one, zero)
-    for k in range(1, n + 1):
-        mk = matmul(a, m_prev)
-        tr = zero
-        for i in range(n):
-            tr = tr + mk[i][i]
-        ck = tr * Fraction(-1, k)
-        coeffs[n - k] = ck
-        if k < n:
-            m_prev = sum_of_products([(1, [mk]), (ck, [])], n, one)
-    return coeffs

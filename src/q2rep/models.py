@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 
 from . import linalg
 from .algebra import COMBINATIONS, SuperElement
-from .diffop import DiffOp, Pauli, to_matrix, realization_basis, realization_basis_id
+from .diffop import DiffOp, Pauli, Poly, PolyPair, realization_basis, realization_basis_id
+from .diffop import realization_caps, to_matrix
 from .linalg import Matrix
 from .rep import Basis, rep_of_element
 from .scalars import ExactEig, ExtScalar, RationalLike, inv_sqrt_p
@@ -209,6 +211,21 @@ def raw_operator(spec: ModelSpec) -> DiffOp:
 def raw_matrix(spec: ModelSpec) -> Matrix:
     which = model_space_realization(spec.model)
     return to_matrix(raw_operator(spec), realization_basis(which, spec.p))
+
+
+def sector_matrix(spec: ModelSpec) -> Matrix:
+    """A sphaleron sector's matrix in carriers that make it block-triangular.
+
+    Only sector 43 needs new ones: the kernel of W = P + xQ, which its operator
+    keeps, first as (-x^(k+1), x^k) for k < p-1; then (x^k, 0) and (0, x^(p-1)).
+    """
+    if spec.model is not Model.SPHALERON_43:
+        return raw_matrix(spec)
+    p, zero, caps = spec.p, Poly.zero(spec.p), realization_caps(2, spec.p)
+    x = partial(Poly.monomial, p)
+    carriers = [PolyPair(-x(k + 1), x(k), caps) for k in range(p - 1)]
+    carriers += [PolyPair(x(k), zero, caps) for k in range(p)] + [PolyPair(zero, x(p - 1), caps)]
+    return to_matrix(raw_operator(spec), carriers)
 
 
 # generator expressions -------------------------------------------------------

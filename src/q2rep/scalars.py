@@ -286,8 +286,8 @@ def rational_sqrt(r: Fraction) -> Fraction | None:
 class ExactEig:
     """base + sign * sqrt(radicand) with rational base and radicand >= 0.
 
-    The exact form of an eigenvalue in spectra and models.  It lives here,
-    not in spectra, so that importing models does not import numpy.
+    The exact form of an eigenvalue: models states the closed forms with
+    it, and spectra the roots it finds exactly.
     """
 
     base: Fraction

@@ -294,7 +294,7 @@ def test_unset_model_options_print_as_zero(capsys):
     ],
 )
 def test_spectrum_solves_each_closed_form_block_once(monkeypatch, model, params):
-    calls = {"numeric": 0, "exact": 0}
+    calls = {"tridiagonal": 0, "exact": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -302,17 +302,17 @@ def test_spectrum_solves_each_closed_form_block_once(monkeypatch, model, params)
             return fn(*args)
         return wrapper
 
-    numeric = counted("numeric", spectra.eigenvalues_numeric)
-    monkeypatch.setattr(spectra, "eigenvalues_numeric", numeric)
-    # cli imports no numeric solver now; a name it imports again would be counted
-    monkeypatch.setattr(cli, "eigenvalues_numeric", numeric, raising=False)
+    tridiagonal = counted("tridiagonal", spectra.eigenvalues_tridiagonal)
+    monkeypatch.setattr(spectra, "eigenvalues_tridiagonal", tridiagonal)
+    # cli imports no eigensolver now; a name it imports again would be counted
+    monkeypatch.setattr(cli, "eigenvalues_tridiagonal", tridiagonal, raising=False)
     monkeypatch.setattr(
         spectra, "eigenvalues_exact_small", counted("exact", spectra.eigenvalues_exact_small)
     )
     payload = cli.spectrum_payload(ModelSpec(model, 4, params))
     assert payload["closed_form_match"] is True
     # the closed forms carry the floats; trace and determinant certify them exactly
-    assert calls == {"numeric": 0, "exact": 0}
+    assert calls == {"tridiagonal": 0, "exact": 0}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])

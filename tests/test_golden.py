@@ -4,9 +4,10 @@ Each file under tests/data/ is the stdout of ``q2rep <argv>`` for the argv
 listed here.  ``verify``, ``check-realization`` and ``rep`` output is
 compared byte for byte; the ``rep`` export prints every entry of the dense
 view, zeros included.  Spectrum output is compared byte for byte except for its floats,
-which numpy may round in the last bit differently on another machine: those
-must agree to 1e-12 relative (and 1e-12 absolute near zero).  Rewrite a file only for an output
-change that is intended, by saving the stdout of its command.
+which must agree to 1e-12 relative (and 1e-12 absolute near zero): each is computed
+from exact data, but a closed form's radical goes through the platform's sqrt.
+Rewrite a file only for an output change that is intended, by saving the stdout of
+its command.
 """
 
 import math

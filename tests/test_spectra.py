@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -10,17 +12,26 @@ import pytest
 
 import q2rep
 from q2rep import linalg
-from q2rep.models import Model, ModelSpec, expression_matrix
+from q2rep.cli import main, spectrum_payload
+from q2rep.models import Model, ModelSpec, expression_matrix, raw_matrix, sector_matrix
 from q2rep.rep import Basis, change_of_basis
 from q2rep.scalars import ExtScalar, ext
 from q2rep.spectra import (
     ExactEig,
+    SolverError,
     decompose,
     eigenvalues_exact_small,
-    eigenvalues_numeric,
+    eigenvalues_tridiagonal,
     spectrum_of_matrix,
     values_close,
 )
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+SECTORS = (43, 44, 50, 51)
+# the k2 values of the benchmark's sphaleron references (perfbench/workloads.py)
+K2_VALUES = tuple(Fraction(a, b) for a, b in ((3, 5), (2, 3), (3, 4), (4, 5), (5, 6)))
+# det(tI - A) = t^3 - t^2 + t - 2 has discriminant -83: one real root and a complex pair
+COMPLEX_PAIR_BLOCK = [[0, 2, 0], [-1, 0, 1], [0, 1, 1]]
 
 
 def frac_matrix(rows, p=2):
@@ -41,6 +52,14 @@ def test_decompose_diagonal():
 def test_decompose_dense():
     m = frac_matrix([[1, 1], [1, 1]])
     assert decompose(m).blocks == ((0, 1),)
+
+
+def test_decompose_triangular_pattern_splits_into_strong_components():
+    # connected, but no index reaches a smaller one: three diagonal blocks
+    m = frac_matrix([[1, 2, 3], [0, 4, 5], [0, 0, 6]])
+    dec = decompose(m)
+    assert dec.blocks == ((0,), (1,), (2,))
+    assert [sub[0][0] for sub in dec.submatrices] == [ext(2, 1), ext(2, 4), ext(2, 6)]
 
 
 def test_exact_2x2():
@@ -100,23 +119,32 @@ def test_exact_rejects_irrational_entries():
         eigenvalues_exact_small(m)
 
 
+def numeric_of(m):
+    return [z for bs in spectrum_of_matrix(m) for z in bs.numeric]
+
+
 def test_numeric_identity():
-    vals = eigenvalues_numeric(linalg.ext_identity(4, 3))
-    assert all(values_close(z.real, 1.0) and abs(z.imag) < 1e-12 for z in vals)
+    vals = numeric_of(linalg.ext_identity(4, 3))
+    assert len(vals) == 4
+    assert all(values_close(z.real, 1.0) and z.imag == 0 for z in vals)
 
 
 def test_numeric_matches_exact():
     m = frac_matrix([[2, 2], [2, 2]])
-    numeric = sorted(z.real for z in eigenvalues_numeric(m))
+    numeric = sorted(z.real for z in numeric_of(m))
     exact = sorted(e.value() for e in eigenvalues_exact_small(m))
     assert all(values_close(a, b) for a, b in zip(numeric, exact))
 
 
 def test_charpoly_crosscheck_runs():
-    # a 3x3 block exercises the characteristic-polynomial validation path
+    # a 3x3 block goes through the certified tridiagonal path
     m = frac_matrix([[1, 1, 0], [1, 2, 1], [0, 1, 3]])
-    vals = eigenvalues_numeric(m)
+    vals = numeric_of(m)
     assert len(vals) == 3
+    # the eigenvalues are 2 and 2 +- sqrt(3); only 2 is rational
+    assert [bs.exact for bs in spectrum_of_matrix(m)] == [(None, ExactEig(Fraction(2), 0, Fraction(0)), None)]
+    want = [2 - math.sqrt(3), 2.0, 2 + math.sqrt(3)]
+    assert all(values_close(z.real, w, 1e-12) and z.imag == 0 for z, w in zip(vals, want))
 
 
 def test_spectrum_counts_match_dimension():
@@ -142,12 +170,96 @@ def test_similarity_invariance():
 
 
 def test_package_import_loads_no_numpy_or_sympy():
-    # numpy loads only with spectra and cli, and no module loads sympy; importing
-    # them with the package raises the verify sweep's peak RSS by about 1 MB
+    # q2rep has no runtime dependency: no module, the CLI included, loads numpy or sympy
     src = str(Path(q2rep.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, q2rep, q2rep.reduction; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    code = (
+        "import sys, q2rep, q2rep.reduction, q2rep.spectra, q2rep.cli; "
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def load_reference_module():
+    spec = importlib.util.spec_from_file_location("reference", PERFBENCH / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sphaleron_spec(case, p, k2):
+    return ModelSpec(Model(f"sphaleron{case}"), p, {"k2": k2})
+
+
+def test_sector_spectra_match_the_benchmark_references():
+    # 60 spectra: 4 sectors at p = 8, 16, 32 for 5 values of k2, against exact
+    # roots known to about 1e-13 relative; the entries are keyed by raw_matrix
+    reference = load_reference_module()
+    shipped = json.loads((PERFBENCH / "references.json").read_text())
+    for k2 in K2_VALUES:
+        for p in (8, 16, 32):
+            for case in SECTORS:
+                spec = sphaleron_spec(case, p, k2)
+                rows = [[x.rat for x in row] for row in raw_matrix(spec)]
+                roots, n = shipped[reference.reference_key(rows)]
+                got = sorted(z.real for z in numeric_of(sector_matrix(spec)))
+                assert len(got) == len(roots) == n == 2 * p
+                assert all(values_close(a, b) for a, b in zip(got, roots)), (case, p, k2)
+
+
+@pytest.mark.parametrize("case", SECTORS)
+def test_p64_spectrum_keeps_the_exact_traces(case):
+    spec = sphaleron_spec(case, 64, Fraction(3, 5))
+    raw = raw_matrix(spec)
+    vals = [z.real for z in numeric_of(sector_matrix(spec))]
+    assert len(vals) == 128
+    tr = sum(raw[i][i].rat for i in range(128))
+    tr2 = sum(x.rat * raw[j][i].rat for i, row in enumerate(raw) for j, x in row.nz.items())
+    assert math.isclose(math.fsum(vals), tr, rel_tol=1e-12)
+    assert math.isclose(math.fsum(v * v for v in vals), tr2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, p, k2",
+    [(case, p, Fraction(1)) for p in (2, 4, 6) for case in SECTORS] + [(50, 3, Fraction(7, 5))],
+)
+def test_rational_roots_print_exactly(case, p, k2):
+    payload = spectrum_payload(sphaleron_spec(case, p, k2))
+    assert len(payload["eigenvalues"]) == 2 * p
+    exact = [e for e in payload["eigenvalues"] if e["exact"] is not None]
+    for e in exact:
+        assert e["float"] == float(Fraction(e["exact"]))
+    if k2 == 1:
+        # every mode eigenvalue is an integer at k2 = 1
+        assert len(exact) == 2 * p
+    else:
+        # 192/5 is the one rational root; the rest are irrational cubic roots
+        assert [e["exact"] for e in exact] == ["192/5"]
+
+
+def test_complex_pair_block_raises():
+    with pytest.raises(SolverError, match="no 3 real roots"):
+        eigenvalues_tridiagonal(frac_matrix(COMPLEX_PAIR_BLOCK))
+    # a triple root is not simple: the grid, one point wide at first, must still give up
+    with pytest.raises(SolverError, match="no 3 real roots"):
+        eigenvalues_tridiagonal(linalg.ext_identity(3, 2))
+    with pytest.raises(SolverError, match=r"block \[0, 1, 2\]"):
+        spectrum_of_matrix(frac_matrix(COMPLEX_PAIR_BLOCK))
+
+
+def test_non_tridiagonal_block_raises():
+    with pytest.raises(SolverError, match="not tridiagonal"):
+        spectrum_of_matrix(frac_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))
+
+
+def test_uncertified_sector_exits_1_with_nothing_on_stdout(monkeypatch, capsys):
+    block = frac_matrix(COMPLEX_PAIR_BLOCK, p=2)
+    monkeypatch.setattr("q2rep.cli.sector_matrix", lambda spec: block)
+    code = main(["spectrum", "--model", "sphaleron", "--case", "44", "--k2", "3/5", "--p", "2"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "block [0, 1, 2]" in out.err
