@@ -181,6 +181,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # rep -------------------------------------------------------------------------
 
+def _json_row(row: linalg.Row) -> list[dict[str, str]]:
+    """The row's entries as json_obj dicts; its zero entries share one dict."""
+    out = [row.zero.json_obj()] * row.n
+    for j, x in row.nz.items():
+        out[j] = x.json_obj()
+    return out
+
+
 def cmd_rep(args: argparse.Namespace) -> int:
     basis = Basis(args.basis)
     gens = [generator_by_name(args.generator)] if args.generator else list(GENERATORS)
@@ -193,7 +201,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
                     "p": p,
                     "basis": args.basis,
                     "generator": g.name,
-                    "entries": [[x.json_obj() for x in row] for row in m],
+                    "entries": [_json_row(row) for row in m],
                 }
             )
     obj = payload[0] if len(payload) == 1 else payload

@@ -3,7 +3,9 @@
 A DiffOp is a finite sum of terms (polynomial in x) * (d/dx)^k * (Pauli factor),
 kept in normal order: polynomial coefficients to the left of derivatives, one
 Pauli factor per term.  This gives a unique canonical form, so operator
-equality is plain term comparison.
+equality is plain term comparison.  Each polynomial (Poly) stores only its
+nonzero coefficients, so applying an operator to a monomial carrier costs
+scalar work in the number of terms, not in the degree.
 
 The three realizations map the eight combinations of algebra.COMBINATIONS
 to such operators, and each generator to the weighted sum of its
@@ -19,16 +21,17 @@ where P(m) is the space of polynomials of degree at most m and P(-1) = {0}.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from . import linalg
 from .algebra import AS_COMBINATIONS, GeneratorId
 from .linalg import Matrix
 from .rep import Basis
-from .scalars import ExtScalar, RationalLike, inv_sqrt_p
+from .scalars import ExtScalar, ExtensionMismatchError, RationalLike, inv_sqrt_p
 
 
 class CapViolationError(ValueError):
@@ -67,84 +70,105 @@ _fill_pauli_table()
 
 
 class Poly:
-    """Dense univariate polynomial over Q[sqrt(p)], trailing zeros stripped."""
+    """Univariate polynomial over Q[sqrt(p)], kept sparse like `linalg.Row`.
 
-    __slots__ = ("p", "coeffs")
+    `nz` holds the nonzero coefficients by ascending degree.  Arithmetic
+    touches stored nonzeros only and drops the coefficients that cancel,
+    zero-divisor products included, so equal polynomials have equal `nz`.
+    `Poly(p, [c0, c1, ...])` takes the dense coefficient list, zeros included.
+    Immutable by convention, since results may share operands and `nz` dicts.
+    """
 
-    def __init__(self, p: int, coeffs: tuple[ExtScalar, ...] | list) -> None:
-        cs = [ExtScalar.of(c, p) if not isinstance(c, ExtScalar) else c for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("p", "nz")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
+    def __init__(self, p: int, coeffs: Iterable[ExtScalar | RationalLike]) -> None:
+        nz = {}
+        for d, c in enumerate(coeffs):
+            c = ExtScalar.of(c, p)  # raises on a coefficient of another extension
+            if c:
+                nz[d] = c
+        self.p, self.nz = p, nz
 
     @classmethod
     def zero(cls, p: int) -> Poly:
-        return cls(p, ())
+        return _poly(p, {})
 
     @classmethod
     def monomial(cls, p: int, degree: int, coeff: ExtScalar | RationalLike = 1) -> Poly:
-        c = coeff if isinstance(coeff, ExtScalar) else ExtScalar.of(coeff, p)
-        return cls(p, (ExtScalar.zero(p),) * degree + (c,))
+        c = ExtScalar.of(coeff, p)
+        return _poly(p, {degree: c} if c else {})
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return next(reversed(self.nz), -1)  # -1 for the zero polynomial
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nz)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.p == other.p and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.p == other.p and self.nz == other.nz
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.p, out)
+        _same_p(self, other)
+        if not self.nz or not other.nz:
+            return self if self.nz else other
+        out = dict(self.nz)
+        for d, c in other.nz.items():
+            x = out.get(d)
+            if x is None:
+                out[d] = c
+            elif s := x + c:
+                out[d] = s
+            else:
+                del out[d]
+        return _poly(self.p, dict(sorted(out.items())))
 
     def __neg__(self) -> Poly:
-        return Poly(self.p, tuple(-c for c in self.coeffs))
+        return _poly(self.p, {d: -c for d, c in self.nz.items()})
 
     def __mul__(self, other: Poly | ExtScalar | RationalLike) -> Poly:
         if isinstance(other, (int, Fraction, ExtScalar)):
             return self.scaled(other)
-        out = [ExtScalar.zero(self.p)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.p, out)
+        _same_p(self, other)
+        if not self.nz or not other.nz:
+            return other if self.nz else self  # the zero operand
+        out: dict[int, ExtScalar] = {}
+        for i, a in self.nz.items():
+            for j, b in other.nz.items():
+                x = out.get(i + j)
+                out[i + j] = a * b if x is None else x + a * b
+        return _poly(self.p, {d: x for d in sorted(out) if (x := out[d])})
 
     __rmul__ = __mul__
 
     def scaled(self, c: ExtScalar | RationalLike) -> Poly:
-        c = c if isinstance(c, ExtScalar) else ExtScalar.of(c, self.p)
-        return Poly(self.p, tuple(c * x for x in self.coeffs))
+        c = ExtScalar.of(c, self.p)
+        return _poly(self.p, {d: y for d, x in self.nz.items() if (y := c * x)})
 
     def derivative(self, order: int = 1) -> Poly:
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(cs[i] * i for i in range(1, len(cs)))
-        return Poly(self.p, cs)
+        if not order:
+            return self
+        # a nonzero coefficient times a positive integer stays nonzero
+        return _poly(
+            self.p, {d - order: c * perm(d, order) for d, c in self.nz.items() if d >= order}
+        )
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nz:
             return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"({c})*x^{i}" if i else f"({c})")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*x^{i}" if i else f"({c})" for i, c in self.nz.items())
+
+
+def _poly(p: int, nz: dict[int, ExtScalar]) -> Poly:
+    """The Poly whose nonzero coefficients, by ascending degree, are nz."""
+    out = object.__new__(Poly)
+    out.p, out.nz = p, nz
+    return out
+
+
+def _same_p(a: Poly, b: Poly) -> None:
+    if a.p != b.p:
+        raise ExtensionMismatchError(f"p mismatch: {a.p} vs {b.p}")
 
 
 Caps = tuple[int, int]
@@ -235,9 +259,7 @@ class DiffOp:
         for (k, pauli), poly in sorted(
             self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
         ):
-            for deg, c in enumerate(poly.coeffs):
-                if not c:
-                    continue
+            for deg, c in poly.nz.items():
                 if c.is_rational():
                     c_txt = str(c.rat)
                 else:
@@ -324,8 +346,8 @@ def to_matrix(op: DiffOp, basis: list[PolyPair]) -> Matrix:
         raise ValueError("zero-dimensional space")
 
     def coords(v: PolyPair) -> dict[int, ExtScalar]:
-        out = dict(enumerate(v.upper.coeffs[: caps[0] + 1]))
-        out.update((caps[0] + 1 + d, c) for d, c in enumerate(v.lower.coeffs[: caps[1] + 1]))
+        out = {d: c for d, c in v.upper.nz.items() if d <= caps[0]}
+        out.update((caps[0] + 1 + d, c) for d, c in v.lower.nz.items() if d <= caps[1])
         return out
 
     def matrix(vectors: list[PolyPair]) -> Matrix:

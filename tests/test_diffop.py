@@ -1,4 +1,5 @@
-from itertools import product
+from fractions import Fraction
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given
@@ -24,8 +25,9 @@ from q2rep.diffop import (
     supercommutator,
     to_matrix,
 )
+from q2rep.models import Model, ModelSpec, sector_matrix
 from q2rep.rep import rep_matrix
-from q2rep.scalars import ExtScalar
+from q2rep.scalars import ExtScalar, ExtensionMismatchError, ext
 
 
 def test_apply_derivative():
@@ -173,3 +175,136 @@ def test_unknown_realization_is_value_error(which):
         realization_basis_id(which)
     with pytest.raises(ValueError, match=message):
         realization(which, B_PLUS, 2)
+
+
+# sparse Poly against dense coefficient lists -----------------------------------
+
+P_VALUES = (2, 3, 4)  # at p = 4, 2 + s and 2 - s are zero divisors: (2 + s)(2 - s) = 0
+
+
+def coefficients(p):
+    zero = ExtScalar.zero(p)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.one_of(
+        st.just(zero),
+        st.just(zero),
+        st.sampled_from([ext(p, 2, 1), ext(p, 2, -1), ext(p, -1, Fraction(1, 2))]),
+        st.builds(lambda a, b: ExtScalar(a, b, p), small, small),
+    )
+
+
+@st.composite
+def operands(draw):
+    """p and two dense coefficient lists; b negates a at some degrees, so a + b cancels there."""
+    p = draw(st.sampled_from(P_VALUES))
+    a = draw(st.lists(coefficients(p), max_size=8))
+    b = [-c if draw(st.booleans()) else draw(coefficients(p)) for c in a]
+    return p, a, b + draw(st.lists(coefficients(p), max_size=3))
+
+
+def dense_add(a, b, zero):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=zero)]
+
+
+def dense_mul(a, b, zero):
+    out = [zero] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def dense_derivative(a, k):
+    for _ in range(k):
+        a = [a[i] * i for i in range(1, len(a))]
+    return a
+
+
+def assert_sparse_of(got, dense):
+    """got stores exactly the nonzeros of the dense list, by ascending degree."""
+    want = {d: c for d, c in enumerate(dense) if c}
+    assert list(got.nz) == sorted(got.nz)
+    assert all(got.nz.values())
+    assert got.nz == want
+    assert got.degree == max(want, default=-1)
+    assert bool(got) == bool(want)
+
+
+@given(operands())
+def test_poly_add_matches_dense(args):
+    p, a, b = args
+    zero = ExtScalar.zero(p)
+    assert_sparse_of(Poly(p, a) + Poly(p, b), dense_add(a, b, zero))
+    assert_sparse_of(Poly(p, b) + Poly(p, a), dense_add(b, a, zero))
+    assert_sparse_of(Poly(p, a) + -Poly(p, a), [])
+
+
+@given(operands())
+def test_poly_mul_matches_dense(args):
+    p, a, b = args
+    assert_sparse_of(Poly(p, a) * Poly(p, b), dense_mul(a, b, ExtScalar.zero(p)))
+
+
+@given(operands(), st.data())
+def test_poly_scaled_matches_dense(args, data):
+    p, a, _ = args
+    c = data.draw(st.one_of(coefficients(p), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)))
+    assert_sparse_of(Poly(p, a).scaled(c), [ExtScalar.of(c, p) * x for x in a])
+    assert_sparse_of(Poly(p, a) * c, [ExtScalar.of(c, p) * x for x in a])
+
+
+@given(operands(), st.integers(min_value=0, max_value=3))
+def test_poly_derivative_matches_dense(args, k):
+    p, a, _ = args
+    assert_sparse_of(Poly(p, a).derivative(k), dense_derivative(a, k))
+
+
+def test_zero_divisor_product_is_the_zero_polynomial():
+    p = 4
+    prod = Poly(p, [ext(p, 2, 1)]) * Poly(p, [ext(p, 2, -1)])
+    assert prod == Poly.zero(p) and prod.degree == -1 and not prod
+    prod = Poly(p, [0, ext(p, 2, 1), 1]) * Poly(p, [0, 0, ext(p, 2, -1)])
+    assert prod == Poly(p, [0, 0, 0, 0, ext(p, 2, -1)]) and prod.degree == 4
+    assert Poly(p, [ext(p, 2, 1), 0, 1]).scaled(ext(p, 2, -1)).nz == {2: ext(p, 2, -1)}
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 7])
+def test_trailing_zeros_are_not_stored(p):
+    assert Poly(p, [1, 0, 0]) == Poly(p, [1])
+    assert Poly(p, [1, 0, 0]).degree == 0
+    assert Poly(p, [0, 0]) == Poly.zero(p) and Poly(p, [0, 0]).degree == -1
+    assert Poly.monomial(p, 5, 0) == Poly.zero(p)
+
+
+def test_foreign_extension_fails_at_construction():
+    with pytest.raises(ExtensionMismatchError):
+        Poly(3, [ExtScalar(1, 1, 5)])
+    with pytest.raises(ExtensionMismatchError):
+        Poly(3, [1, 0, ext(5, 0)])  # a foreign zero too
+    with pytest.raises(ExtensionMismatchError):
+        Poly.monomial(3, 2, ext(5, 0, 1))
+    with pytest.raises(ExtensionMismatchError):
+        Poly(3, [1]) + Poly(5, [0, 1])
+    with pytest.raises(ExtensionMismatchError):
+        Poly(3, [1]) * Poly(5, [])
+
+
+def test_sector_matrix_pays_only_for_nonzeros(monkeypatch):
+    # applying the operator to 2p monomial carriers: about 1,550 scalar sums and
+    # products at p = 32, where dense coefficient lists made 9,827
+    calls = 0
+
+    def counting(original):
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        return counted
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ExtScalar, name, counting(vars(ExtScalar)[name]))
+    m = sector_matrix(ModelSpec(Model.SPHALERON_50, 32, {"k2": Fraction(3, 4)}))
+    monkeypatch.undo()
+    assert len(m) == 64
+    assert 0 < calls <= 1_700

@@ -10,6 +10,8 @@ Rewrite a file only for an output change that is intended, by saving the stdout 
 its command.
 """
 
+import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -52,6 +54,17 @@ def test_verify_output_is_golden(capsys):
 def test_rep_export_is_golden(capsys, basis):
     got = stdout_of(capsys, ["rep", "--p", "3", "--basis", basis])
     assert got == (DATA / f"rep_{basis}_p3.json").read_text()
+
+
+# sha256 of the stdout of "rep --basis B --p P" at the benchmark's sizes
+REP_DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "rep_digests.json").read_text())
+
+
+@pytest.mark.parametrize("p", [8, 16, 32])
+@pytest.mark.parametrize("basis", ["vw", "lambda_chi", "mu", "third"])
+def test_rep_export_matches_benchmark_digest(capsys, basis, p):
+    got = stdout_of(capsys, ["rep", "--p", str(p), "--basis", basis])
+    assert hashlib.sha256(got.encode()).hexdigest() == REP_DIGESTS[f"{basis}/p{p}"]
 
 
 @pytest.mark.parametrize("which", ["1", "2", "3"])
