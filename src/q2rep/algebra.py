@@ -16,8 +16,8 @@ ladder generators b+-, f+- and the diagonal combinations e0_sum/e0_diff =
 e00_0 +- e11_0 and e1_sum/e1_diff = e00_1 +- e11_1, in which the
 realizations, the models and the so(4) identification are written;
 `AS_COMBINATIONS` is its inverse, e00 = (sum + diff)/2 and e11 = (sum -
-diff)/2, read only by `diffop.realization`.  The V_p action tables in `rep`
-are written on the generators themselves and read neither table.
+diff)/2, read only by `diffop.realization`.  The V_p action table in `rep`
+is written on the generators themselves and reads neither table.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ from .scalars import ExtScalar, parse_rational
 from .spectra import SolverError, decompose, spectrum_of_matrix
 
 
-# Largest p any subcommand accepts: the matrices are 2p x 2p and exact, so
-# a larger --p would run for hours.
+# Largest p any subcommand accepts: the top of the range that the spectrum
+# certificate and the test suite cover.
 MAX_P = 64
 
 
@@ -260,9 +260,9 @@ def spectrum_payload(spec: ModelSpec) -> dict:
         blocks = [bs.block for bs in solved]
         # mode eigenvalues lam solve (Delta + lam) f = 0, so lam = -eig, ascending per block
         eigenvalues = [
-            {"exact": None if e is None else (-e).exact_text(), "float": 0.0 - z.real,
+            {"exact": None if e is None else (-e).exact_text(), "float": 0.0 - x,
              "block": bs.block[0], "label": None}
-            for bs in solved for e, z in reversed(list(zip(bs.exact, bs.numeric)))
+            for bs in solved for e, x in reversed(list(zip(bs.exact, bs.numeric)))
         ]
     payload = {
         "model": spec.model.value,

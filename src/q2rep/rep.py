@@ -11,20 +11,21 @@ Bases and their fixed orderings:
     VW          v_0..v_{p-1}, w_1..w_{p-1}, v_p + sqrt(p) w_p
     LAMBDA_CHI  Lam_0..Lam_p, chi_1..chi_{p-1}
     MU          mu_0..mu_{2p-1}, defined from LAMBDA_CHI by one exact matrix
-                C (`_mu_change`); its action and expansion are those of
-                LAMBDA_CHI carried over by C
+                C (`_mu_change`)
     THIRD       same abstract vectors as LAMBDA_CHI (only the polynomial
                 realization differs), so it shares LAMBDA_CHI's matrices
 
-The V_p action is written out on VW (`act_vw`) and on LAMBDA_CHI
-(`_lc_action`) only; realization 2 in `diffop` checks the MU matrices
-independently of C.  All matrices are exact over Q[s]/(s^2 - p) and column
-c holds the image of basis vector c.
+The V_p action is written out once, on LAMBDA_CHI (`_lc_action`).  VW and
+MU are each one exact change of basis of it, T (`_vw_change`) and C, with
+matrices T^-1 M T and C^-1 M C.  Two checks see T and C independently:
+Gram adjointness on VW, whose Gram matrix comes from the reduced
+coordinates and not from T, and realization 2 in `diffop` on MU.  All
+matrices are exact over Q[s]/(s^2 - p) and column c holds the image of
+basis vector c.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -66,141 +67,22 @@ def basis_labels(basis: Basis, p: int) -> list[str]:
     return [f"mu{k}" for k in range(2 * p)]
 
 
-@dataclass(frozen=True)
-class FormalVW:
-    """An element of the infinite module: finite sums over v_k and w_k."""
-
-    p: int
-    v: dict[int, ExtScalar] = field(default_factory=dict)
-    w: dict[int, ExtScalar] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", {k: c for k, c in self.v.items() if c})
-        object.__setattr__(self, "w", {k: c for k, c in self.w.items() if c})
-
-    def __bool__(self) -> bool:
-        return bool(self.v) or bool(self.w)
-
-
-def _s(p: int) -> ExtScalar:
-    return ExtScalar.sqrt_p(p)
-
-
-def act_vw(g: GeneratorId, x: FormalVW, p: int) -> FormalVW:
-    """Linear extension of the eight generator actions on the infinite module."""
-    v_out: dict[int, ExtScalar] = {}
-    w_out: dict[int, ExtScalar] = {}
-
-    def put(target: dict[int, ExtScalar], k: int, c: ExtScalar) -> None:
-        if not c or k < 0:
-            return
-        target[k] = target.get(k, ExtScalar.zero(p)) + c
-
-    s = _s(p)
-    for k, c in x.v.items():
-        if g == B_PLUS:
-            put(v_out, k + 1, c)
-        elif g == B_MINUS:
-            put(v_out, k - 1, c * (k * (p - k + 1)))
-        elif g == F_PLUS:
-            put(w_out, k + 1, c)
-        elif g == F_MINUS:
-            put(v_out, k - 1, c * s * k)
-            put(w_out, k - 1, c * (-k * (k - 1)))
-        elif g == E00_0:
-            put(v_out, k, c * (p - k))
-        elif g == E11_0:
-            put(v_out, k, c * k)
-        elif g == E00_1:
-            put(v_out, k, c * s)
-            put(w_out, k, c * (-k))
-        elif g == E11_1:
-            put(w_out, k, c * k)
-        else:
-            raise KeyError(g)
-    for k, c in x.w.items():
-        if g == B_PLUS:
-            put(w_out, k + 1, c)
-        elif g == B_MINUS:
-            put(v_out, k - 1, c * s)
-            put(w_out, k - 1, c * ((k - 1) * (p - k)))
-        elif g == F_PLUS:
-            pass
-        elif g == F_MINUS:
-            put(v_out, k - 1, c * p)
-            put(w_out, k - 1, -(c * s) * (k - 1))
-        elif g == E00_0:
-            put(w_out, k, c * (p - k))
-        elif g == E11_0:
-            put(w_out, k, c * k)
-        elif g == E00_1:
-            put(v_out, k, c)
-            put(w_out, k, -(c * s))
-        elif g == E11_1:
-            put(v_out, k, c)
-    return FormalVW(p, v_out, w_out)
-
-
-def reduce_quotient(x: FormalVW, p: int) -> FormalVW:
-    """Canonical coset representative in V_p.
-
-    All v_m, w_m with m >= p + 1 lie in the submodule and are dropped; v_p
-    is rewritten as sqrt(p) w_p so level-p content is carried by w_p alone.
-    """
-    v = {k: c for k, c in x.v.items() if k <= p}
-    w = {k: c for k, c in x.w.items() if k <= p}
-    if p in v:
-        c = v.pop(p)
-        w[p] = w.get(p, ExtScalar.zero(p)) + c * _s(p)
-    return FormalVW(p, v, w)
-
-
-def _rvw_index(kind: str, k: int, p: int) -> int:
-    # reduced coordinates: v_0..v_{p-1}, w_1..w_p
-    if kind == "v":
-        if not 0 <= k <= p - 1:
-            raise IndexError(f"v_{k} outside reduced window for p={p}")
-        return k
-    if not 1 <= k <= p:
-        raise IndexError(f"w_{k} outside reduced window for p={p}")
-    return p + k - 1
-
-
-def _rvw_coords(x: FormalVW, p: int) -> dict[int, ExtScalar]:
-    """The nonzero reduced coordinates of x, by index."""
-    out = {_rvw_index("v", k, p): c for k, c in x.v.items()}
-    out.update((_rvw_index("w", k, p), c) for k, c in x.w.items())
-    return out
-
-
 @lru_cache(maxsize=None)
 def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
-    """Columns express the basis vectors in reduced VW coordinates."""
+    """Columns express the basis vectors in reduced coordinates v_0..v_{p-1}, w_1..w_p."""
     n = 2 * p
-    cols: list[dict[int, ExtScalar]] = []
-
-    def lam(k: int) -> FormalVW:
-        if k < p:
-            return FormalVW(p, {k: ExtScalar.of(Fraction(factorial(p - k), factorial(p)), p)}, {})
-        # Lam_p = (v_p + sqrt(p) w_p) / (2 p!) -> sqrt(p)/p! * w_p after reduction
-        return FormalVW(p, {}, {p: _s(p) * Fraction(1, factorial(p))})
-
-    def chi(l: int) -> FormalVW:
-        c = ExtScalar.of(Fraction(factorial(p - l - 1), factorial(p)), p)
-        return FormalVW(p, {l: c}, {l: -(c * _s(p))})
-
+    s = ExtScalar.sqrt_p(p)
     if basis is Basis.VW:
-        for k in range(p):
-            cols.append(_rvw_coords(FormalVW(p, {k: ExtScalar.one(p)}, {}), p))
-        for k in range(1, p):
-            cols.append(_rvw_coords(FormalVW(p, {}, {k: ExtScalar.one(p)}), p))
-        # v_p + sqrt(p) w_p reduces to 2 sqrt(p) w_p
-        cols.append(_rvw_coords(FormalVW(p, {}, {p: _s(p) * 2}), p))
+        # the identity, except that v_p + sqrt(p) w_p reduces to 2 sqrt(p) w_p
+        cols = [{k: ExtScalar.one(p)} for k in range(n - 1)] + [{n - 1: s * 2}]
     elif basis in (Basis.LAMBDA_CHI, Basis.THIRD):
-        for k in range(p + 1):
-            cols.append(_rvw_coords(lam(k), p))
+        # Lam_k = (p-k)!/p! v_k; Lam_p = (v_p + sqrt(p) w_p)/(2 p!) reduces to
+        # sqrt(p)/p! w_p; chi_l = (p-l-1)!/p! (v_l - sqrt(p) w_l), w_l at p + l - 1
+        cols = [{k: ExtScalar.of(Fraction(factorial(p - k), factorial(p)), p)} for k in range(p)]
+        cols.append({n - 1: s * Fraction(1, factorial(p))})
         for l in range(1, p):
-            cols.append(_rvw_coords(chi(l), p))
+            c = ExtScalar.of(Fraction(factorial(p - l - 1), factorial(p)), p)
+            cols.append({l: c, p + l - 1: -(c * s)})
     elif basis is Basis.MU:
         return linalg.matmul(expansion_in_rvw(Basis.LAMBDA_CHI, p), _mu_change(p)[0])
     else:
@@ -230,6 +112,31 @@ def _mu_change(p: int) -> tuple[Matrix, Matrix]:
         lc[chi] = {a: one * Fraction(-1, p), b: one * Fraction(1, p)}
     zero = ExtScalar.zero(p)
     return tuple(linalg.transpose(linalg.sparse(n, zero, cols)) for cols in (mu, lc))
+
+
+def _vw_change(p: int) -> tuple[Matrix, Matrix]:
+    """(T, T^-1): the columns of T are the VW basis vectors in LAMBDA_CHI coordinates.
+
+    v_k = p!/(p-k)! Lam_k, w_l = sqrt(p) (p-1)! (Lam_l/(p-l)! - chi_l/(p-l-1)!)
+    and v_p + sqrt(p) w_p = 2 p! Lam_p, so T^-1 has the closed form
+    Lam_k = (p-k)!/p! v_k, Lam_p = (v_p + sqrt(p) w_p)/(2 p!) and
+    chi_l = (p-l-1)!/p! (v_l - sqrt(p) w_l).
+    """
+    n, s, fp = 2 * p, ExtScalar.sqrt_p(p), factorial(p)
+    vw: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of T
+    lc: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of T^-1
+    for k in range(p):
+        vw[k] = {k: ExtScalar.of(Fraction(fp, factorial(p - k)), p)}
+        lc[k] = {k: ExtScalar.of(Fraction(factorial(p - k), fp), p)}
+    vw[n - 1], lc[p] = {p: ExtScalar.of(2 * fp, p)}, {n - 1: ExtScalar.of(Fraction(1, 2 * fp), p)}
+    for l in range(1, p):
+        w, chi = p + l - 1, p + l
+        vw[w] = {l: s * Fraction(factorial(p - 1), factorial(p - l)),
+                 chi: -(s * Fraction(factorial(p - 1), factorial(p - l - 1)))}
+        c = ExtScalar.of(Fraction(factorial(p - l - 1), fp), p)
+        lc[chi] = {l: c, w: -(c * s)}
+    zero = ExtScalar.zero(p)
+    return tuple(linalg.transpose(linalg.sparse(n, zero, cols)) for cols in (vw, lc))
 
 
 def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
@@ -288,33 +195,17 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
     """Exact 2p x 2p matrix of the generator in the requested ordered basis."""
     if basis is Basis.THIRD:
         return rep_matrix(g, Basis.LAMBDA_CHI, p)
-    if basis is Basis.MU:
-        c, c_inv = _mu_change(p)
+    if basis in (Basis.MU, Basis.VW):
+        c, c_inv = (_mu_change if basis is Basis.MU else _vw_change)(p)
         return linalg.matmul(c_inv, linalg.matmul(rep_matrix(g, Basis.LAMBDA_CHI, p), c))
+    if basis is not Basis.LAMBDA_CHI:
+        raise KeyError(basis)
     n = 2 * p
     cols: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
-    if basis is Basis.LAMBDA_CHI:
-        for col in range(n):
-            kind, idx = ("L", col) if col <= p else ("C", col - p)
-            for tkind, tidx, c in _lc_action(g, kind, idx, p):
-                cols[col][tidx if tkind == "L" else p + tidx] = c
-    elif basis is Basis.VW:
-        for col, coords in enumerate(linalg.transpose(expansion_in_rvw(Basis.VW, p))):
-            # reduced coordinates: v_k at k, w_k at p + k - 1
-            vec = FormalVW(
-                p,
-                {i: c for i, c in coords.nz.items() if i < p},
-                {i - p + 1: c for i, c in coords.nz.items() if i >= p},
-            )
-            image = _rvw_coords(reduce_quotient(act_vw(g, vec, p), p), p)
-            # re-express in the VW basis: w_p content sits on the last vector,
-            # which is also the index of w_p in reduced coordinates
-            wp = image.get(_rvw_index("w", p, p))
-            if wp:
-                image[n - 1] = wp * inv_sqrt_p(p) * Fraction(1, 2)
-            cols[col] = image
-    else:
-        raise KeyError(basis)
+    for col in range(n):
+        kind, idx = ("L", col) if col <= p else ("C", col - p)
+        for tkind, tidx, c in _lc_action(g, kind, idx, p):
+            cols[col][tidx if tkind == "L" else p + tidx] = c
     return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 
 
@@ -336,12 +227,12 @@ def _gram_rvw(p: int) -> Matrix:
             Fraction(factorial(k) * factorial(p), factorial(p - k)), p
         )
     for k in range(1, p + 1):
-        i = _rvw_index("w", k, p)
+        i = p + k - 1  # w_k
         rows[i][i] = ExtScalar.of(
             Fraction(factorial(k - 1) * factorial(p), factorial(p - k)), p
         )
     for k in range(1, p):
-        i, j = _rvw_index("v", k, p), _rvw_index("w", k, p)
+        i, j = k, p + k - 1  # v_k, w_k
         c = ExtScalar.of(Fraction(factorial(k) * factorial(p), factorial(p - k)), p) * inv_sqrt_p(p)
         rows[i][j] = c
         rows[j][i] = c

@@ -180,7 +180,7 @@ class BlockSpectrum:
 
     block: tuple[int, ...]
     exact: tuple[ExactEig | None, ...]
-    numeric: tuple[complex, ...]
+    numeric: tuple[float, ...]
 
 
 def spectrum_of_matrix(m: Matrix) -> list[BlockSpectrum]:
@@ -196,5 +196,5 @@ def spectrum_of_matrix(m: Matrix) -> list[BlockSpectrum]:
         except (ValueError, SolverError) as exc:
             raise SolverError(f"block {list(block)}: {exc}") from exc
         values, exact = zip(*sorted(pairs, key=lambda pair: pair[0]))
-        out.append(BlockSpectrum(block, exact, tuple(map(complex, values))))
+        out.append(BlockSpectrum(block, exact, values))
     return out

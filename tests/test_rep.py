@@ -11,7 +11,9 @@ from q2rep.algebra import (
     B_MINUS,
     B_PLUS,
     E00_0,
+    E00_1,
     E11_0,
+    E11_1,
     F_MINUS,
     F_PLUS,
     GENERATORS,
@@ -20,13 +22,10 @@ from q2rep.algebra import (
 )
 from q2rep.rep import (
     Basis,
-    FormalVW,
-    act_vw,
     basis_labels,
     change_of_basis,
     expansion_in_rvw,
     gram_matrix,
-    reduce_quotient,
     rep_matrix,
     rep_of_element,
     weights_lambda_chi,
@@ -34,54 +33,83 @@ from q2rep.rep import (
 from q2rep.scalars import ExtScalar, ext
 
 
-def one_v(k, p):
-    return FormalVW(p, {k: ExtScalar.one(p)}, {})
-
-
-def one_w(k, p):
-    return FormalVW(p, {}, {k: ExtScalar.one(p)})
+def vw_col(g, p, j):
+    """The nonzero entries of column j of g's VW matrix: the image of VW basis vector j."""
+    return dict(linalg.transpose(rep_matrix(g, Basis.VW, p))[j].nz)
 
 
 def test_act_bminus_on_v():
     # b- v_3 = 3 (p - 3 + 1) v_2 = 9 v_2 at p = 5
-    out = act_vw(B_MINUS, one_v(3, 5), 5)
-    assert out.v == {2: ext(5, 9)} and not out.w
+    assert vw_col(B_MINUS, 5, 3) == {2: ext(5, 9)}
 
 
 def test_act_fplus_on_w_vanishes():
-    out = act_vw(F_PLUS, one_w(2, 5), 5)
-    assert not out
+    # w_2 sits at index p + 1
+    assert vw_col(F_PLUS, 5, 6) == {}
 
 
 def test_act_fminus_on_v():
-    # f- v_2 = 2 sqrt(p) v_1 - 2 w_1; at p = 4 the v-coefficient is 2s (s = sqrt(4))
-    out = act_vw(F_MINUS, one_v(2, 4), 4)
-    assert out.v == {1: ext(4, 0, 2)} and out.w == {1: ext(4, -2)}
-    assert out.v[1].to_float() == pytest.approx(4.0)
+    # f- v_2 = 2 sqrt(p) v_1 - 2 w_1; at p = 4 the v-coefficient is 2s (s = sqrt(4)),
+    # and w_1 sits at index p
+    out = vw_col(F_MINUS, 4, 2)
+    assert out == {1: ext(4, 0, 2), 4: ext(4, -2)}
+    assert out[1].to_float() == pytest.approx(4.0)
 
 
 def test_primitive_vector_reduces_to_zero():
+    # v_p = b+ v_{p-1} and w_p = f+ v_{p-1}, so v_p - sqrt(p) w_p is column
+    # p - 1 of B+ - sqrt(p) F+
     for p in range(1, 6):
-        prim = FormalVW(p, {p: ExtScalar.one(p)}, {p: -ExtScalar.sqrt_p(p)})
-        assert not reduce_quotient(prim, p)
+        prim = linalg.sub(
+            rep_matrix(B_PLUS, Basis.VW, p),
+            linalg.scale(ExtScalar.sqrt_p(p), rep_matrix(F_PLUS, Basis.VW, p)),
+        )
+        assert not linalg.transpose(prim)[p - 1].nz
 
 
 def test_high_indices_drop():
+    # b+ and f+ send the last vector v_p + sqrt(p) w_p to v_{p+1} + sqrt(p) w_{p+1}
+    # and w_{p+1}; both vanish, and so do v_{p+1} = b+ b+ v_{p-1} and
+    # w_{p+1} = b+ f+ v_{p-1}
     for p in range(1, 5):
-        assert not reduce_quotient(one_v(p + 2, p), p)
-        assert not reduce_quotient(one_w(p + 1, p), p)
+        n = 2 * p
+        assert vw_col(B_PLUS, p, n - 1) == {} and vw_col(F_PLUS, p, n - 1) == {}
+        bplus = rep_matrix(B_PLUS, Basis.VW, p)
+        assert not linalg.transpose(linalg.matmul(bplus, bplus))[p - 1].nz  # v_{p+1}
+        fplus = rep_matrix(F_PLUS, Basis.VW, p)
+        assert not linalg.transpose(linalg.matmul(bplus, fplus))[p - 1].nz  # w_{p+1}
 
 
 def test_bplus_on_lambda_pminus1_gives_lambda_p():
-    # the quotient turns (1/p!) v_p into Lam_p = (sqrt(p)/p!) w_p
-    from math import factorial
-
+    # the quotient turns (1/p!) v_p into Lam_p = (v_p + sqrt(p) w_p)/(2 p!); Lam_k
+    # in VW coordinates comes from the generic change of basis, not from T
     for p in range(1, 6):
-        # Lam_{p-1} = ((p - (p-1))!/p!) v_{p-1} = (1/p!) v_{p-1}
-        lam_pm1 = FormalVW(p, {p - 1: ext(p, Fraction(1, factorial(p)))}, {})
-        out = reduce_quotient(act_vw(B_PLUS, lam_pm1, p), p)
-        assert out.w == {p: ExtScalar.sqrt_p(p) * Fraction(1, factorial(p))}
-        assert not out.v
+        lam = linalg.transpose(change_of_basis(Basis.LAMBDA_CHI, Basis.VW, p))
+        image = linalg.matmul(rep_matrix(B_PLUS, Basis.VW, p), linalg.transpose([lam[p - 1]]))
+        assert linalg.equal(image, linalg.transpose([lam[p]]))
+
+
+def test_vw_matrices_satisfy_the_induced_module_relations():
+    # v_0 generates V_p, so these relations and the homomorphism fix every VW
+    # matrix; u = v_p + sqrt(p) w_p is the last basis vector
+    for p in range(1, 17):
+        n, s, one = 2 * p, ExtScalar.sqrt_p(p), ExtScalar.one(p)
+        for g in (B_MINUS, F_MINUS, E11_0, E11_1):
+            assert vw_col(g, p, 0) == {}, (p, g.name)
+        assert vw_col(E00_0, p, 0) == {0: one * p}
+        assert vw_col(E00_1, p, 0) == {0: s}
+        for k in range(p - 1):  # v_k at k, w_k at p + k - 1
+            assert vw_col(B_PLUS, p, k) == {k + 1: one}
+            assert vw_col(F_PLUS, p, k) == {p + k: one}
+        for k in range(1, p - 1):
+            assert vw_col(B_PLUS, p, p + k - 1) == {p + k: one}
+        for k in range(1, p):
+            assert vw_col(F_PLUS, p, p + k - 1) == {}
+        half, half_over_s = one * Fraction(1, 2), s * Fraction(1, 2 * p)
+        assert vw_col(B_PLUS, p, p - 1) == {n - 1: half}
+        assert vw_col(F_PLUS, p, p - 1) == {n - 1: half_over_s}
+        if p > 1:
+            assert vw_col(B_PLUS, p, n - 2) == {n - 1: half_over_s}
 
 
 def test_rep_matrix_examples_lambda_chi():
@@ -217,6 +245,46 @@ def test_realization_2_checks_mu_independently_of_c(monkeypatch):
         monkeypatch.undo()
         rep.rep_matrix.cache_clear()
         rep.expansion_in_rvw.cache_clear()
+
+
+def test_vw_change_inverse_is_exact():
+    for p in range(1, 65):
+        t, t_inv = rep._vw_change(p)
+        assert linalg.equal(linalg.matmul(t, t_inv), linalg.ext_identity(2 * p, p))
+
+
+def test_vw_change_is_the_generic_change_of_basis():
+    for p in range(1, 17):
+        t, _ = rep._vw_change(p)
+        assert linalg.equal(t, change_of_basis(Basis.VW, Basis.LAMBDA_CHI, p))
+
+
+def test_gram_adjointness_checks_vw_independently_of_t(monkeypatch, capsys):
+    # A consistent but wrong T (v_1 doubled, inverse rebuilt to match) keeps
+    # every bracket, so the homomorphism holds; only Gram adjointness sees it.
+    true_change = rep._vw_change
+
+    def wrong_change(p):
+        t, _ = true_change(p)
+        t = linalg.matmul(t, linalg.sparse(2 * p, ExtScalar.zero(p), [
+            {i: ExtScalar.one(p) * (2 if i == 1 else 1)} for i in range(2 * p)
+        ]))
+        return t, linalg.ext_invert(t, p)
+
+    monkeypatch.setattr(rep, "_vw_change", wrong_change)
+    rep.rep_matrix.cache_clear()
+    try:
+        capsys.readouterr()
+        assert cli.main(["verify", "--p", "3"]) == 1
+        # suite lines read "<name> <count> checks <pass|FAIL ...>"
+        status = {w[0]: w[3] for w in map(str.split, capsys.readouterr().out.splitlines())}
+        assert status["gram-adjointness"] == "FAIL"
+        assert status["rep-homomorphism"] == "pass"
+        for which in ("1", "2", "3"):
+            assert cli.main(["check-realization", "--which", which, "--p", "3"]) == 0
+    finally:
+        monkeypatch.undo()
+        rep.rep_matrix.cache_clear()
 
 
 def test_homomorphism_sample():

@@ -147,6 +147,18 @@ def test_charpoly_crosscheck_runs():
     assert all(values_close(z.real, w, 1e-12) and z.imag == 0 for z, w in zip(vals, want))
 
 
+def test_numeric_entries_are_floats():
+    # 1x1, exact-radical 2x2 and tridiagonal blocks, including rational roots
+    matrices = [
+        frac_matrix([[1, 0, 0], [0, 2, 1], [0, 1, 3]]),
+        frac_matrix([[1, 1, 0], [1, 2, 1], [0, 1, 3]]),
+        sector_matrix(sphaleron_spec(44, 4, Fraction(3, 5))),
+        sector_matrix(sphaleron_spec(50, 3, Fraction(7, 5))),
+    ]
+    for m in matrices:
+        assert all(type(x) is float for bs in spectrum_of_matrix(m) for x in bs.numeric)
+
+
 def test_spectrum_counts_match_dimension():
     for p in (1, 2, 3, 4):
         m = expression_matrix(
