@@ -13,10 +13,18 @@ import argparse
 import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import linalg, so4
-from .algebra import ALIASES, GENERATORS, generator_by_name, graded_jacobi_sum, structure_terms
+from .algebra import (
+    ALIASES,
+    GENERATORS,
+    GeneratorId,
+    generator_by_name,
+    graded_jacobi_sum,
+    structure_terms,
+)
 from .diffop import realization, realization_basis, realization_basis_id, to_matrix
 from .models import (
     Model,
@@ -181,31 +189,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # rep -------------------------------------------------------------------------
 
-def _json_row(row: linalg.Row) -> list[dict[str, str]]:
-    """The row's entries as json_obj dicts; its zero entries share one dict."""
-    out = [row.zero.json_obj()] * row.n
-    for j, x in row.nz.items():
-        out[j] = x.json_obj()
-    return out
+def _json(obj) -> str:
+    """Compact JSON with sorted keys, the form of every JSON output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _json_matrix(m: linalg.Matrix) -> str:
+    """The dense rows as JSON; each row encodes its zero and each stored nonzero once."""
+    rows = []
+    for row in m:
+        out = [_json(row.zero.json_obj())] * row.n
+        for j, x in row.nz.items():
+            out[j] = _json(x.json_obj())
+        rows.append("[" + ",".join(out) + "]")
+    return "[" + ",".join(rows) + "]"
+
+
+def _rep_pieces(basis: Basis, gens: list[GeneratorId], p_values: list[int]) -> Iterator[str]:
+    """The export's JSON text in pieces, one matrix at a time.
+
+    One matrix is a single object and several are a list; each object has
+    its keys in sorted order, as _json writes them.
+    """
+    many = len(gens) * len(p_values) > 1
+    sep = "[" if many else ""
+    for p in p_values:
+        for g in gens:
+            yield sep
+            yield (f'{{"basis":{_json(basis.value)},'
+                   f'"entries":{_json_matrix(rep_matrix(g, basis, p))},'
+                   f'"generator":{_json(g.name)},"p":{_json(p)}}}')
+            sep = ","
+    yield "]\n" if many else "\n"
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    basis = Basis(args.basis)
     gens = [generator_by_name(args.generator)] if args.generator else list(GENERATORS)
-    payload = []
-    for p in args.p:
-        for g in gens:
-            m = rep_matrix(g, basis, p)
-            payload.append(
-                {
-                    "p": p,
-                    "basis": args.basis,
-                    "generator": g.name,
-                    "entries": [_json_row(row) for row in m],
-                }
-            )
-    obj = payload[0] if len(payload) == 1 else payload
-    return _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    return _emit(args, _rep_pieces(Basis(args.basis), gens, args.p))
 
 
 # spectrum ---------------------------------------------------------------------
@@ -302,13 +322,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print(f"error: --model {args.model} does not take {' '.join(foreign)}", file=sys.stderr)
         return 2
     payloads = [spectrum_payload(_model_from_args(args, p)) for p in args.p]
-    return _emit(args, _format_payloads(args.format, payloads))
+    return _emit(args, [_format_payloads(args.format, payloads)])
 
 
 def _format_payloads(fmt: str, payloads: list[dict]) -> str:
     if fmt == "json":
         obj = payloads[0] if len(payloads) == 1 else payloads
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return _json(obj) + "\n"
     if fmt == "csv":
         lines = ["model,p,params,block,label,exact,float"]
         for pl in payloads:
@@ -333,14 +353,18 @@ def _format_payloads(fmt: str, payloads: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(args: argparse.Namespace, text: str) -> int:
-    """Write text to --out or stdout; exit code 2 when --out cannot be written."""
+def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> int:
+    """Write the text's pieces to --out or stdout; exit code 2 when --out cannot be written.
+
+    A generator's pieces are made as they are written, so a large export is
+    never held whole.
+    """
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return 0
     try:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return 2

@@ -333,9 +333,10 @@ def apply(op: DiffOp, vec: PolyPair, out_caps: Caps | None = None) -> PolyPair:
 def to_matrix(op: DiffOp, basis: list[PolyPair]) -> Matrix:
     """Matrix whose column c are the coordinates of apply(op, basis[c]).
 
-    Coordinates are taken in the supplied basis; when the basis spans a
-    proper subspace of its capped ambient space the coordinate extraction is
-    an exact linear solve, and an image outside the span raises.
+    Coordinates are taken in the supplied basis.  For the monomial basis of
+    the capped space they are the images' coefficients; for any other basis
+    the coordinate extraction is an exact linear solve, and an image outside
+    the span raises.
     """
     if not basis:
         raise ValueError("empty basis")
@@ -355,6 +356,8 @@ def to_matrix(op: DiffOp, basis: list[PolyPair]) -> Matrix:
 
     bmat = matrix(basis)
     imat = matrix([apply(op, b, caps) for b in basis])
+    if bmat == linalg.ext_identity(nrows, p):  # the monomial basis: imat holds the coordinates
+        return imat
     try:
         return linalg.solve(bmat, imat)
     except linalg.InconsistentSystemError as exc:

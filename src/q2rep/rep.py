@@ -148,35 +148,41 @@ def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
 
 # direct action tables ------------------------------------------------------
 
-def _lc_action(g: GeneratorId, kind: str, k: int, p: int) -> list[tuple[str, int, ExtScalar]]:
-    """Images of Lam_k / chi_l under g as (kind, index, coefficient) terms."""
-    isp = inv_sqrt_p(p)
-    one = ExtScalar.one(p)
-    if kind == "L":
-        terms = {
-            B_MINUS: [("L", k - 1, one * k)],
-            B_PLUS: [("L", k + 1, one * (p - k))],
-            F_MINUS: [("L", k - 1, isp * k), ("C", k - 1, isp * (k * (k - 1)))],
-            F_PLUS: [
-                ("L", k + 1, isp * (p - k)),
-                ("C", k + 1, -(isp * ((p - k) * (p - k - 1)))),
-            ],
-            E00_0: [("L", k, one * (p - k))],
-            E11_0: [("L", k, one * k)],
-            E00_1: [("L", k, isp * (p - k)), ("C", k, isp * (k * (p - k)))],
-            E11_1: [("L", k, isp * k), ("C", k, -(isp * (k * (p - k))))],
-        }[g]
-    else:
-        terms = {
-            B_MINUS: [("C", k - 1, one * (k - 1))],
-            B_PLUS: [("C", k + 1, one * (p - k - 1))],
-            F_MINUS: [("L", k - 1, -isp), ("C", k - 1, -(isp * (k - 1)))],
-            F_PLUS: [("L", k + 1, isp), ("C", k + 1, -(isp * (p - k - 1)))],
-            E00_0: [("C", k, one * (p - k))],
-            E11_0: [("C", k, one * k)],
-            E00_1: [("L", k, isp), ("C", k, -(isp * (p - k)))],
-            E11_1: [("L", k, -isp), ("C", k, -(isp * k))],
-        }[g]
+# The images of Lam_k and of chi_k under each generator: (k, p, one, isp) ->
+# its (kind, index, coefficient) terms, with one = 1 and isp = 1/sqrt(p).
+_LAM_TERMS = {
+    B_MINUS: lambda k, p, one, isp: [("L", k - 1, one * k)],
+    B_PLUS: lambda k, p, one, isp: [("L", k + 1, one * (p - k))],
+    F_MINUS: lambda k, p, one, isp: [("L", k - 1, isp * k), ("C", k - 1, isp * (k * (k - 1)))],
+    F_PLUS: lambda k, p, one, isp: [
+        ("L", k + 1, isp * (p - k)),
+        ("C", k + 1, -(isp * ((p - k) * (p - k - 1)))),
+    ],
+    E00_0: lambda k, p, one, isp: [("L", k, one * (p - k))],
+    E11_0: lambda k, p, one, isp: [("L", k, one * k)],
+    E00_1: lambda k, p, one, isp: [("L", k, isp * (p - k)), ("C", k, isp * (k * (p - k)))],
+    E11_1: lambda k, p, one, isp: [("L", k, isp * k), ("C", k, -(isp * (k * (p - k))))],
+}
+_CHI_TERMS = {
+    B_MINUS: lambda k, p, one, isp: [("C", k - 1, one * (k - 1))],
+    B_PLUS: lambda k, p, one, isp: [("C", k + 1, one * (p - k - 1))],
+    F_MINUS: lambda k, p, one, isp: [("L", k - 1, -isp), ("C", k - 1, -(isp * (k - 1)))],
+    F_PLUS: lambda k, p, one, isp: [("L", k + 1, isp), ("C", k + 1, -(isp * (p - k - 1)))],
+    E00_0: lambda k, p, one, isp: [("C", k, one * (p - k))],
+    E11_0: lambda k, p, one, isp: [("C", k, one * k)],
+    E00_1: lambda k, p, one, isp: [("L", k, isp), ("C", k, -(isp * (p - k)))],
+    E11_1: lambda k, p, one, isp: [("L", k, -isp), ("C", k, -(isp * k))],
+}
+
+
+def _lc_action(
+    g: GeneratorId, kind: str, k: int, p: int, one: ExtScalar, isp: ExtScalar
+) -> list[tuple[str, int, ExtScalar]]:
+    """Images of Lam_k / chi_l under g as (kind, index, coefficient) terms.
+
+    `one` is 1 and `isp` is 1/sqrt(p), made once per matrix by the caller.
+    """
+    terms = (_LAM_TERMS if kind == "L" else _CHI_TERMS)[g](k, p, one, isp)
     out = []
     for tkind, idx, c in terms:
         if not c:
@@ -200,11 +206,11 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
         return linalg.matmul(c_inv, linalg.matmul(rep_matrix(g, Basis.LAMBDA_CHI, p), c))
     if basis is not Basis.LAMBDA_CHI:
         raise KeyError(basis)
-    n = 2 * p
+    n, one, isp = 2 * p, ExtScalar.one(p), inv_sqrt_p(p)
     cols: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
     for col in range(n):
         kind, idx = ("L", col) if col <= p else ("C", col - p)
-        for tkind, tidx, c in _lc_action(g, kind, idx, p):
+        for tkind, tidx, c in _lc_action(g, kind, idx, p, one, isp):
             cols[col][tidx if tkind == "L" else p + tidx] = c
     return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 

@@ -25,7 +25,9 @@ from q2rep.diffop import (
     supercommutator,
     to_matrix,
 )
-from q2rep.models import Model, ModelSpec, sector_matrix
+from q2rep.models import (
+    Model, ModelSpec, model_space_realization, raw_operator, sector_matrix
+)
 from q2rep.rep import rep_matrix
 from q2rep.scalars import ExtScalar, ExtensionMismatchError, ext
 
@@ -308,3 +310,36 @@ def test_sector_matrix_pays_only_for_nonzeros(monkeypatch):
     monkeypatch.undo()
     assert len(m) == 64
     assert 0 < calls <= 1_700
+
+
+def monomial_carrier_cases():
+    """(operator, carriers) pairs whose carriers are the monomial basis of their space."""
+    for which, p, g in product((1, 2), range(1, 9), GENERATORS):
+        carriers = realization_basis(which, p)
+        yield f"realization {which} p={p} {g.name}", realization(which, g, p), carriers
+    for model, p in product((Model.SPHALERON_44, Model.SPHALERON_50, Model.SPHALERON_51),
+                            (*range(1, 9), 32)):
+        spec = ModelSpec(model, p, {"k2": Fraction(3, 5)})
+        carriers = realization_basis(model_space_realization(model), p)
+        yield f"{model.value} p={p}", raw_operator(spec), carriers
+
+
+def test_monomial_carriers_skip_the_solve_and_agree_with_it(monkeypatch):
+    # on the monomial carriers to_matrix reads the coordinates off directly; in
+    # reverse order the carriers' matrix is a permutation, so it solves
+    solves = 0
+    true_solve = linalg.solve
+
+    def counting_solve(a, b):
+        nonlocal solves
+        solves += 1
+        return true_solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    for where, op, carriers in monomial_carrier_cases():
+        direct = to_matrix(op, carriers)
+        assert solves == 0, where
+        solved = to_matrix(op, carriers[::-1])
+        assert solves == 1, where
+        solves = 0
+        assert [tuple(row) for row in solved] == [tuple(row)[::-1] for row in direct[::-1]], where

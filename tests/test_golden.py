@@ -56,6 +56,21 @@ def test_rep_export_is_golden(capsys, basis):
     assert got == (DATA / f"rep_{basis}_p3.json").read_text()
 
 
+# the two forms the benchmark digests do not pin: one object (--generator) and
+# the list over several p
+REP_CASES = {
+    "rep_lambda_chi_p3_b+.json": ["--p", "3", "--basis", "lambda_chi", "--generator", "b+"],
+    "rep_vw_p4_f-.json": ["--p", "4", "--basis", "vw", "--generator", "f-"],
+    "rep_mu_p1-3.json": ["--p", "1..3", "--basis", "mu"],
+}
+
+
+@pytest.mark.parametrize("fname", sorted(REP_CASES))
+def test_rep_export_forms_are_golden(capsys, fname):
+    got = stdout_of(capsys, ["rep", *REP_CASES[fname]])
+    assert got == (DATA / fname).read_text()
+
+
 # sha256 of the stdout of "rep --basis B --p P" at the benchmark's sizes
 REP_DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "rep_digests.json").read_text())
 

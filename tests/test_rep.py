@@ -331,6 +331,25 @@ def test_third_shares_lambda_chi_matrices():
             assert rep_matrix(g, Basis.THIRD, p) is rep_matrix(g, Basis.LAMBDA_CHI, p)
 
 
+def test_lambda_chi_matrices_build_only_their_own_terms(monkeypatch):
+    # 644 products for the eight matrices at p = 32: each basis vector's image
+    # under one generator, where building all eight generators' terms made 5,152
+    calls = 0
+    true_mul = vars(ExtScalar)["__mul__"]
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return true_mul(self, other)
+
+    monkeypatch.setattr(ExtScalar, "__mul__", counted)
+    # uncached, so the count does not depend on what earlier tests built
+    built = {g: rep.rep_matrix.__wrapped__(g, Basis.LAMBDA_CHI, 32) for g in GENERATORS}
+    monkeypatch.undo()
+    assert all(linalg.equal(m, rep_matrix(g, Basis.LAMBDA_CHI, 32)) for g, m in built.items())
+    assert 0 < calls <= 700
+
+
 def test_p1_has_no_chi_sector():
     assert basis_labels(Basis.LAMBDA_CHI, 1) == ["Lam0", "Lam1"]
     assert linalg.shape(rep_matrix(B_PLUS, Basis.LAMBDA_CHI, 1)) == (2, 2)
