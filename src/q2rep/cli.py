@@ -98,13 +98,13 @@ def _homomorphism_checks(p_values):
     for p in p_values:
         one = ExtScalar.one(p)
         for basis in Basis:
+            mats = {g: rep_matrix(g, basis, p) for g in GENERATORS}
             for gx, gy in itertools.product(GENERATORS, repeat=2):
-                mx = rep_matrix(gx, basis, p)
-                my = rep_matrix(gy, basis, p)
+                mx, my = mats[gx], mats[gy]
                 # [[x, y]] is x y + y x when both are odd, x y - y x otherwise
                 sign = 1 if (gx.parity and gy.parity) else -1
                 lhs = linalg.sum_of_products([(1, [mx, my]), (sign, [my, mx])], 2 * p, one)
-                terms = ((c, [rep_matrix(g, basis, p)]) for g, c in structure_terms(gx, gy))
+                terms = ((c, [mats[g]]) for g, c in structure_terms(gx, gy))
                 rhs = linalg.sum_of_products(terms, 2 * p, one)
                 yield f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", linalg.equal(lhs, rhs)
 
@@ -260,11 +260,12 @@ def spectrum_payload(spec: ModelSpec) -> dict:
     if not sphaleron:
         blocks = decompose(matrix).blocks
         closed = closed_form_spectrum(spec)
-        closed_match = True
-        # labels attach through the closed-form pairing, which is always a
-        # valid block structure (the sparsity components can be finer, e.g.
-        # Moszkowski at V = 0)
-        for k, indices in sorted(closed_form_blocks(spec).items()):
+        closed_blocks = closed_form_blocks(spec)
+        # a sparsity block must lie inside one closed-form block; it may be
+        # finer (Moszkowski at V = 0), so labels attach through the closed forms
+        home = {i: k for k, indices in closed_blocks.items() for i in indices}
+        closed_match = all(len({home[i] for i in block}) == 1 for block in blocks)
+        for k, indices in sorted(closed_blocks.items()):
             sub = tuple(tuple(matrix[i][j] for j in indices) for i in indices)
             claimed = sorted((e for e in closed if e.block == k), key=lambda e: e.value())
             # trace and determinant certify the closed forms exactly, so the
@@ -322,7 +323,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print(f"error: --model {args.model} does not take {' '.join(foreign)}", file=sys.stderr)
         return 2
     payloads = [spectrum_payload(_model_from_args(args, p)) for p in args.p]
-    return _emit(args, [_format_payloads(args.format, payloads)])
+    failed = [pl["p"] for pl in payloads if pl.get("closed_form_match") is False]
+    if failed:
+        print(f"error: closed forms do not match the Hamiltonian at p={failed}", file=sys.stderr)
+    return _emit(args, [_format_payloads(args.format, payloads)]) or (1 if failed else 0)
 
 
 def _format_payloads(fmt: str, payloads: list[dict]) -> str:

@@ -26,11 +26,11 @@ from functools import partial
 from itertools import zip_longest
 
 from . import linalg
-from .algebra import COMBINATIONS, SuperElement
+from .algebra import COMBINATIONS
 from .diffop import DiffOp, Pauli, Poly, PolyPair, realization_basis, realization_basis_id
 from .diffop import realization_caps, to_matrix
 from .linalg import Matrix
-from .rep import Basis, rep_of_element
+from .rep import Basis, combination_matrices
 from .scalars import ExactEig, ExtScalar, RationalLike, inv_sqrt_p
 
 
@@ -256,8 +256,7 @@ class GeneratorExpr:
 
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
     """Substitute representation matrices into the expression, exactly."""
-    names = {name for _, factors in expr.terms for name in factors}
-    combos = {name: rep_of_element(SuperElement(p, COMBINATIONS[name]), basis, p) for name in names}
+    combos = combination_matrices({name for _, factors in expr.terms for name in factors}, basis, p)
     terms = ((c, [combos[name] for name in factors]) for c, factors in expr.terms)
     return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 

@@ -13,7 +13,7 @@ Bases and their fixed orderings:
     MU          mu_0..mu_{2p-1}, defined from LAMBDA_CHI by one exact matrix
                 C (`_mu_change`)
     THIRD       same abstract vectors as LAMBDA_CHI (only the polynomial
-                realization differs), so it shares LAMBDA_CHI's matrices
+                realization differs), so its matrices are LAMBDA_CHI's
 
 The V_p action is written out once, on LAMBDA_CHI (`_lc_action`).  VW and
 MU are each one exact change of basis of it, T (`_vw_change`) and C, with
@@ -21,20 +21,21 @@ matrices T^-1 M T and C^-1 M C.  Two checks see T and C independently:
 Gram adjointness on VW, whose Gram matrix comes from the reduced
 coordinates and not from T, and realization 2 in `diffop` on MU.  All
 matrices are exact over Q[s]/(s^2 - p) and column c holds the image of
-basis vector c.
+basis vector c.  Nothing is memoized: each call builds its matrices anew,
+and a caller that uses a matrix more than once builds it once and keeps it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import linalg
 from .algebra import (
     B_MINUS,
     B_PLUS,
+    COMBINATIONS,
     E00_0,
     E00_1,
     E11_0,
@@ -67,7 +68,6 @@ def basis_labels(basis: Basis, p: int) -> list[str]:
     return [f"mu{k}" for k in range(2 * p)]
 
 
-@lru_cache(maxsize=None)
 def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
     """Columns express the basis vectors in reduced coordinates v_0..v_{p-1}, w_1..w_p."""
     n = 2 * p
@@ -196,7 +196,6 @@ def _lc_action(
     return out
 
 
-@lru_cache(maxsize=None)
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
     """Exact 2p x 2p matrix of the generator in the requested ordered basis."""
     if basis is Basis.THIRD:
@@ -221,9 +220,16 @@ def rep_of_element(x: SuperElement, basis: Basis, p: int) -> Matrix:
     return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
 
+def combination_matrices(names: set[str], basis: Basis, p: int) -> dict[str, Matrix]:
+    """Matrices of the named algebra.COMBINATIONS; each generator's is built once."""
+    gens = {g for name in names for g in COMBINATIONS[name]}
+    mats = {g: rep_matrix(g, basis, p) for g in gens}
+    terms = {name: [(c, [mats[g]]) for g, c in COMBINATIONS[name].items()] for name in names}
+    return {name: linalg.sum_of_products(t, 2 * p, ExtScalar.one(p)) for name, t in terms.items()}
+
+
 # metric ---------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _gram_rvw(p: int) -> Matrix:
     """Gram matrix of the reduced coordinates v_0..v_{p-1}, w_1..w_p."""
     n = 2 * p

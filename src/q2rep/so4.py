@@ -9,19 +9,19 @@ to integer arithmetic.
 
 Tensor basis ordering: m descending from (p-1)/2 to -(p-1)/2 in integer
 steps, and within each m the spin-1/2 label mu = +1/2 before mu = -1/2.
+Nothing is memoized: `so4_matrices` builds all six J/K matrices in one pass,
+and each check builds them once and passes them on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd
 
 from . import linalg
-from .algebra import COMBINATIONS, SuperElement
 from .linalg import Matrix
-from .rep import Basis, gram_matrix, rep_of_element
+from .rep import Basis, combination_matrices, gram_matrix
 from .scalars import ExtScalar
 
 
@@ -166,38 +166,25 @@ def _tensor_index(i_m: int, i_mu: int, p: int) -> int:
     return 2 * i_m + i_mu
 
 
-def _m_value(i_m: int, p: int) -> Fraction:
-    return Fraction(p - 1, 2) - i_m
-
-
-@lru_cache(maxsize=None)
-def so4_matrix(g: So4Generator, p: int) -> Matrix:
-    """Exact matrix of a J/K generator in the tensor basis."""
-    n = 2 * p
-    rows: list[dict[int, Radical]] = [{} for _ in range(n)]
+def so4_matrices(p: int) -> dict[So4Generator, Matrix]:
+    """Exact matrices of the six J/K generators in the tensor basis, built in one pass."""
+    rows = {g: [{} for _ in range(2 * p)] for g in (J0, JP, JM, K0, KP, KM)}
     j = Fraction(p - 1, 2)
     for i_m in range(p):
-        m = _m_value(i_m, p)
+        m = j - i_m
         for i_mu in range(2):
-            mu = Fraction(1, 2) if i_mu == 0 else Fraction(-1, 2)
             col = _tensor_index(i_m, i_mu, p)
-            if g is J0:
-                rows[col][col] = Radical.rational(m)
-            elif g is K0:
-                rows[col][col] = Radical.rational(mu)
-            elif g in (JP, JM):
-                sign = 1 if g is JP else -1
-                coeff = (j - sign * m) * (j + sign * m + 1)
-                target_im = i_m - sign  # raising m means moving up the ordering
-                if coeff > 0 and 0 <= target_im < p:
-                    rows[_tensor_index(target_im, i_mu, p)][col] = Radical.sqrt(coeff)
-            else:
-                sign = 1 if g is KP else -1
-                coeff = (Fraction(1, 2) - sign * mu) * (Fraction(1, 2) + sign * mu + 1)
-                target_imu = i_mu - sign
-                if coeff > 0 and 0 <= target_imu < 2:
-                    rows[_tensor_index(i_m, target_imu, p)][col] = Radical.sqrt(coeff)
-    return linalg.sparse(n, RAD_ZERO, rows)
+            rows[J0][col][col] = Radical.rational(m)
+            rows[K0][col][col] = Radical.rational(Fraction(1, 2) - i_mu)
+            # J+ (J-) raises (lowers) m, one step up (down) the ordering
+            if i_m > 0:
+                rows[JP][_tensor_index(i_m - 1, i_mu, p)][col] = Radical.sqrt((j - m) * (j + m + 1))
+            if i_m < p - 1:
+                rows[JM][_tensor_index(i_m + 1, i_mu, p)][col] = Radical.sqrt((j + m) * (j - m + 1))
+        # K+ raises mu = -1/2 to +1/2 and K- lowers it back
+        up, down = _tensor_index(i_m, 0, p), _tensor_index(i_m, 1, p)
+        rows[KP][up][down] = rows[KM][down][up] = RAD_ONE
+    return {g: linalg.sparse(2 * p, RAD_ZERO, r) for g, r in rows.items()}
 
 
 def ext_to_radical_matrix(a: Matrix) -> Matrix:
@@ -231,9 +218,9 @@ def tensor_to_lambda_chi(p: int) -> Matrix:
     return linalg.transpose(linalg.sparse(n, RAD_ZERO, cols))
 
 
-def _so4_combo(parts: list[tuple[Fraction | Radical, list[So4Generator]]], p: int) -> Matrix:
-    terms = ((c, [so4_matrix(g, p) for g in factors]) for c, factors in parts)
-    return linalg.sum_of_products(terms, 2 * p, RAD_ONE)
+def _so4_combo(parts: list[tuple[Fraction | Radical, list[So4Generator]]], mats: dict) -> Matrix:
+    terms = ((c, [mats[g] for g in factors]) for c, factors in parts)
+    return linalg.sum_of_products(terms, len(mats[J0]), RAD_ONE)
 
 
 @dataclass(frozen=True)
@@ -277,11 +264,12 @@ def identification_lines(p: int) -> list[IdentificationLine]:
         ),
     ]
     T = tensor_to_lambda_chi(p)
+    mats = so4_matrices(p)
+    q2 = combination_matrices({name for _, name, _ in lines}, Basis.LAMBDA_CHI, p)
     out = []
     for label, name, so4_parts in lines:
-        q2 = rep_of_element(SuperElement(p, COMBINATIONS[name]), Basis.LAMBDA_CHI, p)
-        lhs = linalg.matmul(T, ext_to_radical_matrix(q2))
-        rhs = linalg.matmul(_so4_combo(so4_parts, p), T)
+        lhs = linalg.matmul(T, ext_to_radical_matrix(q2[name]))
+        rhs = linalg.matmul(_so4_combo(so4_parts, mats), T)
         diff = linalg.first_difference(rhs, lhs)
         out.append(IdentificationLine(label, diff is None, diff))
     return out
@@ -321,8 +309,9 @@ def so4_relation_report(p: int) -> list[tuple[str, bool]]:
         for a in (J0, JP, JM)
         for b in (K0, KP, KM)
     ]
+    mats = so4_matrices(p)
     return [
-        (label, linalg.equal(_so4_combo(lhs, p), _so4_combo(rhs, p)))
+        (label, linalg.equal(_so4_combo(lhs, mats), _so4_combo(rhs, mats)))
         for label, lhs, rhs in relations
     ]
 
@@ -341,7 +330,7 @@ def casimir(which: int, p: int) -> tuple[Matrix, Fraction]:
     half = Fraction(1, 2)
     j_part = [(1, [J0, J0]), (half, [JP, JM]), (half, [JM, JP])]
     k_part = [(sign, [K0, K0]), (sign * half, [KP, KM]), (sign * half, [KM, KP])]
-    out = _so4_combo(j_part + k_part, p)
+    out = _so4_combo(j_part + k_part, so4_matrices(p))
     if not linalg.is_scalar_matrix(out):
         raise ValueError(f"Casimir C{which} is not scalar for p={p}")
     return out, out[0][0].rational_value()

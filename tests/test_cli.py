@@ -1,11 +1,13 @@
+import gc
 import json
 from fractions import Fraction
 
 import pytest
 
-from q2rep import cli, diffop, spectra
+from q2rep import cli, diffop, linalg, spectra
 from q2rep.models import Model, ModelSpec
 from q2rep.cli import main
+from q2rep.scalars import ExtScalar
 
 
 def run(capsys, *argv):
@@ -323,3 +325,53 @@ def test_zero_eigenvalue_prints_without_sign(capsys, fmt):
     )
     assert code == 0
     assert "0.0" in out and "-0.0" not in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_closed_form_match_sees_coupling_between_blocks(monkeypatch, capsys, fmt):
+    # a symmetric pair of entries linking closed-form blocks 1 and 2 leaves
+    # both blocks' trace and determinant as they were, but merges the blocks
+    true_matrix = cli.expression_matrix
+
+    def coupled(spec):
+        rows = [dict(row.nz) for row in true_matrix(spec)]
+        rows[1][2] = rows[2][1] = ExtScalar.one(spec.p)
+        return linalg.sparse(2 * spec.p, ExtScalar.zero(spec.p), rows)
+
+    monkeypatch.setattr(cli, "expression_matrix", coupled)
+    argv = ["spectrum", "--model", "moszkowski", "--p", "3", "--c", "1", "--V", "1/2"]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 1
+    assert "closed forms do not match the Hamiltonian at p=[3]" in err
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["blocks"] == [[0], [1, 2, 3, 4], [5]]
+        assert payload["closed_form_match"] is False
+
+
+def test_homomorphism_sweep_builds_each_matrix_once(monkeypatch):
+    calls = 0
+    true_rep_matrix = cli.rep_matrix
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return true_rep_matrix(*args)
+
+    monkeypatch.setattr(cli, "rep_matrix", counted)
+    assert all(ok for _, ok in cli._homomorphism_checks([4]))
+    # eight generators in each of the four bases, shared by the 64 pairs
+    assert calls <= 32
+
+
+def test_commands_leave_no_matrix_rows_alive(capsys):
+    def live_rows():
+        gc.collect()
+        return sum(type(obj) is linalg.Row for obj in gc.get_objects())
+
+    before = live_rows()
+    assert main(["rep", "--basis", "mu", "--p", "1..8"]) == 0
+    assert main(["verify", "--p", "1..3"]) == 0
+    assert main(["spectrum", "--model", "moszkowski", "--p", "8", "--c", "1", "--V", "1/2"]) == 0
+    capsys.readouterr()
+    assert live_rows() == before

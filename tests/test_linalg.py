@@ -305,8 +305,7 @@ def test_solve_matches_dense_elimination(data, ring, n, q, extra):
 def test_equal_compares_only_stored_nonzeros(monkeypatch):
     """Two separately built matrices: no pair of zeros reaches ExtScalar.__eq__."""
     p = 8
-    build = rep_matrix.__wrapped__  # past the cache, so no entry is shared
-    pairs = [(build(g, basis, p), build(g, basis, p)) for basis in Basis for g in GENERATORS]
+    pairs = [(rep_matrix(g, basis, p), rep_matrix(g, basis, p)) for basis in Basis for g in GENERATORS]
     stored = sum(len(row.nz) for a, _ in pairs for row in a)
     calls = 0
     original = ExtScalar.__eq__

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_rational
-from q2rep import linalg
+from q2rep import linalg, rep
 from q2rep.diffop import Poly, PolyPair, apply, realization_caps
 from q2rep.models import (
     ConstraintError,
@@ -250,3 +251,19 @@ def test_model_bases():
     assert model_basis(Model.SPHALERON_43) is Basis.MU
     assert model_basis(Model.SPHALERON_51) is Basis.LAMBDA_CHI
     assert model_basis(Model.JAYNES_CUMMINGS) is Basis.THIRD
+
+
+def test_expression_matrix_builds_each_generator_once(monkeypatch):
+    calls = Counter()
+    true_rep_matrix = rep.rep_matrix
+
+    def counted(g, basis, p):
+        calls[basis] += 1
+        return true_rep_matrix(g, basis, p)
+
+    monkeypatch.setattr(rep, "rep_matrix", counted)
+    expression_matrix(mosz(4, 1, Fraction(1, 2)))
+    # Moszkowski uses e0_diff, e1_sum and e1_diff, and the last two share
+    # e00_1 and e11_1: four generators, each built once in the model basis
+    # (a mu build goes through Lam/chi)
+    assert calls[Basis.MU] == 4

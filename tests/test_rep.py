@@ -234,8 +234,6 @@ def test_realization_2_checks_mu_independently_of_c(monkeypatch):
         return c, linalg.ext_invert(c, p)
 
     monkeypatch.setattr(rep, "_mu_change", wrong_change)
-    rep.rep_matrix.cache_clear()
-    rep.expansion_in_rvw.cache_clear()
     try:
         assert cli.main(["check-realization", "--which", "2", "--p", "3"]) == 1
         for which in ("1", "3"):
@@ -243,8 +241,6 @@ def test_realization_2_checks_mu_independently_of_c(monkeypatch):
         assert cli.main(["verify", "--p", "3"]) == 0
     finally:
         monkeypatch.undo()
-        rep.rep_matrix.cache_clear()
-        rep.expansion_in_rvw.cache_clear()
 
 
 def test_vw_change_inverse_is_exact():
@@ -272,7 +268,6 @@ def test_gram_adjointness_checks_vw_independently_of_t(monkeypatch, capsys):
         return t, linalg.ext_invert(t, p)
 
     monkeypatch.setattr(rep, "_vw_change", wrong_change)
-    rep.rep_matrix.cache_clear()
     try:
         capsys.readouterr()
         assert cli.main(["verify", "--p", "3"]) == 1
@@ -284,7 +279,6 @@ def test_gram_adjointness_checks_vw_independently_of_t(monkeypatch, capsys):
             assert cli.main(["check-realization", "--which", which, "--p", "3"]) == 0
     finally:
         monkeypatch.undo()
-        rep.rep_matrix.cache_clear()
 
 
 def test_homomorphism_sample():
@@ -328,7 +322,7 @@ def test_third_basis_matches_lambda_chi():
 def test_third_shares_lambda_chi_matrices():
     for p in range(1, 6):
         for g in GENERATORS:
-            assert rep_matrix(g, Basis.THIRD, p) is rep_matrix(g, Basis.LAMBDA_CHI, p)
+            assert linalg.equal(rep_matrix(g, Basis.THIRD, p), rep_matrix(g, Basis.LAMBDA_CHI, p))
 
 
 def test_lambda_chi_matrices_build_only_their_own_terms(monkeypatch):
@@ -343,8 +337,7 @@ def test_lambda_chi_matrices_build_only_their_own_terms(monkeypatch):
         return true_mul(self, other)
 
     monkeypatch.setattr(ExtScalar, "__mul__", counted)
-    # uncached, so the count does not depend on what earlier tests built
-    built = {g: rep.rep_matrix.__wrapped__(g, Basis.LAMBDA_CHI, 32) for g in GENERATORS}
+    built = {g: rep.rep_matrix(g, Basis.LAMBDA_CHI, 32) for g in GENERATORS}
     monkeypatch.undo()
     assert all(linalg.equal(m, rep_matrix(g, Basis.LAMBDA_CHI, 32)) for g, m in built.items())
     assert 0 < calls <= 700
@@ -363,16 +356,11 @@ def test_expansion_matrices_invertible():
 
 
 def test_unbounded_caches_are_the_listed_ones():
-    """Each of these caches has hits in a CLI run; a new lru_cache needs an entry here."""
+    """No function keeps a cache across calls; each caller holds what it reuses."""
     found = set()
     for info in pkgutil.iter_modules(q2rep.__path__):
         module = importlib.import_module(f"q2rep.{info.name}")
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 found.add(f"{info.name}.{name}")
-    assert found == {
-        "rep.rep_matrix",
-        "rep.expansion_in_rvw",
-        "rep._gram_rvw",
-        "so4.so4_matrix",
-    }
+    assert found == set()

@@ -15,7 +15,7 @@ from q2rep.so4 import (
     gram_in_tensor_basis,
     identification_lines,
     lambda_chi_gram_as_radical,
-    so4_matrix,
+    so4_matrices,
     so4_relation_report,
     tensor_to_lambda_chi,
     verify_identification,
@@ -49,9 +49,9 @@ def test_radical_rejects_negative():
 def test_k_family_relations():
     for p in (1, 2, 5):
         n = 2 * p
-        kp = so4_matrix(KP, p)
-        km = so4_matrix(KM, p)
-        k0 = so4_matrix(K0, p)
+        kp = so4_matrices(p)[KP]
+        km = so4_matrices(p)[KM]
+        k0 = so4_matrices(p)[K0]
         ident = linalg.identity(n, RAD_ONE, RAD_ZERO)
         assert linalg.equal(linalg.matmul(kp, kp), linalg.scale(Fraction(0), ident))
         anti = linalg.add(linalg.matmul(kp, km), linalg.matmul(km, kp))
@@ -64,7 +64,7 @@ def test_k_family_relations():
 
 def test_j_plus_annihilates_top():
     for p in (2, 4):
-        jp = so4_matrix(JP, p)
+        jp = so4_matrices(p)[JP]
         n = 2 * p
         # columns 0 and 1 carry the top m; J+ sends them to zero
         assert all(not jp[i][0] and not jp[i][1] for i in range(n))
