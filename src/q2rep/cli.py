@@ -38,7 +38,7 @@ from .models import (
     model_basis,
     sector_matrix,
 )
-from .rep import Basis, gram_matrix, rep_matrix
+from .rep import Basis, gram_matrix, rep_matrices
 from .scalars import ExtScalar, parse_rational
 from .spectra import SolverError, decompose, spectrum_of_matrix
 
@@ -94,60 +94,77 @@ def _jacobi_checks():
         yield f"triple {triple}", not graded_jacobi_sum(*triple)
 
 
-def _homomorphism_checks(p_values):
-    for p in p_values:
-        one = ExtScalar.one(p)
-        for basis in Basis:
-            mats = {g: rep_matrix(g, basis, p) for g in GENERATORS}
-            for gx, gy in itertools.product(GENERATORS, repeat=2):
-                mx, my = mats[gx], mats[gy]
-                # [[x, y]] is x y + y x when both are odd, x y - y x otherwise
-                sign = 1 if (gx.parity and gy.parity) else -1
-                lhs = linalg.sum_of_products([(1, [mx, my]), (sign, [my, mx])], 2 * p, one)
-                terms = ((c, [mats[g]]) for g, c in structure_terms(gx, gy))
-                rhs = linalg.sum_of_products(terms, 2 * p, one)
-                yield f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", linalg.equal(lhs, rhs)
+def _homomorphism_checks(p, mats):
+    """The 64 pair checks in each basis; `mats` maps each basis to its eight matrices."""
+    n, one = 2 * p, ExtScalar.one(p)
+
+    def check(ms, gx, gy, xy, yx):
+        # [[x, y]] is x y + y x when both are odd, x y - y x otherwise
+        sign = 1 if (gx.parity and gy.parity) else -1
+        lhs = linalg.sum_of_products([(1, [xy]), (sign, [yx])], n, one)
+        terms = ((c, [ms[g]]) for g, c in structure_terms(gx, gy))
+        return linalg.equal(lhs, linalg.sum_of_products(terms, n, one))
+
+    for basis in Basis:
+        ms = mats[basis]
+        later = {}
+        for gx, gy in itertools.product(GENERATORS, repeat=2):
+            ok = later.pop((gx, gy), None)
+            if ok is None:
+                # each product serves two pairs: M_x M_y and M_y M_x make the
+                # checks of (x, y) and of (y, x), both here; the products are
+                # then dropped, and the result for (y, x) waits for its turn
+                xy = linalg.matmul(ms[gx], ms[gy])
+                yx = xy if gx == gy else linalg.matmul(ms[gy], ms[gx])
+                ok = check(ms, gx, gy, xy, yx)
+                if gx != gy:
+                    later[gy, gx] = check(ms, gy, gx, yx, xy)
+            yield f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", ok
 
 
-def _gram_checks(p_values):
-    for p in p_values:
-        g = gram_matrix(Basis.VW, p)
-        for plus, minus in (("b+", "b-"), ("f+", "f-")):
-            lhs = linalg.matmul(g, rep_matrix(generator_by_name(plus), Basis.VW, p))
-            rhs = linalg.matmul(
-                linalg.transpose(rep_matrix(generator_by_name(minus), Basis.VW, p)), g
-            )
-            yield f"p={p} pair={plus}/{minus}", linalg.equal(lhs, rhs)
+def _gram_checks(p, vw):
+    g = gram_matrix(Basis.VW, p)
+    for plus, minus in (("b+", "b-"), ("f+", "f-")):
+        lhs = linalg.matmul(g, vw[generator_by_name(plus)])
+        rhs = linalg.matmul(linalg.transpose(vw[generator_by_name(minus)]), g)
+        yield f"p={p} pair={plus}/{minus}", linalg.equal(lhs, rhs)
 
 
-def _orthogonality_checks(p_values):
-    for p in p_values:
-        g = gram_matrix(Basis.LAMBDA_CHI, p)
-        off = next(((i, j) for i, row in enumerate(g) for j in row.nz if i != j), None)
-        yield f"p={p} entry {off}", off is None
+def _orthogonality_checks(p):
+    g = gram_matrix(Basis.LAMBDA_CHI, p)
+    off = next(((i, j) for i, row in enumerate(g) for j in row.nz if i != j), None)
+    yield f"p={p} entry {off}", off is None
 
 
-def _identification_checks(p_values):
-    for p in p_values:
-        for line in so4.identification_lines(p):
-            yield f"p={p}: {line.label} at {line.first_difference}", line.passed
+def _identification_checks(p, so4_mats, lc):
+    for line in so4.identification_lines(p, so4_mats, lc):
+        yield f"p={p}: {line.label} at {line.first_difference}", line.passed
 
 
-def _casimir_checks(p_values, casimirs):
-    for p in p_values:
-        try:
-            c1 = so4.casimir(1, p)[1]
-            c2 = so4.casimir(2, p)[1]
-        except ValueError as exc:
-            yield f"p={p}: {exc}", False
-            continue
-        casimirs[p] = (c1, c2)
-        # casimir() returns only when C1 and C2 are scalar: two checks passed
-        yield f"p={p}: C1", True
-        yield f"p={p}: C2", True
-        # C1 - C2 = 2 K0^2 + {K+, K-} = 3/2, i.e. (3/2p) times e00_0+e11_0
-        yield (f"p={p}: C1 - C2 is not the expected multiple of e00_0+e11_0",
-               c1 - c2 == Fraction(3, 2))
+def _casimir_checks(p, so4_mats, casimirs):
+    try:
+        c1 = so4.casimir(1, p, so4_mats)[1]
+        c2 = so4.casimir(2, p, so4_mats)[1]
+    except ValueError as exc:
+        yield f"p={p}: {exc}", False
+        return
+    casimirs[p] = (c1, c2)
+    # casimir() returns only when C1 and C2 are scalar: two checks passed
+    yield f"p={p}: C1", True
+    yield f"p={p}: C2", True
+    # C1 - C2 = 2 K0^2 + {K+, K-} = 3/2, i.e. (3/2p) times e00_0+e11_0
+    yield (f"p={p}: C1 - C2 is not the expected multiple of e00_0+e11_0",
+           c1 - c2 == Fraction(3, 2))
+
+
+SUITES = (
+    "graded-jacobi",
+    "rep-homomorphism",
+    "gram-adjointness",
+    "lambda-chi-orthogonality",
+    "so4-identification",
+    "so4-casimir-scalar",
+)
 
 
 def _suite_results(
@@ -155,25 +172,30 @@ def _suite_results(
 ) -> list[tuple[str, int, str | None]]:
     """Each entry: (suite name, number of exact checks, first failure or None).
 
-    The scalar Casimir values (C1, C2) of each p are stored in `casimirs`.
+    The suites that depend on p run p by p, so that each p's matrices are
+    built once and read by every suite that needs them; each suite still
+    makes its checks in p order.  The scalar Casimir values (C1, C2) of each
+    p are stored in `casimirs`.
     """
-    suites = (
-        ("graded-jacobi", _jacobi_checks()),
-        ("rep-homomorphism", _homomorphism_checks(p_values)),
-        ("gram-adjointness", _gram_checks(p_values)),
-        ("lambda-chi-orthogonality", _orthogonality_checks(p_values)),
-        ("so4-identification", _identification_checks(p_values)),
-        ("so4-casimir-scalar", _casimir_checks(p_values, casimirs)),
-    )
-    results = []
-    for name, checks in suites:
-        count, fail = 0, None
+    counts = dict.fromkeys(SUITES, 0)
+    fails: dict[str, str | None] = dict.fromkeys(SUITES)
+
+    def run(name, checks):
         for where, ok in checks:
-            count += 1
-            if fail is None and not ok:
-                fail = where
-        results.append((name, count, fail))
-    return results
+            counts[name] += 1
+            if fails[name] is None and not ok:
+                fails[name] = where
+
+    run("graded-jacobi", _jacobi_checks())
+    for p in p_values:
+        mats = {basis: rep_matrices(GENERATORS, basis, p) for basis in Basis}
+        run("rep-homomorphism", _homomorphism_checks(p, mats))
+        run("gram-adjointness", _gram_checks(p, mats[Basis.VW]))
+        run("lambda-chi-orthogonality", _orthogonality_checks(p))
+        so4_mats = so4.so4_matrices(p)
+        run("so4-identification", _identification_checks(p, so4_mats, mats[Basis.LAMBDA_CHI]))
+        run("so4-casimir-scalar", _casimir_checks(p, so4_mats, casimirs))
+    return [(name, counts[name], fails[name]) for name in SUITES]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -214,10 +236,11 @@ def _rep_pieces(basis: Basis, gens: list[GeneratorId], p_values: list[int]) -> I
     many = len(gens) * len(p_values) > 1
     sep = "[" if many else ""
     for p in p_values:
+        mats = rep_matrices(gens, basis, p)
         for g in gens:
             yield sep
             yield (f'{{"basis":{_json(basis.value)},'
-                   f'"entries":{_json_matrix(rep_matrix(g, basis, p))},'
+                   f'"entries":{_json_matrix(mats[g])},'
                    f'"generator":{_json(g.name)},"p":{_json(p)}}}')
             sep = ","
     yield "]\n" if many else "\n"
@@ -381,11 +404,12 @@ def cmd_check_realization(args: argparse.Namespace) -> int:
     failures, basis = 0, realization_basis_id(args.which)
     for p in args.p:
         carriers = realization_basis(args.which, p)
+        mats = rep_matrices(GENERATORS, basis, p)
         for g in GENERATORS:
             op = realization(args.which, g, p)
             if args.show:
                 print(f"p={p} {g.name}: {op.text()}")
-            got, want = to_matrix(op, carriers), rep_matrix(g, basis, p)
+            got, want = to_matrix(op, carriers), mats[g]
             if not linalg.equal(got, want):
                 i, j = linalg.first_difference(got, want)
                 print(

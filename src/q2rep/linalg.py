@@ -3,8 +3,9 @@
 A `Row` keeps its length, the one shared zero of its entry type (ExtScalar
 of the right p, Radical, Fraction, ...) and a dict `nz` of its nonzero
 entries by ascending column.  `len(row)`, `row[j]` and iteration give the
-dense view, zeros included.  A kernel indexes a plain sequence of sequences
-once on entry (`freeze`).
+dense view, zeros included.  A kernel takes a matrix whose rows are all
+`Row`s as it is, recognised by the set of its row types (`_rows`, one pass
+in C), and indexes any other sequence of sequences once on entry (`freeze`).
 
 The kernels, `solve` included, do arithmetic, comparisons and truth tests
 on stored nonzeros only.  Each product entry still sums its terms over
@@ -72,7 +73,7 @@ def _as_row(r: Sequence[T]) -> Row:
 
 
 def _rows(a: Sequence[Sequence[T]]) -> Matrix:
-    return a if all(type(r) is Row for r in a) else tuple(map(_as_row, a))
+    return a if set(map(type, a)) <= {Row} else tuple(map(_as_row, a))
 
 
 def freeze(rows: Sequence[Sequence[T]]) -> Matrix:
@@ -91,6 +92,10 @@ def shape(a: Matrix) -> tuple[int, int]:
 
 def identity(n: int, one: T, zero: T) -> Matrix:
     return tuple(Row(n, zero, {i: one}) for i in range(n))
+
+
+def _zeros(n: int, zero: T) -> Matrix:
+    return sparse(n, zero, ({} for _ in range(n)))
 
 
 def ext_identity(n: int, p: int) -> Matrix:
@@ -180,18 +185,17 @@ def sum_of_products(terms: Iterable[tuple[T, Sequence[Matrix]]], n: int, one: T)
     ring of `one`; a term with c = +-1 is added or subtracted with no scaling.
     """
     zero = one - one
-    empty = sparse(n, zero, ({} for _ in range(n)))
     total = None
     for c, factors in terms:
         prod = _rows(factors[0]) if factors else identity(n, one, zero)
         for f in factors[1:]:
             prod = matmul(prod, f)
         if c == -1:
-            total = sub(empty if total is None else total, prod)
+            total = sub(_zeros(n, zero) if total is None else total, prod)
         else:
             prod = prod if c == 1 else scale(c, prod)
             total = prod if total is None else add(total, prod)
-    return empty if total is None else total
+    return _zeros(n, zero) if total is None else total
 
 
 def equal(a: Matrix, b: Matrix) -> bool:

@@ -30,7 +30,7 @@ from .algebra import COMBINATIONS
 from .diffop import DiffOp, Pauli, Poly, PolyPair, realization_basis, realization_basis_id
 from .diffop import realization_caps, to_matrix
 from .linalg import Matrix
-from .rep import Basis, combination_matrices
+from .rep import Basis, combination_matrices, rep_matrices
 from .scalars import ExactEig, ExtScalar, RationalLike, inv_sqrt_p
 
 
@@ -256,7 +256,9 @@ class GeneratorExpr:
 
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
     """Substitute representation matrices into the expression, exactly."""
-    combos = combination_matrices({name for _, factors in expr.terms for name in factors}, basis, p)
+    names = {name for _, factors in expr.terms for name in factors}
+    gens = {g for name in names for g in COMBINATIONS[name]}
+    combos = combination_matrices(names, rep_matrices(gens, basis, p), p)
     terms = ((c, [combos[name] for name in factors]) for c, factors in expr.terms)
     return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 

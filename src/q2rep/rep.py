@@ -21,12 +21,15 @@ matrices T^-1 M T and C^-1 M C.  Two checks see T and C independently:
 Gram adjointness on VW, whose Gram matrix comes from the reduced
 coordinates and not from T, and realization 2 in `diffop` on MU.  All
 matrices are exact over Q[s]/(s^2 - p) and column c holds the image of
-basis vector c.  Nothing is memoized: each call builds its matrices anew,
-and a caller that uses a matrix more than once builds it once and keeps it.
+basis vector c.  `rep_matrices` builds several generators' matrices in one
+basis from one T or C.  Nothing is memoized: each call builds its matrices
+anew, and a caller that uses a matrix more than once builds it once and
+keeps it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 from math import factorial
@@ -196,15 +199,8 @@ def _lc_action(
     return out
 
 
-def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
-    """Exact 2p x 2p matrix of the generator in the requested ordered basis."""
-    if basis is Basis.THIRD:
-        return rep_matrix(g, Basis.LAMBDA_CHI, p)
-    if basis in (Basis.MU, Basis.VW):
-        c, c_inv = (_mu_change if basis is Basis.MU else _vw_change)(p)
-        return linalg.matmul(c_inv, linalg.matmul(rep_matrix(g, Basis.LAMBDA_CHI, p), c))
-    if basis is not Basis.LAMBDA_CHI:
-        raise KeyError(basis)
+def _lc_matrix(g: GeneratorId, p: int) -> Matrix:
+    """Exact 2p x 2p matrix of the generator in the LAMBDA_CHI basis."""
     n, one, isp = 2 * p, ExtScalar.one(p), inv_sqrt_p(p)
     cols: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
     for col in range(n):
@@ -214,16 +210,39 @@ def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
     return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 
 
+def rep_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> dict[GeneratorId, Matrix]:
+    """Exact 2p x 2p matrices of the generators in the requested ordered basis.
+
+    VW and MU build their change of basis once and conjugate every generator's
+    LAMBDA_CHI matrix by it; THIRD has LAMBDA_CHI's matrices.
+    """
+    if basis in (Basis.LAMBDA_CHI, Basis.THIRD):
+        return {g: _lc_matrix(g, p) for g in gens}
+    if basis not in (Basis.MU, Basis.VW):
+        raise KeyError(basis)
+    c, c_inv = (_mu_change if basis is Basis.MU else _vw_change)(p)
+    return {g: linalg.matmul(c_inv, linalg.matmul(_lc_matrix(g, p), c)) for g in gens}
+
+
+def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
+    """Exact 2p x 2p matrix of one generator in the requested ordered basis."""
+    return rep_matrices([g], basis, p)[g]
+
+
 def rep_of_element(x: SuperElement, basis: Basis, p: int) -> Matrix:
     """Matrix of a general algebra element (linear combination of generators)."""
-    terms = ((c, [rep_matrix(g, basis, p)]) for g, c in x.coeffs.items())
+    mats = rep_matrices(x.coeffs, basis, p)
+    terms = ((c, [mats[g]]) for g, c in x.coeffs.items())
     return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
 
-def combination_matrices(names: set[str], basis: Basis, p: int) -> dict[str, Matrix]:
-    """Matrices of the named algebra.COMBINATIONS; each generator's is built once."""
-    gens = {g for name in names for g in COMBINATIONS[name]}
-    mats = {g: rep_matrix(g, basis, p) for g in gens}
+def combination_matrices(
+    names: set[str], mats: dict[GeneratorId, Matrix], p: int
+) -> dict[str, Matrix]:
+    """Matrices of the named algebra.COMBINATIONS from the generator matrices `mats`.
+
+    `mats` holds, in one basis, every generator that the named combinations use.
+    """
     terms = {name: [(c, [mats[g]]) for g, c in COMBINATIONS[name].items()] for name in names}
     return {name: linalg.sum_of_products(t, 2 * p, ExtScalar.one(p)) for name, t in terms.items()}
 

@@ -10,7 +10,8 @@ to integer arithmetic.
 Tensor basis ordering: m descending from (p-1)/2 to -(p-1)/2 in integer
 steps, and within each m the spin-1/2 label mu = +1/2 before mu = -1/2.
 Nothing is memoized: `so4_matrices` builds all six J/K matrices in one pass,
-and each check builds them once and passes them on.
+and the identification and Casimir checks take them, and the Lam/chi
+matrices they read, from their caller, which builds each once per p.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import linalg
+from .algebra import GENERATORS, GeneratorId
 from .linalg import Matrix
-from .rep import Basis, combination_matrices, gram_matrix
+from .rep import Basis, combination_matrices, gram_matrix, rep_matrices
 from .scalars import ExtScalar
 
 
@@ -230,12 +232,16 @@ class IdentificationLine:
     first_difference: tuple[int, int] | None
 
 
-def identification_lines(p: int) -> list[IdentificationLine]:
+def identification_lines(
+    p: int, mats: dict[So4Generator, Matrix], lc: dict[GeneratorId, Matrix]
+) -> list[IdentificationLine]:
     """Check the q(2) <-> so(4) identification as exact matrix identities.
 
-    Both sides are mapped into the tensor basis: with T the column map from
-    (Lam, chi) coordinates and M the q(2) matrix, the check is
-    so4_expression @ T == T @ M, which avoids inverting T.
+    `mats` are the so(4) matrices (`so4_matrices`) and `lc` the eight
+    generators' LAMBDA_CHI matrices at this p.  Both sides are mapped into
+    the tensor basis: with T the column map from (Lam, chi) coordinates and
+    M the q(2) matrix, the check is so4_expression @ T == T @ M, which
+    avoids inverting T.
     """
     one = Fraction(1)
     two = Fraction(2)
@@ -264,8 +270,7 @@ def identification_lines(p: int) -> list[IdentificationLine]:
         ),
     ]
     T = tensor_to_lambda_chi(p)
-    mats = so4_matrices(p)
-    q2 = combination_matrices({name for _, name, _ in lines}, Basis.LAMBDA_CHI, p)
+    q2 = combination_matrices({name for _, name, _ in lines}, lc, p)
     out = []
     for label, name, so4_parts in lines:
         lhs = linalg.matmul(T, ext_to_radical_matrix(q2[name]))
@@ -276,7 +281,8 @@ def identification_lines(p: int) -> list[IdentificationLine]:
 
 
 def verify_identification(p: int) -> bool:
-    return all(line.passed for line in identification_lines(p))
+    lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
+    return all(line.passed for line in identification_lines(p, so4_matrices(p), lc))
 
 
 def so4_relation_report(p: int) -> list[tuple[str, bool]]:
@@ -316,8 +322,8 @@ def so4_relation_report(p: int) -> list[tuple[str, bool]]:
     ]
 
 
-def casimir(which: int, p: int) -> tuple[Matrix, Fraction]:
-    """Build C1 or C2 from the so(4) matrices; returns (matrix, scalar value).
+def casimir(which: int, p: int, mats: dict[So4Generator, Matrix]) -> tuple[Matrix, Fraction]:
+    """Build C1 or C2 from the so(4) matrices `mats` at p; returns (matrix, scalar value).
 
     C1 = J0^2 + K0^2 + (1/2){J+, J-} + (1/2){K+, K-}
     C2 = J0^2 - K0^2 + (1/2){J+, J-} - (1/2){K+, K-}
@@ -330,7 +336,7 @@ def casimir(which: int, p: int) -> tuple[Matrix, Fraction]:
     half = Fraction(1, 2)
     j_part = [(1, [J0, J0]), (half, [JP, JM]), (half, [JM, JP])]
     k_part = [(sign, [K0, K0]), (sign * half, [KP, KM]), (sign * half, [KM, KP])]
-    out = _so4_combo(j_part + k_part, so4_matrices(p))
+    out = _so4_combo(j_part + k_part, mats)
     if not linalg.is_scalar_matrix(out):
         raise ValueError(f"Casimir C{which} is not scalar for p={p}")
     return out, out[0][0].rational_value()

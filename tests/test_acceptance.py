@@ -60,9 +60,9 @@ from q2rep.models import (
     expression_matrix,
     raw_matrix,
 )
-from q2rep.rep import Basis, gram_matrix, rep_matrix, rep_of_element
+from q2rep.rep import Basis, gram_matrix, rep_matrices, rep_matrix, rep_of_element
 from q2rep.scalars import ExtScalar, ext
-from q2rep.so4 import casimir, identification_lines
+from q2rep.so4 import casimir, identification_lines, so4_matrices
 from q2rep.spectra import spectrum_of_matrix, values_close
 
 P_RANGE = range(1, 9)
@@ -146,7 +146,8 @@ def test_criterion_4_realization_soundness():
 def test_criterion_5_so4_identification():
     bad = None
     for p in P_RANGE:
-        for line in identification_lines(p):
+        lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
+        for line in identification_lines(p, so4_matrices(p), lc):
             if bad is None and not line.passed:
                 bad = f"p={p}: {line.label}"
     report(5, "all so(4) identification lines hold exactly, p in 1..8", bad is None, str(bad))
@@ -155,9 +156,10 @@ def test_criterion_5_so4_identification():
 def test_criterion_5_casimir_scalar():
     bad = None
     for p in P_RANGE:
+        mats = so4_matrices(p)
         try:
-            casimir(1, p)
-            casimir(2, p)
+            casimir(1, p, mats)
+            casimir(2, p, mats)
         except ValueError as exc:
             bad = bad or f"p={p}: {exc}"
     report(5, "Casimir matrices are scalar, p in 1..8", bad is None, str(bad))
@@ -176,8 +178,9 @@ def test_criterion_5_casimir_values_as_stated():
         j1, j2 = Fraction(p - 1, 2), Fraction(1, 2)
         want1 = j1 * (j1 + 1) + j2 * (j2 + 1)
         want2 = j1 * (j1 + 1) - j2 * (j2 + 1)
-        _, c1 = casimir(1, p)
-        _, c2 = casimir(2, p)
+        mats = so4_matrices(p)
+        _, c1 = casimir(1, p, mats)
+        _, c2 = casimir(2, p, mats)
         if bad is None and (c1 != want1 or c2 != want2):
             bad = f"p={p}: computed C1={c1}, C2={c2}, expected {want1}, {want2}"
     report(5, "Casimir values equal j1(j1+1) +- j2(j2+1), p in 1..8", bad is None, str(bad))

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from q2rep import cli, diffop, linalg, spectra
+from q2rep import cli, diffop, linalg, rep, so4, spectra
+from q2rep.algebra import GENERATORS
 from q2rep.models import Model, ModelSpec
 from q2rep.cli import main
+from q2rep.rep import Basis, rep_matrices
 from q2rep.scalars import ExtScalar
 
 
@@ -351,17 +353,50 @@ def test_closed_form_match_sees_coupling_between_blocks(monkeypatch, capsys, fmt
 
 def test_homomorphism_sweep_builds_each_matrix_once(monkeypatch):
     calls = 0
-    true_rep_matrix = cli.rep_matrix
+    true_rep_matrices = cli.rep_matrices
+
+    def counted(gens, basis, p):
+        nonlocal calls
+        gens = list(gens)
+        calls += len(gens)
+        return true_rep_matrices(gens, basis, p)
+
+    monkeypatch.setattr(cli, "rep_matrices", counted)
+    assert all(fail is None for _, _, fail in cli._suite_results([4], {}))
+    # eight generators in each of the four bases, shared by the 64 pairs and
+    # by the suites after the homomorphism sweep
+    assert calls <= 32
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    true_fn = getattr(module, name)
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return true_rep_matrix(*args)
+        calls.append(args)
+        return true_fn(*args)
 
-    monkeypatch.setattr(cli, "rep_matrix", counted)
-    assert all(ok for _, ok in cli._homomorphism_checks([4]))
-    # eight generators in each of the four bases, shared by the 64 pairs
-    assert calls <= 32
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_homomorphism_sweep_makes_each_product_once(monkeypatch):
+    mats = {basis: rep_matrices(GENERATORS, basis, 4) for basis in Basis}
+    calls = count_calls(monkeypatch, linalg, "matmul")
+    checks = list(cli._homomorphism_checks(4, mats))
+    assert len(checks) == 4 * 64 and all(ok for _, ok in checks)
+    # one product M_x M_y per ordered pair serves the checks of (x, y) and (y, x)
+    assert len(calls) <= 4 * 64
+
+
+def test_verify_builds_each_p_matrices_once(monkeypatch, capsys):
+    so4_calls = count_calls(monkeypatch, so4, "so4_matrices")
+    vw_calls = count_calls(monkeypatch, rep, "_vw_change")
+    mu_calls = count_calls(monkeypatch, rep, "_mu_change")
+    assert main(["verify", "--p", "1..3"]) == 0
+    capsys.readouterr()
+    assert len(so4_calls) <= 3
+    assert sorted(vw_calls) == sorted(mu_calls) == [(1,), (2,), (3,)]
 
 
 def test_commands_leave_no_matrix_rows_alive(capsys):

@@ -7,7 +7,8 @@ view, zeros included.  Spectrum output is compared byte for byte except for its 
 which must agree to 1e-12 relative (and 1e-12 absolute near zero): each is computed
 from exact data, but a closed form's radical goes through the platform's sqrt.
 Rewrite a file only for an output change that is intended, by saving the stdout of
-its command.
+its command.  Two ``verify`` files hold the output of a run with one fault
+injected, so that each suite's first-failure text stays pinned.
 """
 
 import hashlib
@@ -18,7 +19,11 @@ from pathlib import Path
 
 import pytest
 
+from q2rep import algebra, cli, linalg
+from q2rep.algebra import B_PLUS, F_MINUS, F_PLUS
 from q2rep.cli import main
+from q2rep.rep import Basis
+from q2rep.scalars import ExtScalar
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,6 +53,32 @@ def stdout_of(capsys, argv: list[str]) -> str:
 def test_verify_output_is_golden(capsys):
     got = stdout_of(capsys, ["verify", "--p", "1..3"])
     assert got == (DATA / "verify_p1-3.txt").read_text()
+
+
+def test_verify_failure_with_a_flipped_structure_sign_is_golden(monkeypatch, capsys):
+    terms = algebra._STRUCTURE[B_PLUS, F_MINUS]
+    monkeypatch.setitem(algebra._STRUCTURE, (B_PLUS, F_MINUS), tuple((g, -k) for g, k in terms))
+    assert main(["verify", "--p", "1..3"]) == 1
+    got = capsys.readouterr().out
+    assert got == (DATA / "verify_p1-3_structure_sign_flipped.txt").read_text()
+
+
+def test_verify_failure_with_a_perturbed_vw_entry_is_golden(monkeypatch, capsys):
+    # entry (1, 0) of the VW matrix of f+ at p = 2, one more than it should be
+    true_rep_matrices = cli.rep_matrices
+
+    def perturbed(gens, basis, p):
+        mats = true_rep_matrices(gens, basis, p)
+        if basis is Basis.VW and p == 2:
+            rows = [dict(row.nz) for row in mats[F_PLUS]]
+            rows[1][0] = rows[1].get(0, ExtScalar.zero(p)) + ExtScalar.one(p)
+            mats[F_PLUS] = linalg.sparse(2 * p, ExtScalar.zero(p), rows)
+        return mats
+
+    monkeypatch.setattr(cli, "rep_matrices", perturbed)
+    assert main(["verify", "--p", "1..3"]) == 1
+    got = capsys.readouterr().out
+    assert got == (DATA / "verify_p1-3_vw_entry_perturbed.txt").read_text()
 
 
 @pytest.mark.parametrize("basis", ["vw", "lambda_chi", "mu", "third"])

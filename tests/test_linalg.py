@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from q2rep import cli, linalg
 from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS, GENERATORS
-from q2rep.rep import Basis, rep_matrix
+from q2rep.rep import Basis, rep_matrices, rep_matrix
 from q2rep.scalars import ExtScalar, NotInvertibleError, ext
 from q2rep.so4 import RAD_ONE, RAD_ZERO, Radical
 
@@ -196,7 +196,7 @@ def test_unit_coefficients_are_not_multiplied(monkeypatch):
     monkeypatch.setattr(linalg, "scale", counted_scale)
     monkeypatch.setattr(ExtScalar, "__mul__", counted_mul)
     monkeypatch.setattr(ExtScalar, "__rmul__", counted_mul)
-    checks = list(cli._homomorphism_checks([4]))
+    checks = list(cli._homomorphism_checks(4, {b: rep_matrices(GENERATORS, b, 4) for b in Basis}))
     assert len(checks) == len(Basis) * len(GENERATORS) ** 2 and all(ok for _, ok in checks)
     assert scaled == 0
     # the counter is live: a coefficient 2 is a scaling pass

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from q2rep import linalg
+from q2rep.algebra import GENERATORS
+from q2rep.rep import Basis, rep_matrices
 from q2rep.so4 import (
     JP,
     K0,
@@ -94,7 +96,8 @@ def test_tensor_map_invertibility_via_gram():
 
 def test_identification_lines_all_pass():
     for p in range(1, 9):
-        lines = identification_lines(p)
+        lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
+        lines = identification_lines(p, so4_matrices(p), lc)
         assert len(lines) == 8
         assert all(line.passed for line in lines), [
             line.label for line in lines if not line.passed
@@ -104,8 +107,9 @@ def test_identification_lines_all_pass():
 
 def test_casimirs_are_scalar():
     for p in range(1, 9):
-        m1, c1 = casimir(1, p)
-        m2, c2 = casimir(2, p)
+        mats = so4_matrices(p)
+        m1, c1 = casimir(1, p, mats)
+        m2, c2 = casimir(2, p, mats)
         assert linalg.is_scalar_matrix(m1)
         assert linalg.is_scalar_matrix(m2)
         # exact values in this tensor representation
