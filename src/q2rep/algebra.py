@@ -105,10 +105,6 @@ class SuperElement:
     def basis(cls, g: GeneratorId, p: int) -> SuperElement:
         return cls(p, {g: ExtScalar.one(p)})
 
-    @classmethod
-    def zero(cls, p: int) -> SuperElement:
-        return cls(p, {})
-
     def __add__(self, other: SuperElement) -> SuperElement:
         if self.p != other.p:
             raise ValueError("p mismatch")
@@ -142,14 +138,6 @@ class SuperElement:
             return "0"
         parts = [f"({c})*{g}" for g, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
-
-    def parity(self) -> str:
-        parities = {g.parity for g in self.coeffs}
-        if parities <= {EVEN}:
-            return "even"
-        if parities == {ODD}:
-            return "odd"
-        return "mixed"
 
 
 def _bracket_terms(a: GeneratorId, b: GeneratorId) -> tuple[tuple[GeneratorId, int], ...]:

@@ -1,10 +1,11 @@
 """Command-line interface: verification suites, matrix export, spectra, sweeps.
 
 Exit codes: 0 success, 1 identity failure or a spectrum that cannot be
-certified real, 2 usage error (including an --out path that cannot be
-written), 3 constraint violation.  All numeric inputs are exact rationals
-("a/b" or integers); floats appear only in output.  Output is
-deterministic: identical configs produce byte-identical files.
+certified real, 2 usage error (including an output that cannot be written:
+an --out path or a closed standard output), 3 constraint violation.  All
+numeric inputs are exact rationals ("a/b" or integers); floats appear only
+in output.  Output is deterministic: identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -480,6 +482,12 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"error: uncertified spectrum: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send what is still buffered to devnull, so
+        # that the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
 
 from . import linalg
 from .algebra import COMBINATIONS
@@ -140,28 +139,19 @@ def _sphaleron_rows(case: int, p: int, k2: Fraction) -> tuple[list, list, list, 
 
 def _op_from_rows(p: int, rows: tuple[list, list, list, list]) -> DiffOp:
     up, low, sp_, sm = rows
-    out = DiffOp.zero(p)
     half = Fraction(1, 2)
-
-    def acc(op: DiffOp, coeff_lists: list, pauli: Pauli) -> DiffOp:
-        for order, coeffs in enumerate(coeff_lists):
-            if coeffs:
-                op = op + DiffOp.term(p, [Fraction(c) for c in coeffs], order, pauli)
-        return op
-
-    # upper = s0 + s3 row, lower = s0 - s3 row
-    s0 = [
-        [Fraction(a) * half + Fraction(b) * half for a, b in zip_longest(cu, cl, fillvalue=0)]
-        for cu, cl in zip(up, low)
-    ]
-    s3 = [
-        [Fraction(a) * half - Fraction(b) * half for a, b in zip_longest(cu, cl, fillvalue=0)]
-        for cu, cl in zip(up, low)
-    ]
-    out = acc(out, s0, Pauli.S0)
-    out = acc(out, s3, Pauli.S3)
-    out = acc(out, sp_, Pauli.SP)
-    out = acc(out, sm, Pauli.SM)
+    # upper = s0 + s3 row, lower = s0 - s3 row; DiffOp addition merges like terms
+    weighted = (
+        (up, ((Pauli.S0, half), (Pauli.S3, half))),
+        (low, ((Pauli.S0, half), (Pauli.S3, -half))),
+        (sp_, ((Pauli.SP, 1),)),
+        (sm, ((Pauli.SM, 1),)),
+    )
+    out = DiffOp.zero(p)
+    for row, parts in weighted:
+        for order, coeffs in enumerate(row):
+            for pauli, weight in parts:
+                out = out + DiffOp.term(p, [Fraction(c) * weight for c in coeffs], order, pauli)
     return out
 
 
@@ -245,13 +235,6 @@ class GeneratorExpr:
             for f in factors:
                 if f not in COMBINATIONS:
                     raise KeyError(f"unknown generator combination {f!r}")
-
-    def constant_part(self) -> ExtScalar:
-        out = ExtScalar.zero(self.p)
-        for coeff, factors in self.terms:
-            if not factors:
-                out = out + coeff
-        return out
 
 
 def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:

@@ -59,18 +59,6 @@ class Basis(Enum):
     THIRD = "third"
 
 
-def basis_labels(basis: Basis, p: int) -> list[str]:
-    if basis is Basis.VW:
-        return (
-            [f"v{k}" for k in range(p)]
-            + [f"w{k}" for k in range(1, p)]
-            + [f"v{p}+sqrt(p)w{p}"]
-        )
-    if basis in (Basis.LAMBDA_CHI, Basis.THIRD):
-        return [f"Lam{k}" for k in range(p + 1)] + [f"chi{l}" for l in range(1, p)]
-    return [f"mu{k}" for k in range(2 * p)]
-
-
 def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
     """Columns express the basis vectors in reduced coordinates v_0..v_{p-1}, w_1..w_p."""
     n = 2 * p

@@ -178,11 +178,6 @@ class ExtScalar:
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        """The norm a^2 - p*b^2 of a + b*s."""
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a - self._p * b * b, d * d)
-
     def inverse(self) -> ExtScalar:
         # d / (a + b s) = d (a - b s) / (a^2 - p b^2)
         a, b, d, p = self._a, self._b, self._d, self._p
@@ -236,12 +231,6 @@ class ExtScalar:
     def text(self) -> str:
         """Canonical textual form "a/b + c/d*sqrt(p)"."""
         return f"{_ratio_text(self._a, self._d)} + {_ratio_text(self._b, self._d)}*sqrt({self._p})"
-
-    def as_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Exact components as ((a, b), (c, d)) integer pairs."""
-        a, b, d = self._a, self._b, self._d
-        g, h = _gcd(a, d), _gcd(b, d)
-        return ((a // g, d // g), (b // h, d // h))
 
     def json_obj(self) -> dict[str, str]:
         return {"rat": _ratio_text(self._a, self._d), "irr": _ratio_text(self._b, self._d)}
@@ -326,19 +315,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(t)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
-
-
-def parse_ext(text: str, p: int) -> ExtScalar:
-    """Parse the canonical textual form "a/b + c/d*sqrt(p)"."""
-    t = text.replace(" ", "")
-    marker = f"*sqrt({p})"
-    if marker in t:
-        head, _, _ = t.partition(marker)
-        # split "a/b+c/d" on the sign that separates the two components
-        for idx in range(len(head) - 1, 0, -1):
-            if head[idx] in "+-" and head[idx - 1] not in "+-/":
-                rat = Fraction(head[:idx])
-                irr = Fraction(head[idx:].lstrip("+"))
-                return ExtScalar(rat, irr, p)
-        return ExtScalar(0, Fraction(head), p)
-    return ExtScalar(Fraction(t), 0, p)

@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import linalg
-from .algebra import GENERATORS, GeneratorId
+from .algebra import GeneratorId
 from .linalg import Matrix
-from .rep import Basis, combination_matrices, gram_matrix, rep_matrices
+from .rep import combination_matrices
 from .scalars import ExtScalar
 
 
@@ -280,11 +280,6 @@ def identification_lines(
     return out
 
 
-def verify_identification(p: int) -> bool:
-    lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
-    return all(line.passed for line in identification_lines(p, so4_matrices(p), lc))
-
-
 def so4_relation_report(p: int) -> list[tuple[str, bool]]:
     """The commutation relations that hold in this tensor representation.
 
@@ -346,7 +341,3 @@ def gram_in_tensor_basis(p: int) -> Matrix:
     """T^t T: diagonal and rational; ties the V_p metric to the tensor metric."""
     T = tensor_to_lambda_chi(p)
     return linalg.matmul(linalg.transpose(T), T)
-
-
-def lambda_chi_gram_as_radical(p: int) -> Matrix:
-    return ext_to_radical_matrix(gram_matrix(Basis.LAMBDA_CHI, p))

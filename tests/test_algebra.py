@@ -55,12 +55,6 @@ def test_bracket_odd_square():
     assert out == basis(E00_0).scaled(Fraction(2))
 
 
-def test_parity_classification():
-    assert basis(B_PLUS).parity() == "even"
-    assert basis(F_MINUS).parity() == "odd"
-    assert (basis(B_PLUS) + basis(F_MINUS)).parity() == "mixed"
-
-
 def test_graded_antisymmetry():
     assert graded_antisymmetry_holds()
 
@@ -108,7 +102,7 @@ def test_even_part_closes_as_gl2():
         out = bracket(basis(gx), basis(gy))
         assert all(g.parity == 0 for g in out.coeffs)
         # gl(2) structure constants: [E_ij, E_kl] = d_jk E_il - d_li E_kj
-        expected = SuperElement.zero(2)
+        expected = SuperElement(2)
         if gx.j == gy.i:
             expected = expected + basis(GeneratorId(gx.i, gy.j, 0))
         if gy.j == gx.i:

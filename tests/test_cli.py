@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +208,23 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         assert out == ""
         assert "cannot write" in err and str(target) in err
     assert not target.parent.exists()
+
+
+def test_closed_stdout_is_output_error():
+    """A reader that stops early (``| head``) gets exit 2 and one error line, no traceback."""
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "q2rep.cli", "rep", "--basis", "mu", "--p", "1..30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(50)  # the export is megabytes, far beyond the pipe buffer
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write output:") and err.count("\n") == 1
 
 
 def test_rep_export_shape(capsys):

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import pkgutil
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,6 @@ from q2rep.algebra import (
 )
 from q2rep.rep import (
     Basis,
-    basis_labels,
     change_of_basis,
     expansion_in_rvw,
     gram_matrix,
@@ -136,8 +137,7 @@ def test_identity_combination():
 
 def test_gram_examples_p2():
     g = gram_matrix(Basis.VW, 2)
-    labels = basis_labels(Basis.VW, 2)
-    iv1, iw1 = labels.index("v1"), labels.index("w1")
+    iv1, iw1 = 1, 2  # the VW order at p = 2: v0, v1, w1, v2 + sqrt(2) w2
     assert g[iv1][iv1] == 2
     assert g[iw1][iw1] == 2
     assert g[iv1][iw1] == ExtScalar.sqrt_p(2)
@@ -344,7 +344,6 @@ def test_lambda_chi_matrices_build_only_their_own_terms(monkeypatch):
 
 
 def test_p1_has_no_chi_sector():
-    assert basis_labels(Basis.LAMBDA_CHI, 1) == ["Lam0", "Lam1"]
     assert linalg.shape(rep_matrix(B_PLUS, Basis.LAMBDA_CHI, 1)) == (2, 2)
 
 
@@ -364,3 +363,44 @@ def test_unbounded_caches_are_the_listed_ones():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 found.add(f"{info.name}.{name}")
     assert found == set()
+
+
+# Public functions that only tier-1 calls: each checks an identity or a closed form
+# of code that stays.
+REFERENCE_CHECKS = {
+    "supercommutator": "operator-level closure of the realizations, through compose",
+    "realization_of_element": "realizes a general element, the linear extension of realization",
+    "graded_antisymmetry_holds": "graded antisymmetry of the structure constants in algebra",
+    "so4_relation_report": "the so(4) commutation relations of the so4_matrices ladders",
+    "gram_in_tensor_basis": "T^t T against the Lam/chi Gram matrix of gram_matrix",
+    "weights_lambda_chi": "closed-form weights of e00_0 - e11_0 on the Lam/chi basis",
+}
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names used as a variable or an attribute; an import alone is no use."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_function_has_a_caller():
+    """Each public top-level function is used by package code outside its own def, is
+    exported in q2rep.__all__, is used by perfbench or by the acceptance gate, or is one
+    of the listed reference checks."""
+    root = Path(__file__).parents[1]
+    public, used = {}, set(q2rep.__all__)
+    for path in sorted(Path(q2rep.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    public[node.name] = path.stem
+                used |= _referenced_names(node) - {node.name}
+            else:
+                used |= _referenced_names(node)
+    for path in [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]:
+        used |= _referenced_names(ast.parse(path.read_text()))
+    unused = {f"{module}.{name}" for name, module in public.items() if name not in used}
+    assert unused == {f"{public[name]}.{name}" for name in REFERENCE_CHECKS}

@@ -12,7 +12,6 @@ from q2rep.scalars import (
     NotInvertibleError,
     ext,
     inv_sqrt_p,
-    parse_ext,
     rational_sqrt,
 )
 
@@ -94,12 +93,6 @@ def test_inv_sqrt_p():
         assert inv_sqrt_p(p) * ExtScalar.sqrt_p(p) == 1
 
 
-def test_text_roundtrip():
-    x = ext(5, Fraction(-3, 4), Fraction(7, 2))
-    assert parse_ext(x.text(), 5) == x
-    assert x.as_pairs() == ((-3, 4), (7, 2))
-
-
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None
@@ -176,7 +169,6 @@ def assert_canonical(z, ref, p):
     assert (z.rat, z.irr) == ref
     assert z.text() == ExtScalar(*ref, p).text() == f"{ref[0]} + {ref[1]}*sqrt({p})"
     assert bool(z) == (ref != (0, 0))
-    assert z.norm() == ref[0] ** 2 - p * ref[1] ** 2
 
 
 @given(st.sampled_from([2, 4, 5]).flatmap(lambda p: st.tuples(st.just(p), operands(p), operands(p))))

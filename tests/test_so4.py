@@ -4,7 +4,7 @@ import pytest
 
 from q2rep import linalg
 from q2rep.algebra import GENERATORS
-from q2rep.rep import Basis, rep_matrices
+from q2rep.rep import Basis, gram_matrix, rep_matrices
 from q2rep.so4 import (
     JP,
     K0,
@@ -14,13 +14,12 @@ from q2rep.so4 import (
     RAD_ZERO,
     Radical,
     casimir,
+    ext_to_radical_matrix,
     gram_in_tensor_basis,
     identification_lines,
-    lambda_chi_gram_as_radical,
     so4_matrices,
     so4_relation_report,
     tensor_to_lambda_chi,
-    verify_identification,
 )
 
 
@@ -91,7 +90,7 @@ def test_tensor_map_invertibility_via_gram():
         assert all(not g[i][j] for i in range(n) for j in range(n) if i != j)
         assert all(g[i][i] for i in range(n))
         # and it coincides with the V_p metric of the Lam/chi basis
-        assert linalg.equal(g, lambda_chi_gram_as_radical(p))
+        assert linalg.equal(g, ext_to_radical_matrix(gram_matrix(Basis.LAMBDA_CHI, p)))
 
 
 def test_identification_lines_all_pass():
@@ -102,7 +101,6 @@ def test_identification_lines_all_pass():
         assert all(line.passed for line in lines), [
             line.label for line in lines if not line.passed
         ]
-        assert verify_identification(p)
 
 
 def test_casimirs_are_scalar():
