@@ -27,14 +27,20 @@ rows (upper paired with P, lower with Q) whose lam-part is the identity; the
 lam-free part is the sector matrix.  This module performs that reorganization
 with polynomials over Fraction, and is the oracle that anchors the closed-form
 operators in `models`; it imports nothing from the rest of the package.
+
+Each operator is conjugated once per matrix, at lam = 0, to
+(n2 d^2 + n1 d + n0) / den.  lam enters c0 alone and commutes with F, so the
+operator at lam = 1 has n0 + lam den in place of n0 and is otherwise the same.
+The polynomials are sparse and store no zero coefficient: a basis monomial
+costs a bounded amount of arithmetic, and a matrix costs arithmetic linear in p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Poly = tuple  # coefficients over Fraction, lowest degree first, no trailing zeros
-X, ONE = (Fraction(0), Fraction(1)), (Fraction(1),)  # the polynomials x and 1
+Poly = dict  # {degree: coefficient} over Fraction; zero coefficients are never stored
+X, ONE = {1: Fraction(1)}, {0: Fraction(1)}  # the polynomials x and 1
 COUPLING = 2  # the f equation reads D41 f + COUPLING sqrt(A/x) W = 0
 
 
@@ -42,34 +48,39 @@ class ReductionError(RuntimeError):
     """The substitution did not produce the expected polynomial system."""
 
 
-def _trim(out: list) -> Poly:
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+def _accumulate(out: Poly, k: int, c) -> None:
+    """out[k] += c, dropping the term when it cancels."""
+    if k in out:
+        c += out[k]
+        if not c:
+            del out[k]
+            return
+    out[k] = c
 
 
 def _add(*polys: Poly) -> Poly:
-    out = [Fraction(0)] * max(map(len, polys))
+    out: Poly = {}
     for a in polys:
-        for i, c in enumerate(a):
-            out[i] += c
-    return _trim(out)
+        for i, c in a.items():
+            _accumulate(out, i, c)
+    return out
 
 
 def _mul(a: Poly, *factors) -> Poly:
     """The product of a polynomial with polynomials and scalars."""
     for b in factors:
-        b = b if isinstance(b, tuple) else (Fraction(b),)
-        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-        for i, c in enumerate(a):
-            for j, e in enumerate(b):
-                out[i + j] += c * e
-        a = _trim(out)
+        if not isinstance(b, dict):
+            b = {0: Fraction(b)} if b else {}
+        out: Poly = {}
+        for i, c in a.items():
+            for j, e in b.items():
+                _accumulate(out, i + j, c * e)
+        a = out
     return a
 
 
 def _diff(a: Poly) -> Poly:
-    return tuple(i * c for i, c in enumerate(a))[1:]
+    return {i - 1: i * c for i, c in a.items() if i}
 
 
 def _sub(r: tuple[Poly, Poly], s: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
@@ -80,14 +91,19 @@ def _sub(r: tuple[Poly, Poly], s: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
 
 def _poly_or_raise(num: Poly, den: Poly, label: str) -> Poly:
     """num / den by exact long division; a nonzero remainder raises."""
-    rem, quot = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in reversed(range(len(quot))):
-        quot[i] = q = rem[i + len(den) - 1] / den[-1]
-        for j, e in enumerate(den):
-            rem[i + j] -= q * e
-    if any(rem):
-        raise ReductionError(f"{label} is not polynomial")
-    return _trim(quot)
+    rem, quot = dict(num), {}
+    d_den = max(den)
+    while rem:
+        top = max(rem)
+        if top < d_den:
+            raise ReductionError(f"{label} is not polynomial")
+        # the top term cancels exactly; only the lower terms of den are subtracted
+        shift, q = top - d_den, rem.pop(top) / den[d_den]
+        quot[shift], minus_q = q, -q
+        for j, e in den.items():
+            if j != d_den:
+                _accumulate(rem, shift + j, minus_q * e)
+    return quot
 
 
 def _conjugated(coeffs: tuple, eps_x: int, eps_a: int, a: Poly) -> tuple:
@@ -117,16 +133,20 @@ def sector_caps(case: int, p: int) -> tuple[int, int]:
     return _CASES[case]["caps"](p)
 
 
-def _sector_rows(case: int, p: int, k2: Fraction, lam: int):
-    """rows(P, Q) -> (upper, lower); D40 and D41 are conjugated once, by the W and f prefactors."""
+def _sector_rows(case: int, p: int, k2: Fraction):
+    """rows(P, Q, lam) -> (upper, lower); D40 and D41 are conjugated once, by the W and f prefactors."""
     a, th2 = _add(ONE, _mul(X, -1 - k2), _mul(X, X, k2)), _CASES[case]["theta2"](p)
-    c0, u4 = _add(_mul(ONE, lam), _mul(X, -th2 * k2)), _mul(X, a, 4)
+    c0, u4 = _mul(X, -th2 * k2), _mul(X, a, 4)  # c0 at lam = 0
     (wx, wa), (fx, fa) = _EPS[case]
-    conj_w = _conjugated((c0, _mul(_diff(u4), Fraction(1, 2)), u4), wx, wa, a)
-    conj_f = _conjugated((c0, _add(_mul(ONE, -2), _mul(X, X, 2 * k2)), u4), fx, fa, a)
+    conj = (_conjugated((c0, _mul(_diff(u4), Fraction(1, 2)), u4), wx, wa, a),
+            _conjugated((c0, _add(_mul(ONE, -2), _mul(X, X, 2 * k2)), u4), fx, fa, a))
+    # lam enters through c0 alone, as lam * den in n0 of each conjugated operator
+    ops = {lam: [(_add(n0, _mul(den, lam)), n1, n2, den) for n0, n1, n2, den in conj]
+           for lam in (0, 1)}
     g, up, low = -COUPLING, f"upper row (case {case})", f"lower row (case {case})"
 
-    def rows(pol_p: Poly, pol_q: Poly) -> tuple[Poly, Poly]:
+    def rows(pol_p: Poly, pol_q: Poly, lam: int) -> tuple[Poly, Poly]:
+        conj_w, conj_f = ops[lam]
         if case == 43:
             s_w = _add(pol_p, _mul(X, pol_q))
             # the 1/x poles of the conjugated operator cancel against the coupling
@@ -159,16 +179,22 @@ def derived_matrix(case: int, p: int, k2: Fraction) -> tuple[tuple[Fraction, ...
     n_up, n_low = d_up + 1, d_low + 1
     if n_up + n_low != 2 * p:
         raise AssertionError("sector dimension mismatch")
-    rows0, rows1 = (_sector_rows(case, p, Fraction(k2), lam) for lam in (0, 1))
-    cols, zeros = [], (Fraction(0),) * (2 * p)
+    rows, zero = _sector_rows(case, p, Fraction(k2)), Fraction(0)
+    cols = []
     for idx in range(n_up + n_low):
-        mono = zeros[: idx if idx < n_up else idx - n_up] + ONE
-        pol_p, pol_q = (mono, ()) if idx < n_up else ((), mono)
-        (up0, low0), (up1, low1) = rows0(pol_p, pol_q), rows1(pol_p, pol_q)
+        mono = {idx if idx < n_up else idx - n_up: Fraction(1)}
+        pol_p, pol_q = (mono, {}) if idx < n_up else ({}, mono)
+        (up0, low0), (up1, low1) = rows(pol_p, pol_q, 0), rows(pol_p, pol_q, 1)
         if _add(up1, _mul(up0, -1)) != pol_p or _add(low1, _mul(low0, -1)) != pol_q:
             raise ReductionError(f"lam does not pair with the identity (case {case})")
-        if len(up0) > n_up or len(low0) > n_low:
-            degrees = f"{len(up0) - 1}, {len(low0) - 1} vs {d_up}, {d_low}"
+        deg_up, deg_low = max(up0, default=-1), max(low0, default=-1)
+        if deg_up > d_up or deg_low > d_low:
+            degrees = f"{deg_up}, {deg_low} vs {d_up}, {d_low}"
             raise ReductionError(f"degree cap violated in case {case} (p={p}): {degrees}")
-        cols.append(up0 + zeros[: n_up - len(up0)] + low0 + zeros[: n_low - len(low0)])
+        col = [zero] * (2 * p)
+        for i, c in up0.items():
+            col[i] = c
+        for i, c in low0.items():
+            col[n_up + i] = c
+        cols.append(col)
     return tuple(zip(*cols))

@@ -145,9 +145,10 @@ def test_spectrum_moszkowski_degenerate_coupling(capsys):
 
 
 def test_spectrum_sphaleron_needs_case(capsys):
-    code, _, err = run(capsys, "spectrum", "--model", "sphaleron", "--p", "2")
-    assert code == 3
-    assert "case" in err
+    # a missing --case is a usage error, like another model's option
+    code, out, err = run(capsys, "spectrum", "--model", "sphaleron", "--p", "2", "--k2", "1/4")
+    assert (code, out) == (2, "")
+    assert err == "error: --model sphaleron needs --case {43,44,50,51}\n"
 
 
 def test_constraint_violation_exit_code(capsys):
