@@ -9,6 +9,10 @@ is a commutator unless both arguments are odd, in which case it is an
 anticommutator.  Mixed-parity elements are handled by splitting into
 homogeneous parts and extending bilinearly.
 
+A generator is named by `GeneratorId`, a named tuple (i, j, parity): the
+tables keyed by generators, here and in `rep` and `diffop`, hash and
+compare their keys as plain tuples do.
+
 Two tables here are what the other modules read.  `_STRUCTURE` holds the
 integer structure constants; the graded Jacobi and antisymmetry checks run
 on them directly, with no coefficient ring.  `COMBINATIONS` names the
@@ -22,9 +26,9 @@ is written on the generators themselves and reads neither table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .scalars import ExtScalar, RationalLike
 
@@ -32,15 +36,22 @@ EVEN = 0
 ODD = 1
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorId:
+class _Indices(NamedTuple):
     i: int
     j: int
     parity: int
 
-    def __post_init__(self) -> None:
-        if self.i not in (0, 1) or self.j not in (0, 1) or self.parity not in (0, 1):
-            raise ValueError(f"invalid generator indices ({self.i},{self.j},{self.parity})")
+
+class GeneratorId(_Indices):
+    """The key e_ij^parity: a tuple (i, j, parity), so it hashes, compares and
+    sorts in C wherever it indexes a table."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, parity: int) -> GeneratorId:
+        if i not in (0, 1) or j not in (0, 1) or parity not in (0, 1):
+            raise ValueError(f"invalid generator indices ({i},{j},{parity})")
+        return super().__new__(cls, i, j, parity)
 
     @property
     def name(self) -> str:
@@ -215,13 +226,19 @@ def graded_jacobi_sum(gx: GeneratorId, gy: GeneratorId, gz: GeneratorId) -> dict
         (-1)^{|x||z|} [[x, [[y, z]]]] + (-1)^{|y||x|} [[y, [[z, x]]]]
             + (-1)^{|z||y|} [[z, [[x, y]]]],
 
-    read from the structure constants; empty when the identity holds.
+    read from the structure constants in one pass; empty when the identity holds.
     """
-    terms = []
+    out: dict[GeneratorId, int] = {}
     for a, b, c in ((gx, gy, gz), (gy, gz, gx), (gz, gx, gy)):
+        sign = _graded_sign(a, c)
         for inner, k in _STRUCTURE[b, c]:
-            terms += [(g, _graded_sign(a, c) * k * m) for g, m in _STRUCTURE[a, inner]]
-    return _merged(terms)
+            k *= sign
+            for g, m in _STRUCTURE[a, inner]:
+                if v := out.get(g, 0) + k * m:
+                    out[g] = v
+                else:
+                    out.pop(g, None)
+    return out
 
 
 def check_graded_jacobi() -> tuple[bool, int, tuple | None]:

@@ -41,7 +41,7 @@ from .models import (
     sector_matrix,
 )
 from .rep import Basis, gram_matrix, rep_matrices
-from .scalars import ExtScalar, parse_rational
+from .scalars import parse_rational
 from .spectra import SolverError, decompose, spectrum_of_matrix
 
 
@@ -99,18 +99,24 @@ def _jacobi_checks():
 
 
 def _homomorphism_checks(p, mats):
-    """The 64 pair checks in each basis; `mats` maps each basis to its eight matrices."""
-    n, one = 2 * p, ExtScalar.one(p)
+    """The 64 pair checks in each basis; `mats` maps each basis to its eight matrices.
 
-    def check(ms, gx, gy, xy, yx):
+    Each check compares [[M_x, M_y]] with the sum of c M_z over the structure
+    terms of [[x, y]] row by row, as dicts of nonzeros, and builds no matrix.
+    The products come from linalg.product_rows, the loop matmul is built on;
+    every coefficient is +-1, so both sides are signed sums of rows
+    (linalg.signed_sums_equal).
+    """
+
+    def check(rows, gx, gy, xy, yx):
         # [[x, y]] is x y + y x when both are odd, x y - y x otherwise
         sign = 1 if (gx.parity and gy.parity) else -1
-        lhs = linalg.sum_of_products([(1, [xy]), (sign, [yx])], n, one)
-        terms = ((c, [ms[g]]) for g, c in structure_terms(gx, gy))
-        return linalg.equal(lhs, linalg.sum_of_products(terms, n, one))
+        terms = [(c, rows[g]) for g, c in structure_terms(gx, gy)]
+        return linalg.signed_sums_equal([(1, xy), (sign, yx)], terms)
 
     for basis in Basis:
         ms = mats[basis]
+        rows = {g: [row.nz for row in m] for g, m in ms.items()}
         later = {}
         for gx, gy in itertools.product(GENERATORS, repeat=2):
             ok = later.pop((gx, gy), None)
@@ -118,11 +124,11 @@ def _homomorphism_checks(p, mats):
                 # each product serves two pairs: M_x M_y and M_y M_x make the
                 # checks of (x, y) and of (y, x), both here; the products are
                 # then dropped, and the result for (y, x) waits for its turn
-                xy = linalg.matmul(ms[gx], ms[gy])
-                yx = xy if gx == gy else linalg.matmul(ms[gy], ms[gx])
-                ok = check(ms, gx, gy, xy, yx)
+                xy = linalg.product_rows(ms[gx], ms[gy])
+                yx = xy if gx == gy else linalg.product_rows(ms[gy], ms[gx])
+                ok = check(rows, gx, gy, xy, yx)
                 if gx != gy:
-                    later[gy, gx] = check(ms, gy, gx, yx, xy)
+                    later[gy, gx] = check(rows, gy, gx, yx, xy)
             yield None if ok else f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", ok
 
 

@@ -12,6 +12,12 @@ on stored nonzeros only.  Each product entry still sums its terms over
 ascending k, entries that cancel are dropped, and a result's zero comes
 from its operands' zeros, so every entry has the value, type and p a dense
 kernel gives.
+
+Products come from one multiply-accumulate loop, `product_rows`, which
+returns each row of a @ b as a dict of its nonzeros.  `matmul` sorts those
+rows into a Matrix; `signed_sums_equal` compares sums of +-1 multiples of
+such rows row by row, which is how `verify` checks each bracket relation
+[[M_x, M_y]] = sum c M_z without building a matrix.
 """
 
 from __future__ import annotations
@@ -158,14 +164,17 @@ def scale(c: T, a: Matrix) -> Matrix:
     return tuple(Row(m, zero, {j: v for j, x in r.nz.items() if (v := c * x)}) for r in a)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def product_rows(a: Matrix, b: Matrix) -> list[dict]:
+    """The rows of a @ b as {column: entry} dicts of their nonzeros, in no set column order.
+
+    This is the one multiply-accumulate loop: `matmul` sorts its rows into a
+    Matrix, and `signed_sums_equal` compares them as they are.  Only nonzero
+    pairs are multiplied, each entry sums its terms over ascending k, and an
+    entry that cancels, or is a product of zero divisors, is deleted.
+    """
     a, b = _rows(a), _rows(b)
-    n, k = shape(a)
-    k2, m = shape(b)
-    if k != k2:
+    if shape(a)[1] != len(b):
         raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
-    # built by addition, so that every multiplication here is of a nonzero pair
-    zero = a[0].zero + b[0].zero if n and m and k else None
     b_nz = [row.nz for row in b]
     out = []
     for row in a:
@@ -174,8 +183,59 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             for j, y in b_nz[kk].items():
                 t = acc.get(j)
                 acc[j] = x * y if t is None else t + x * y
-        out.append(Row(m, zero, {j: v for j in sorted(acc) if (v := acc[j])}))
-    return tuple(out)
+        if not all(acc.values()):
+            acc = {j: v for j, v in acc.items() if v}
+        out.append(acc)
+    return out
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    a, b = _rows(a), _rows(b)
+    rows = product_rows(a, b)
+    m = shape(b)[1]
+    # built by addition, so that every multiplication is of a nonzero pair
+    zero = a[0].zero + b[0].zero if a and b and m else None
+    return tuple(Row(m, zero, dict(sorted(acc.items()))) for acc in rows)
+
+
+def _signed_row(terms, i: int) -> dict:
+    """Row i of the sum of the terms (+-1, rows); entries that cancel are deleted."""
+    out: dict = {}
+    for c, rows in terms:
+        if c == 1 and not out:
+            out = dict(rows[i])
+        elif c == 1:
+            for j, x in rows[i].items():
+                if j not in out:
+                    out[j] = x
+                elif v := out[j] + x:
+                    out[j] = v
+                else:
+                    del out[j]
+        elif c == -1:
+            for j, x in rows[i].items():
+                if j not in out:
+                    out[j] = -x
+                elif v := out[j] - x:
+                    out[j] = v
+                else:
+                    del out[j]
+        else:
+            raise ValueError(f"coefficient {c!r} is not +-1")
+    return out
+
+
+def signed_sums_equal(lhs, rhs) -> bool:
+    """Whether the sums of c * A over the (c, A) terms of lhs and of rhs are equal; c = +-1.
+
+    Each A is a sequence of rows given as {column: entry} dicts of nonzeros,
+    as `product_rows` returns them or a Row stores them (`nz`).  The sums
+    are compared row by row, and no matrix is built; an empty sum is zero.
+    """
+    sizes = {len(rows) for _, rows in (*lhs, *rhs)}
+    if len(sizes) > 1:
+        raise ValueError(f"row count mismatch {sorted(sizes)}")
+    return all(_signed_row(lhs, i) == _signed_row(rhs, i) for i in range(max(sizes, default=0)))
 
 
 def sum_of_products(terms: Iterable[tuple[T, Sequence[Matrix]]], n: int, one: T) -> Matrix:

@@ -67,10 +67,25 @@ def _add(*polys: Poly) -> Poly:
 
 
 def _mul(a: Poly, *factors) -> Poly:
-    """The product of a polynomial with polynomials and scalars."""
+    """The product of a polynomial with polynomials and scalars.
+
+    A monomial e x^k (ONE, X, a scalar) shifts degrees by k and multiplies
+    by e only when e is not +-1, so a unit factor costs no Fraction product.
+    """
     for b in factors:
         if not isinstance(b, dict):
-            b = {0: Fraction(b)} if b else {}
+            b = {0: b} if b else {}
+        if len(a) == 1 and len(b) > 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((k, e),) = b.items()
+            if e == 1:
+                a = {i + k: c for i, c in a.items()}
+            elif e == -1:
+                a = {i + k: -c for i, c in a.items()}
+            else:
+                a = {i + k: c * e for i, c in a.items()}
+            continue
         out: Poly = {}
         for i, c in a.items():
             for j, e in b.items():

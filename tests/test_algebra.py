@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -35,6 +36,18 @@ def test_generator_enumeration():
     assert len({g.name for g in GENERATORS}) == 8
     assert generator_by_name("b+") == GeneratorId(1, 0, 0)
     assert generator_by_name("e01_1") == F_MINUS
+
+
+def test_generator_id_contract():
+    # index validation, (i, j, parity) order, repr (the failure goldens print it) and alias
+    for bad in ((2, 0, 0), (0, 0, 2), (0, -1, 0)):
+        with pytest.raises(ValueError):
+            GeneratorId(*bad)
+    assert sorted(GENERATORS) == sorted(GENERATORS, key=lambda g: (g.i, g.j, g.parity))
+    assert sorted(GENERATORS)[:3] == [E00_0, E00_1, B_MINUS]
+    assert repr(E00_0) == "GeneratorId(i=0, j=0, parity=0)"
+    assert str(B_PLUS) == "b+" and str(E00_1) == E00_1.name == "e00_1"
+    assert GeneratorId(1, 0, 0) == B_PLUS and hash(GeneratorId(1, 0, 0)) == hash(B_PLUS)
 
 
 def test_bracket_even_pair():

@@ -404,11 +404,60 @@ def count_calls(monkeypatch, module, name):
 
 def test_homomorphism_sweep_makes_each_product_once(monkeypatch):
     mats = {basis: rep_matrices(GENERATORS, basis, 4) for basis in Basis}
-    calls = count_calls(monkeypatch, linalg, "matmul")
+    # the multiply-accumulate loop; matmul is built on it too
+    calls = count_calls(monkeypatch, linalg, "product_rows")
     checks = list(cli._homomorphism_checks(4, mats))
     assert len(checks) == 4 * 64 and all(ok for _, ok in checks)
     # one product M_x M_y per ordered pair serves the checks of (x, y) and (y, x)
-    assert len(calls) <= 4 * 64
+    assert 0 < len(calls) <= 4 * 64
+
+
+def count_constructions(monkeypatch, cls):
+    built = [0]
+    init = cls.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
+    # the checks compare rows as dicts of nonzeros: no Row, so no zero matrix either
+    mats = {basis: rep_matrices(GENERATORS, basis, 4) for basis in Basis}
+    built = count_constructions(monkeypatch, linalg.Row)
+    checks = list(cli._homomorphism_checks(4, mats))
+    assert len(checks) == 4 * 64 and all(ok for _, ok in checks)
+    assert built[0] == 0
+    linalg.identity(2, 1, 0)
+    assert built[0] == 2  # the counter is live
+
+
+# ExtScalar arithmetic calls (17,753) and Row constructions (3,344) of
+# `verify --p 8`, plus 5%; before the row-wise bracket check they were 18,889
+# and 15,120
+VERIFY_P8_EXT_OPS = 18_640
+VERIFY_P8_ROWS = 3_511
+
+
+def test_verify_p8_work_is_bounded(monkeypatch, capsys):
+    ops = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            ops[0] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(ExtScalar, name, counted(getattr(ExtScalar, name)))
+    rows = count_constructions(monkeypatch, linalg.Row)
+    assert main(["verify", "--p", "8"]) == 0
+    capsys.readouterr()
+    assert ops[0] <= VERIFY_P8_EXT_OPS
+    assert rows[0] <= VERIFY_P8_ROWS
 
 
 def test_verify_builds_each_p_matrices_once(monkeypatch, capsys):

@@ -176,8 +176,9 @@ def test_empty_sum_and_empty_product(ring):
 
 def test_unit_coefficients_are_not_multiplied(monkeypatch):
     """One p = 4 homomorphism suite: every coefficient is +-1, so no ExtScalar
-    product happens inside linalg.scale."""
-    in_scale = scaled = 0
+    product happens inside linalg.scale, and no ExtScalar is multiplied by a
+    plain +-1 (an int or Fraction coefficient) anywhere in the sweep."""
+    in_scale = scaled = by_unit = 0
     scale, mul = linalg.scale, ExtScalar.__mul__
 
     def counted_scale(c, a):
@@ -189,19 +190,72 @@ def test_unit_coefficients_are_not_multiplied(monkeypatch):
             in_scale -= 1
 
     def counted_mul(self, other):
-        nonlocal scaled
+        nonlocal scaled, by_unit
         scaled += bool(in_scale)
+        by_unit += isinstance(other, (int, Fraction)) and other in (1, -1)
         return mul(self, other)
 
+    mats = {b: rep_matrices(GENERATORS, b, 4) for b in Basis}
     monkeypatch.setattr(linalg, "scale", counted_scale)
     monkeypatch.setattr(ExtScalar, "__mul__", counted_mul)
     monkeypatch.setattr(ExtScalar, "__rmul__", counted_mul)
-    checks = list(cli._homomorphism_checks(4, {b: rep_matrices(GENERATORS, b, 4) for b in Basis}))
+    checks = list(cli._homomorphism_checks(4, mats))
     assert len(checks) == len(Basis) * len(GENERATORS) ** 2 and all(ok for _, ok in checks)
-    assert scaled == 0
-    # the counter is live: a coefficient 2 is a scaling pass
+    assert scaled == by_unit == 0
+    # the counters are live: -1 * x is a unit product, and a coefficient 2 a scaling pass
+    assert -1 * ExtScalar.one(4) == -ExtScalar.one(4) and by_unit == 1
     linalg.sum_of_products([(2, [rep_matrix(E00_1, Basis.MU, 4)])], 8, ExtScalar.one(4))
     assert scaled > 0
+
+
+def _row_dicts(rows):
+    return [row.nz for row in linalg.freeze(rows)]
+
+
+@given(st.data(), st.sampled_from(["fraction", "ext-p2", "ext-p4"]), sizes)
+def test_signed_row_sums_agree_with_matrix_equality(data, ring, n):
+    """signed_sums_equal on rows (product_rows, Row.nz) decides as equal on sum_of_products.
+
+    A term is +-1 times one matrix or a product of two.  The right side
+    repeats the left side's terms in another order, and may add a pair that
+    cancels, drop a term or flip a sign, so that entries cancel on purpose
+    and the sums are often, but not always, equal.  Over p = 4 products of
+    two nonzeros can vanish; product_rows must drop those entries.
+    """
+    pool = data.draw(st.lists(matrices(ring, n, n), min_size=1, max_size=3))
+    unit = st.sampled_from([1, -1])
+    term = st.tuples(unit, st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    lhs = data.draw(st.lists(term, min_size=1, max_size=4))
+    rhs = data.draw(st.permutations(lhs))
+    if data.draw(st.booleans()):
+        c, factors = data.draw(term)
+        rhs = [*rhs, (c, factors), (-c, factors)]
+    if rhs and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rhs) - 1))
+        c, factors = rhs[i]
+        rhs[i:i + 1] = [] if data.draw(st.booleans()) else [(-c, factors)]
+
+    def as_rows(terms):
+        out = []
+        for c, factors in terms:
+            rows = linalg.product_rows(*factors) if len(factors) == 2 else _row_dicts(factors[0])
+            assert all(all(row.values()) for row in rows)
+            out.append((c, rows))
+        return out
+
+    one = ONES[ring]
+    want = linalg.equal(linalg.sum_of_products(lhs, n, one), linalg.sum_of_products(rhs, n, one))
+    assert linalg.signed_sums_equal(as_rows(lhs), as_rows(rhs)) == want
+
+
+def test_vanishing_products_are_dropped():
+    # over Q[sqrt(4)], (2 + s)(2 - s) = 0: the one product entry is not stored
+    a, b = ((ext(4, 2, 1), ext(4, 1)),), ((ext(4, 2, -1),), (ext(4, 0),))
+    assert linalg.product_rows(a, b) == [{}]
+    assert linalg.signed_sums_equal([(1, linalg.product_rows(a, b))], [])
+    assert not linalg.signed_sums_equal([(1, _row_dicts(a))], [(-1, _row_dicts(a))])
+    with pytest.raises(ValueError):
+        linalg.signed_sums_equal([(2, _row_dicts(a))], [])
 
 
 @given(st.data(), ring_and_shapes())

@@ -89,6 +89,29 @@ def test_oracle_work_grows_linearly_in_p(monkeypatch):
     assert _fraction_ops(monkeypatch, 32) <= 2.1 * _fraction_ops(monkeypatch, 16)
 
 
+def test_unit_factors_cost_no_fraction_product(monkeypatch):
+    # ONE, X and +-1 shift degrees or flip signs; a general product is unchanged
+    pol = {0: Fraction(2, 3), 3: Fraction(-1, 5)}
+    products = [0]
+    mul = Fraction.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    monkeypatch.setattr(Fraction, "__rmul__", counted)
+    shifted = {1: Fraction(-2, 3), 4: Fraction(1, 5)}
+    assert reduction._mul(pol, reduction.ONE) == pol
+    assert reduction._mul(pol, reduction.X, -1) == shifted
+    assert reduction._mul(reduction.X, pol, 1, Fraction(-1)) == shifted
+    assert products[0] == 0
+    assert reduction._mul(pol, {0: Fraction(1), 1: Fraction(1)}, 3) == {
+        0: 2, 1: 2, 3: Fraction(-3, 5), 4: Fraction(-3, 5)}
+    assert products[0] == 4 + 4
+    assert all(type(c) is Fraction for c in reduction._mul(reduction.ONE, -2, pol).values())
+
+
 def test_unknown_sector_rejected():
     with pytest.raises(KeyError):
         derived_matrix(45, 2, Fraction(0))
