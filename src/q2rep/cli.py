@@ -227,12 +227,21 @@ def _json(obj) -> str:
 
 
 def _json_matrix(m: linalg.Matrix) -> str:
-    """The dense rows as JSON; each row encodes its zero and each stored nonzero once."""
+    """The dense rows as JSON, the bytes _json writes for the json_obj() of every entry.
+
+    Each entry is one f-string of the two strings of its json_obj(), which
+    hold only digits, "-" and "/" and so need no escaping; the row zero is
+    encoded once per matrix.
+    """
+    if not m:
+        return "[]"
+    zero = _json(m[0].zero.json_obj())
     rows = []
     for row in m:
-        out = [_json(row.zero.json_obj())] * row.n
+        out = [zero] * row.n
         for j, x in row.nz.items():
-            out[j] = _json(x.json_obj())
+            o = x.json_obj()
+            out[j] = f'{{"irr":"{o["irr"]}","rat":"{o["rat"]}"}}'
         rows.append("[" + ",".join(out) + "]")
     return "[" + ",".join(rows) + "]"
 

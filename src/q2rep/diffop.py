@@ -4,8 +4,14 @@ A DiffOp is a finite sum of terms (polynomial in x) * (d/dx)^k * (Pauli factor),
 kept in normal order: polynomial coefficients to the left of derivatives, one
 Pauli factor per term.  This gives a unique canonical form, so operator
 equality is plain term comparison.  Each polynomial (Poly) stores only its
-nonzero coefficients, so applying an operator to a monomial carrier costs
-scalar work in the number of terms, not in the degree.
+nonzero coefficients.
+
+`apply` and `to_matrix` share one image loop: a term c(x) d^k sigma sends
+x^i in the slot that sigma reads to c_j i!/(i-k)! x^(i-k+j) in the slot
+that sigma writes, with the sign of sigma3, and the images accumulate in
+one dict by (slot, degree).  A carrier coefficient +-1 is not multiplied,
+so a monomial carrier costs at most one scalar product per (term,
+coefficient), and `to_matrix` builds no Poly or PolyPair.
 
 The three realizations map the eight combinations of algebra.COMBINATIONS
 to such operators, and each generator to the weighted sum of its
@@ -67,6 +73,14 @@ def _fill_pauli_table() -> None:
 
 
 _fill_pauli_table()
+
+# how each Pauli factor acts on a 2-array: ((slot read, slot written, sign), ...)
+_PAULI_ROUTE: dict[Pauli, tuple[tuple[int, int, int], ...]] = {
+    Pauli.S0: ((0, 0, 1), (1, 1, 1)),
+    Pauli.S3: ((0, 0, 1), (1, 1, -1)),
+    Pauli.SP: ((1, 0, 1),),
+    Pauli.SM: ((0, 1, 1),),
+}
 
 
 class Poly:
@@ -302,37 +316,69 @@ def supercommutator(a: DiffOp, b: DiffOp, odd_odd: bool) -> DiffOp:
     return ab + ba if odd_odd else ab - ba
 
 
-def _pauli_apply(pauli: Pauli, upper: Poly, lower: Poly) -> tuple[Poly, Poly]:
-    if pauli is Pauli.S0:
-        return upper, lower
-    if pauli is Pauli.S3:
-        return upper, -lower
-    if pauli is Pauli.SP:
-        return lower, Poly.zero(upper.p)
-    return Poly.zero(upper.p), upper
+Image = dict[tuple[int, int], ExtScalar]  # {(slot, degree): nonzero coefficient}
+
+
+def _image(op: DiffOp, vec: tuple[dict[int, ExtScalar], dict[int, ExtScalar]]) -> Image:
+    """op applied to the 2-array of {degree: coefficient} dicts, the one image loop.
+
+    Entries that cancel are deleted.  A carrier coefficient +-1 costs no
+    product, so a monomial carrier makes at most one per (term, coefficient).
+    """
+    out: Image = {}
+    for (k, pauli), poly in op.terms.items():
+        for src, dst, sign in _PAULI_ROUTE[pauli]:
+            for i, a in vec[src].items():
+                if i < k:
+                    continue
+                w = sign * perm(i, k)
+                if a == 1 or a == -1:
+                    w = w if a == 1 else -w
+                else:
+                    w = a if w == 1 else a * w
+                for j, c in poly.nz.items():
+                    v = c if w == 1 else c * w
+                    key = (dst, i - k + j)
+                    x = out.get(key)
+                    if x is None:
+                        if v:  # zero only as a product of zero divisors
+                            out[key] = v
+                    elif s := x + v:
+                        out[key] = s
+                    else:
+                        del out[key]
+    return out
+
+
+def _check_p(op: DiffOp, vec: PolyPair) -> None:
+    if vec.upper.p != op.p or vec.lower.p != op.p:
+        raise ExtensionMismatchError(f"p mismatch: {op.p} vs {vec.upper.p}, {vec.lower.p}")
 
 
 def apply(op: DiffOp, vec: PolyPair, out_caps: Caps | None = None) -> PolyPair:
-    """Apply the operator; the result lives in the caller-supplied target space."""
+    """Apply the operator; the result lives in the caller-supplied target space.
+
+    The image of the one image loop is split into its two slots; PolyPair
+    raises CapViolationError when it leaves the caps.
+    """
+    _check_p(op, vec)
+    slots: tuple[dict, dict] = ({}, {})
+    img = _image(op, (vec.upper.nz, vec.lower.nz))
+    for slot, d in sorted(img):
+        slots[slot][d] = img[slot, d]
     caps = vec.caps if out_caps is None else out_caps
-    up_acc = Poly.zero(op.p)
-    low_acc = Poly.zero(op.p)
-    for (k, pauli), poly in op.terms.items():
-        u, l = _pauli_apply(pauli, vec.upper, vec.lower)
-        if k:
-            u, l = u.derivative(k), l.derivative(k)
-        up_acc = up_acc + poly * u
-        low_acc = low_acc + poly * l
-    return PolyPair(up_acc, low_acc, caps)  # raises CapViolationError outside the caps
+    return PolyPair(_poly(op.p, slots[0]), _poly(op.p, slots[1]), caps)
 
 
 def to_matrix(op: DiffOp, basis: list[PolyPair]) -> Matrix:
     """Matrix whose column c are the coordinates of apply(op, basis[c]).
 
-    Coordinates are taken in the supplied basis.  For the monomial basis of
-    the capped space they are the images' coefficients; for any other basis
-    the coordinate extraction is an exact linear solve, and an image outside
-    the span raises.
+    Each carrier's image from the one image loop goes straight into a
+    coordinate column; a coefficient above its slot's cap that survives
+    cancellation raises CapViolationError.  For the monomial basis of the
+    capped space those columns are the matrix; for any other basis the
+    coordinates come from an exact linear solve, and an image outside the
+    span raises.
     """
     if not basis:
         raise ValueError("empty basis")
@@ -342,20 +388,27 @@ def to_matrix(op: DiffOp, basis: list[PolyPair]) -> Matrix:
     if nrows == 0:
         raise ValueError("zero-dimensional space")
 
-    def coords(v: PolyPair) -> dict[int, ExtScalar]:
-        out = {d: c for d, c in v.upper.nz.items() if d <= caps[0]}
-        out.update((caps[0] + 1 + d, c) for d, c in v.lower.nz.items() if d <= caps[1])
-        return out
+    def column(img: Image) -> dict[int, ExtScalar]:
+        col = {}
+        for (slot, d), x in img.items():
+            if d > caps[slot]:
+                raise CapViolationError(f"degree {d} in slot {slot} exceeds caps {caps}")
+            col[d if slot == 0 else caps[0] + 1 + d] = x
+        return col
 
-    def matrix(vectors: list[PolyPair]) -> Matrix:
-        return linalg.transpose(linalg.sparse(nrows, ExtScalar.zero(p), map(coords, vectors)))
+    def matrix(columns: list[dict[int, ExtScalar]]) -> Matrix:
+        return linalg.transpose(linalg.sparse(nrows, ExtScalar.zero(p), columns))
 
-    bmat = matrix(basis)
-    imat = matrix([apply(op, b, caps) for b in basis])
-    if bmat == linalg.ext_identity(nrows, p):  # the monomial basis: imat holds the coordinates
-        return imat
+    vecs = []
+    for b in basis:
+        _check_p(op, b)
+        vecs.append((b.upper.nz, b.lower.nz))
+    imat = matrix([column(_image(op, v)) for v in vecs])
+    bcols = [u | {caps[0] + 1 + d: x for d, x in l.items()} for u, l in vecs]
+    if len(basis) == nrows and all(col == {c: 1} for c, col in enumerate(bcols)):
+        return imat  # the monomial basis: the columns are the coordinates
     try:
-        return linalg.solve(bmat, imat)
+        return linalg.solve(matrix(bcols), imat)
     except linalg.InconsistentSystemError as exc:
         raise CapViolationError(f"operator image leaves the basis span: {exc}") from exc
 

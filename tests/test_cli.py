@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from q2rep import cli, diffop, linalg, rep, so4, spectra
 from q2rep.algebra import GENERATORS
@@ -237,6 +240,32 @@ def test_rep_export_shape(capsys):
     assert payload["generator"] == "e10_0"
     assert len(payload["entries"]) == 4
     assert payload["entries"][1][0] == {"rat": "2", "irr": "0"}  # b+ Lam_0 = 2 Lam_1 at p=2
+
+
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_json_matrix_writes_the_bytes_of_json(p, data):
+    """_json_matrix equals _json of the dense json_obj() view, byte for byte."""
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    entry = st.one_of(
+        st.just(ExtScalar.zero(p)),
+        st.builds(lambda a: ExtScalar(a, 0, p), small),  # negative and fractional
+        st.builds(lambda b: ExtScalar(0, b, p), small),  # pure sqrt(p)
+        st.builds(lambda a, b: ExtScalar(a, b, p), small, small),
+    )
+    n = data.draw(st.integers(1, 4))
+    row = st.one_of(st.just([ExtScalar.zero(p)] * n), st.lists(entry, min_size=n, max_size=n))
+    m = linalg.freeze(data.draw(st.lists(row, max_size=4)))
+    assert cli._json_matrix(m) == cli._json([[x.json_obj() for x in r] for r in m])
+
+
+def test_rep_export_matches_the_benchmark_digests(capsys):
+    """The spectra-export workload's recorded sha256 of each `rep --basis B --p P` stdout."""
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "rep_digests.json").read_text())
+    assert len(digests) == 12
+    for key, want in digests.items():
+        basis, p = key.split("/p")
+        code, out, _ = run(capsys, "rep", "--basis", basis, "--p", p)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, key
 
 
 def test_sweep_lists_payloads(capsys):

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from functools import partial
 from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from q2rep import linalg
+from q2rep import diffop, linalg, models
 from q2rep.algebra import B_MINUS, B_PLUS, E00_1, E11_1, F_MINUS, GENERATORS, SuperElement, bracket
 from q2rep.diffop import (
     CapViolationError,
@@ -22,6 +23,7 @@ from q2rep.diffop import (
     realization_caps,
     realization_matrix,
     realization_of_element,
+    space_dimension,
     supercommutator,
     to_matrix,
 )
@@ -292,7 +294,7 @@ def test_foreign_extension_fails_at_construction():
 
 
 def test_sector_matrix_pays_only_for_nonzeros(monkeypatch):
-    # applying the operator to 2p monomial carriers: about 1,550 scalar sums and
+    # applying the operator to 2p monomial carriers: about 960 scalar sums and
     # products at p = 32, where dense coefficient lists made 9,827
     calls = 0
 
@@ -343,3 +345,193 @@ def test_monomial_carriers_skip_the_solve_and_agree_with_it(monkeypatch):
         assert solves == 1, where
         solves = 0
         assert [tuple(row) for row in solved] == [tuple(row)[::-1] for row in direct[::-1]], where
+
+
+# the image loop against the derivative-then-product Poly algorithm ------------
+
+def reference_apply(op, vec, out_caps=None):
+    """apply as Poly arithmetic: route by the Pauli factor, differentiate, multiply, sum."""
+    caps = vec.caps if out_caps is None else out_caps
+    zero = Poly.zero(op.p)
+    routes = {
+        Pauli.S0: (vec.upper, vec.lower),
+        Pauli.S3: (vec.upper, -vec.lower),
+        Pauli.SP: (vec.lower, zero),
+        Pauli.SM: (zero, vec.upper),
+    }
+    up = low = zero
+    for (k, pauli), poly in op.terms.items():
+        u, l = routes[pauli]
+        up = up + poly * u.derivative(k)
+        low = low + poly * l.derivative(k)
+    return PolyPair(up, low, caps)
+
+
+def reference_to_matrix(op, basis):
+    """to_matrix from dense coordinate columns of the reference images and of the carriers."""
+    caps = basis[0].caps
+    zero = ExtScalar.zero(op.p)
+
+    def coords(v):
+        return [v.upper.nz.get(d, zero) for d in range(caps[0] + 1)] + [
+            v.lower.nz.get(d, zero) for d in range(caps[1] + 1)
+        ]
+
+    bmat = linalg.transpose(linalg.freeze([coords(b) for b in basis]))
+    imat = linalg.transpose(linalg.freeze([coords(reference_apply(op, b, caps)) for b in basis]))
+    if linalg.equal(bmat, linalg.ext_identity(space_dimension(caps), op.p)):
+        return imat
+    try:
+        return linalg.solve(bmat, imat)
+    except linalg.InconsistentSystemError as exc:
+        raise CapViolationError(str(exc)) from exc
+
+
+def outcome(f):
+    """f's result, or the CapViolationError class when it raises one."""
+    try:
+        return f()
+    except CapViolationError:
+        return CapViolationError
+
+
+def assert_same_pair(got, want):
+    if want is CapViolationError or got is CapViolationError:
+        assert got is want
+        return
+    assert got.caps == want.caps
+    for g, w in ((got.upper, want.upper), (got.lower, want.lower)):
+        assert g.p == w.p and list(g.nz.items()) == list(w.nz.items())
+
+
+def assert_same_matrix(got, want):
+    if want is CapViolationError or got is CapViolationError:
+        assert got is want
+        return
+    assert linalg.equal(got, want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w) and list(g.nz) == sorted(g.nz) and all(g.nz.values())
+        assert g.zero == w.zero
+
+
+def kernel_coefficients(p):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.one_of(
+        st.builds(lambda a: ExtScalar(a, 0, p), small),
+        st.builds(lambda b: ExtScalar(0, b, p), small),
+        st.builds(lambda a, b: ExtScalar(a, b, p), small, small),
+        st.sampled_from([ext(p, 2, 1), ext(p, 2, -1)]),  # zero divisors at p = 4
+    )
+
+
+def kernel_ops(p):
+    """Orders 0-2, every Pauli factor, coefficient polynomials of degree 0-3."""
+    keys = st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from(list(Pauli)))
+    polys = st.lists(kernel_coefficients(p), min_size=1, max_size=4).map(lambda cs: Poly(p, cs))
+    return st.dictionaries(keys, polys, max_size=3).map(lambda t: DiffOp(p, t))
+
+
+def sector43_carriers(p):
+    """The carriers of models.sector_matrix for sector 43."""
+    caps, zero = realization_caps(2, p), Poly.zero(p)
+    x = partial(Poly.monomial, p)
+    carriers = [PolyPair(-x(k + 1), x(k), caps) for k in range(p - 1)]
+    return carriers + [PolyPair(x(k), zero, caps) for k in range(p)] + [PolyPair(zero, x(p - 1), caps)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(operator, carriers): a drawn operator plus one that keeps the carriers' space.
+
+    The carriers are a monomial basis of drawn caps, realization 3's carriers,
+    sector 43's carriers, or a monomial basis of caps (d, d) with c(x^2 D - d x)
+    added, whose top-degree terms cancel on x^d.
+    """
+    p = draw(st.sampled_from([2, 4]))
+    kind = draw(st.sampled_from(["monomial", "third", "sector43", "cancel"]))
+    c = draw(kernel_coefficients(p))
+    if kind == "monomial":
+        caps = (draw(st.integers(0, 4)), draw(st.integers(-1, 4)))
+        carriers, base = monomial_basis(p, caps), DiffOp.zero(p)
+    elif kind == "third":
+        carriers = realization_basis(3, p)
+        base = realization(3, draw(st.sampled_from(GENERATORS)), p).scaled(c)
+    elif kind == "sector43":
+        carriers = sector43_carriers(p)
+        base = raw_operator(ModelSpec(Model.SPHALERON_43, p, {"k2": Fraction(3, 5)})).scaled(c)
+    else:
+        d = draw(st.integers(0, 4))
+        carriers = monomial_basis(p, (d, d))
+        base = DiffOp.term(p, Poly.monomial(p, 2, c), 1) + DiffOp.term(p, Poly.monomial(p, 1, -d * c))
+    return base + draw(kernel_ops(p)), carriers
+
+
+@given(kernel_cases())
+def test_image_loop_matches_the_poly_algorithm(case):
+    """apply and to_matrix equal the reference, and raise CapViolationError exactly when it does."""
+    op, carriers = case
+    assert_same_matrix(outcome(lambda: to_matrix(op, carriers)),
+                       outcome(lambda: reference_to_matrix(op, carriers)))
+    for v in carriers:
+        assert_same_pair(outcome(lambda: apply(op, v)), outcome(lambda: reference_apply(op, v)))
+
+
+@given(st.sampled_from([2, 4]), st.data())
+def test_apply_matches_the_poly_algorithm_on_any_vector(p, data):
+    """Any coefficients, zero divisors at p = 4 included, and any target caps."""
+    poly = st.lists(kernel_coefficients(p) | st.just(ExtScalar.zero(p)), max_size=5).map(
+        lambda cs: Poly(p, cs)
+    )
+    vec = PolyPair(data.draw(poly), data.draw(poly), (4, 4))
+    op = data.draw(kernel_ops(p))
+    caps = (data.draw(st.integers(-1, 8)), data.draw(st.integers(-1, 8)))
+    assert_same_pair(outcome(lambda: apply(op, vec, caps)),
+                     outcome(lambda: reference_apply(op, vec, caps)))
+
+
+# the ExtScalar additions and multiplications of the parent's Poly algorithm,
+# per sphaleron sector at p = 32, k2 = 3/5
+POLY_ALGORITHM_EXT_CALLS = {43: 3_153, 44: 1_514, 50: 1_262, 51: 1_640}
+
+
+@pytest.mark.parametrize("case", sorted(POLY_ALGORITHM_EXT_CALLS))
+def test_sector_to_matrix_builds_no_polynomial(monkeypatch, case):
+    """to_matrix of a sector at p = 32 builds no Poly or PolyPair, and makes no
+    more ExtScalar sums and products than the Poly algorithm made."""
+    args = []
+    monkeypatch.setattr(models, "to_matrix", lambda op, carriers: args.append((op, carriers)))
+    sector_matrix(ModelSpec(Model(f"sphaleron{case}"), 32, {"k2": Fraction(3, 5)}))
+    monkeypatch.undo()
+    (op, carriers), = args
+    built = calls = 0
+    poly_init, new_poly, pair_post_init = Poly.__init__, diffop._poly, PolyPair.__post_init__
+
+    def counted_build(f):
+        def g(*a):
+            nonlocal built
+            built += 1
+            return f(*a)
+
+        return g
+
+    def counted_op(f):
+        def g(self, other):
+            nonlocal calls
+            calls += 1
+            return f(self, other)
+
+        return g
+
+    monkeypatch.setattr(Poly, "__init__", counted_build(poly_init))
+    monkeypatch.setattr(diffop, "_poly", counted_build(new_poly))
+    monkeypatch.setattr(PolyPair, "__post_init__", counted_build(pair_post_init))
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ExtScalar, name, counted_op(vars(ExtScalar)[name]))
+    m = to_matrix(op, carriers)
+    assert len(m) == 64 and built == 0
+    assert 0 < calls <= POLY_ALGORITHM_EXT_CALLS[case]
+    # the counters are live
+    PolyPair(Poly.monomial(32, 1), Poly(32, [1]), (1, 0))
+    assert built == 3
+    before = calls
+    assert ExtScalar.one(32) * 2 + 1 == 3 and calls == before + 2
