@@ -3,9 +3,8 @@
 A `Row` keeps its length, the one shared zero of its entry type (ExtScalar
 of the right p, Radical, Fraction, ...) and a dict `nz` of its nonzero
 entries by ascending column.  `len(row)`, `row[j]` and iteration give the
-dense view, zeros included.  A kernel takes a matrix whose rows are all
-`Row`s as it is, recognised by the set of its row types (`_rows`, one pass
-in C), and indexes any other sequence of sequences once on entry (`freeze`).
+dense view, zeros included.  The kernels take matrices of `Row`s only;
+`freeze` is the one conversion from dense rows.
 
 The kernels, `solve` included, do arithmetic, comparisons and truth tests
 on stored nonzeros only.  Each product entry still sums its terms over
@@ -13,17 +12,19 @@ ascending k, entries that cancel are dropped, and a result's zero comes
 from its operands' zeros, so every entry has the value, type and p a dense
 kernel gives.
 
-Products come from one multiply-accumulate loop, `product_rows`, which
-returns each row of a @ b as a dict of its nonzeros.  `matmul` sorts those
-rows into a Matrix; `signed_sums_equal` compares sums of +-1 multiples of
-such rows row by row, which is how `verify` checks each bracket relation
-[[M_x, M_y]] = sum c M_z without building a matrix.
+Two loops do the arithmetic.  The multiply-accumulate loop, `product_rows`,
+returns each row of a @ b as a dict of its nonzeros; `matmul` sorts those
+rows into a Matrix.  The linear-combination loop, `_combination_row`, sums
+c times such rows over (c, rows) terms: `add`, `sub` and `sum_of_products`
+sort its rows into a Matrix, and `signed_sums_equal` compares them as they
+are, which is how `verify` checks each bracket relation
+[[M_x, M_y]] = sum c M_z without building a matrix.  `scale` sums nothing;
+it multiplies every entry, so that each has the type of c * x.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from typing import TypeVar
 
@@ -78,10 +79,6 @@ def _as_row(r: Sequence[T]) -> Row:
     return Row(len(r), r[0] - r[0] if r else None, {j: x for j, x in enumerate(r) if x})
 
 
-def _rows(a: Sequence[Sequence[T]]) -> Matrix:
-    return a if set(map(type, a)) <= {Row} else tuple(map(_as_row, a))
-
-
 def freeze(rows: Sequence[Sequence[T]]) -> Matrix:
     """The matrix of dense rows; Rows pass through."""
     return tuple(map(_as_row, rows))
@@ -100,16 +97,11 @@ def identity(n: int, one: T, zero: T) -> Matrix:
     return tuple(Row(n, zero, {i: one}) for i in range(n))
 
 
-def _zeros(n: int, zero: T) -> Matrix:
-    return sparse(n, zero, ({} for _ in range(n)))
-
-
 def ext_identity(n: int, p: int) -> Matrix:
     return identity(n, ExtScalar.one(p), ExtScalar.zero(p))
 
 
 def transpose(a: Matrix) -> Matrix:
-    a = _rows(a)
     if not a:
         return ()
     cols: list[dict] = [{} for _ in range(a[0].n)]
@@ -124,42 +116,70 @@ def _check_shapes(a: Matrix, b: Matrix) -> None:
         raise ValueError(f"shape mismatch {shape(a)} vs {shape(b)}")
 
 
-def _combine(a: Matrix, b: Matrix, op: Callable, lone: Callable) -> Matrix:
-    """Entrywise op(x, y), with lone(y) where x is zero."""
-    a, b = _rows(a), _rows(b)
-    _check_shapes(a, b)
-    m = len(a[0]) if a else 0
-    # zeros combine as entries do: operands from two extensions raise here
-    zero = op(a[0].zero, b[0].zero) if m else None
-    out = []
-    for ra, rb in zip(a, b):
-        nz = ra.nz
-        if rb.nz:
-            nz = dict(nz)
-            for j, y in rb.nz.items():
-                x = nz.get(j)
-                if x is None:
-                    nz[j] = lone(y)
-                elif v := op(x, y):
-                    nz[j] = v
+def _combination_row(terms, i: int) -> dict:
+    """Row i of the sum of c * A over the (c, A) terms, in no set column order.
+
+    This is the one linear-combination loop.  Each A is a sequence of rows
+    given as {column: entry} dicts of nonzeros, as `product_rows` returns
+    them or a Row stores them (`nz`).  A term with c = +-1 is added or
+    subtracted with no product, and an entry that cancels, or is a product
+    of zero divisors, is deleted.
+    """
+    out: dict = {}
+    for c, rows in terms:
+        row = rows[i]
+        if c == 1 and not out:
+            out = dict(row)
+        elif c == 1:
+            for j, x in row.items():
+                if j not in out:
+                    out[j] = x
+                elif v := out[j] + x:
+                    out[j] = v
                 else:
-                    del nz[j]
-            nz = dict(sorted(nz.items()))
-        out.append(Row(m, zero, nz))
-    return tuple(out)
+                    del out[j]
+        elif c == -1:
+            for j, x in row.items():
+                if j not in out:
+                    out[j] = -x
+                elif v := out[j] - x:
+                    out[j] = v
+                else:
+                    del out[j]
+        else:
+            for j, x in row.items():
+                if v := out[j] + c * x if j in out else c * x:
+                    out[j] = v
+                else:
+                    out.pop(j, None)
+    return out
+
+
+def _combination(terms, n: int, m: int, zero: T) -> Matrix:
+    """The n x m matrix sum of c * A over the (c, A) terms; each row is sorted once."""
+    return tuple(Row(m, zero, dict(sorted(_combination_row(terms, i).items()))) for i in range(n))
+
+
+def _add(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """a + sign * b for sign = +-1."""
+    _check_shapes(a, b)
+    n, m = shape(a)
+    # zeros combine as entries do: operands from two extensions raise here
+    zero = a[0].zero + b[0].zero if m else None
+    return _combination([(1, [r.nz for r in a]), (sign, [r.nz for r in b])], n, m, zero)
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    return _combine(a, b, operator.add, lambda y: y)
+    return _add(a, b, 1)
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    return _combine(a, b, operator.sub, operator.neg)
+    return _add(a, b, -1)
 
 
 def scale(c: T, a: Matrix) -> Matrix:
-    a = _rows(a)
-    m = len(a[0]) if a else 0
+    # an ExtScalar 1 of a Fraction matrix must give ExtScalars: no +-1 shortcut
+    m = shape(a)[1]
     zero = c * a[0].zero if m else None
     return tuple(Row(m, zero, {j: v for j, x in r.nz.items() if (v := c * x)}) for r in a)
 
@@ -168,11 +188,11 @@ def product_rows(a: Matrix, b: Matrix) -> list[dict]:
     """The rows of a @ b as {column: entry} dicts of their nonzeros, in no set column order.
 
     This is the one multiply-accumulate loop: `matmul` sorts its rows into a
-    Matrix, and `signed_sums_equal` compares them as they are.  Only nonzero
-    pairs are multiplied, each entry sums its terms over ascending k, and an
-    entry that cancels, or is a product of zero divisors, is deleted.
+    Matrix, and `signed_sums_equal` and `sum_of_products` sum them as they
+    are.  Only nonzero pairs are multiplied, each entry sums its terms over
+    ascending k, and an entry that cancels, or is a product of zero
+    divisors, is deleted.
     """
-    a, b = _rows(a), _rows(b)
     if shape(a)[1] != len(b):
         raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
     b_nz = [row.nz for row in b]
@@ -190,7 +210,6 @@ def product_rows(a: Matrix, b: Matrix) -> list[dict]:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a, b = _rows(a), _rows(b)
     rows = product_rows(a, b)
     m = shape(b)[1]
     # built by addition, so that every multiplication is of a nonzero pair
@@ -198,74 +217,55 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(Row(m, zero, dict(sorted(acc.items()))) for acc in rows)
 
 
-def _signed_row(terms, i: int) -> dict:
-    """Row i of the sum of the terms (+-1, rows); entries that cancel are deleted."""
-    out: dict = {}
-    for c, rows in terms:
-        if c == 1 and not out:
-            out = dict(rows[i])
-        elif c == 1:
-            for j, x in rows[i].items():
-                if j not in out:
-                    out[j] = x
-                elif v := out[j] + x:
-                    out[j] = v
-                else:
-                    del out[j]
-        elif c == -1:
-            for j, x in rows[i].items():
-                if j not in out:
-                    out[j] = -x
-                elif v := out[j] - x:
-                    out[j] = v
-                else:
-                    del out[j]
-        else:
-            raise ValueError(f"coefficient {c!r} is not +-1")
-    return out
-
-
 def signed_sums_equal(lhs, rhs) -> bool:
     """Whether the sums of c * A over the (c, A) terms of lhs and of rhs are equal; c = +-1.
 
     Each A is a sequence of rows given as {column: entry} dicts of nonzeros,
-    as `product_rows` returns them or a Row stores them (`nz`).  The sums
-    are compared row by row, and no matrix is built; an empty sum is zero.
+    as `product_rows` returns them or a Row stores them (`nz`).  Both sides
+    are summed row by row in the linear-combination loop and compared as
+    they are; no matrix is built, and an empty sum is zero.
     """
-    sizes = {len(rows) for _, rows in (*lhs, *rhs)}
+    terms = (*lhs, *rhs)
+    if any(c != 1 and c != -1 for c, _ in terms):
+        raise ValueError(f"coefficients {[c for c, _ in terms]!r} are not all +-1")
+    sizes = {len(rows) for _, rows in terms}
     if len(sizes) > 1:
         raise ValueError(f"row count mismatch {sorted(sizes)}")
-    return all(_signed_row(lhs, i) == _signed_row(rhs, i) for i in range(max(sizes, default=0)))
+    n = max(sizes, default=0)
+    return all(_combination_row(lhs, i) == _combination_row(rhs, i) for i in range(n))
 
 
 def sum_of_products(terms: Iterable[tuple[T, Sequence[Matrix]]], n: int, one: T) -> Matrix:
     """The n x n matrix sum of c * (M_1 ... M_k) over the (c, [M_1, ..., M_k]) terms.
 
     An empty product is the identity and an empty sum the zero matrix over the
-    ring of `one`; a term with c = +-1 is added or subtracted with no scaling.
+    ring of `one`.  A product's last factor comes in through `product_rows`,
+    and all terms are summed in one pass of the linear-combination loop, a
+    term with c = +-1 with no scaling; each result row is sorted once.
     """
-    zero = one - one
-    total = None
+    summands = []
     for c, factors in terms:
-        prod = _rows(factors[0]) if factors else identity(n, one, zero)
-        for f in factors[1:]:
-            prod = matmul(prod, f)
-        if c == -1:
-            total = sub(_zeros(n, zero) if total is None else total, prod)
+        if not factors:
+            rows = [{i: one} for i in range(n)]
+        elif (size := (len(factors[0]), shape(factors[-1])[1])) != (n, n):
+            raise ValueError(f"shape mismatch {size} vs {(n, n)}")
+        elif len(factors) == 1:
+            rows = [r.nz for r in factors[0]]
         else:
-            prod = prod if c == 1 else scale(c, prod)
-            total = prod if total is None else add(total, prod)
-    return _zeros(n, zero) if total is None else total
+            prod = factors[0]
+            for f in factors[1:-1]:
+                prod = matmul(prod, f)
+            rows = product_rows(prod, factors[-1])
+        summands.append((c, rows))
+    return _combination(summands, n, n, one - one)
 
 
 def equal(a: Matrix, b: Matrix) -> bool:
-    a, b = _rows(a), _rows(b)
     return shape(a) == shape(b) and all(ra.nz == rb.nz for ra, rb in zip(a, b))
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int] | None:
     """The first (row, column) where a and b differ, or None; shapes must match."""
-    a, b = _rows(a), _rows(b)
     _check_shapes(a, b)
     for i, (ra, rb) in enumerate(zip(a, b)):
         if ra.nz != rb.nz:
@@ -276,7 +276,6 @@ def first_difference(a: Matrix, b: Matrix) -> tuple[int, int] | None:
 
 
 def is_scalar_matrix(a: Matrix) -> bool:
-    a = _rows(a)
     n, m = shape(a)
     if n != m or n == 0:
         return False
@@ -292,7 +291,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     when no invertible pivot exists and InconsistentSystemError when the
     system has no solution.
     """
-    a, b = _rows(a), _rows(b)
     (m, n), (mb, q) = shape(a), shape(b)
     if m != mb:
         raise ValueError("row count mismatch between matrix and right-hand side")
@@ -327,4 +325,3 @@ def ext_invert(a: Matrix, p: int) -> Matrix:
     if n != m:
         raise ValueError("only square matrices can be inverted")
     return solve(a, ext_identity(n, p))
-

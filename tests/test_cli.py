@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import subprocess
@@ -256,16 +255,6 @@ def test_json_matrix_writes_the_bytes_of_json(p, data):
     row = st.one_of(st.just([ExtScalar.zero(p)] * n), st.lists(entry, min_size=n, max_size=n))
     m = linalg.freeze(data.draw(st.lists(row, max_size=4)))
     assert cli._json_matrix(m) == cli._json([[x.json_obj() for x in r] for r in m])
-
-
-def test_rep_export_matches_the_benchmark_digests(capsys):
-    """The spectra-export workload's recorded sha256 of each `rep --basis B --p P` stdout."""
-    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "rep_digests.json").read_text())
-    assert len(digests) == 12
-    for key, want in digests.items():
-        basis, p = key.split("/p")
-        code, out, _ = run(capsys, "rep", "--basis", basis, "--p", p)
-        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, key
 
 
 def test_sweep_lists_payloads(capsys):

@@ -1,13 +1,15 @@
 """The sparse-row kernels against a naive dense reference.
 
-Matrices are drawn as plain tuples of tuples with about 70% zero entries
-over Fraction, over Q[sqrt(p)] at p = 2 and at p = 4 (a perfect square, so
+Matrices are drawn as dense rows with about 70% zero entries over
+Fraction, over Q[sqrt(p)] at p = 2 and at p = 4 (a perfect square, so
 nonzero elements can multiply to zero) and over the multi-radical scalars
-of so(4).  Every entry of a result's dense view must equal the reference
-exactly and have the reference's type (and p).
+of so(4), and frozen into sparse Rows (`linalg.freeze`), the one input
+format of the kernels.  Every entry of a result's dense view must equal the
+reference exactly and have the reference's type (and p).
 """
 
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 from hypothesis import given
@@ -59,8 +61,9 @@ def entries(ring: str):
 
 
 def matrices(ring: str, n: int, m: int):
+    """Kernel operands: n x m dense rows, frozen."""
     row = st.lists(entries(ring), min_size=m, max_size=m).map(tuple)
-    return st.lists(row, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(linalg.freeze)
 
 
 def ring_and_shapes():
@@ -129,9 +132,13 @@ def test_scale_matches_entrywise(data, case):
 
 @given(st.data(), sizes, sizes)
 def test_scale_mixing_rational_and_ext_gives_ext(data, n, m):
+    # an ExtScalar +-1 equals the int +-1, yet must still give ExtScalar entries
+    rational = linalg.freeze([(Fraction(0), Fraction(3, 2))])
     for c, a in (
         (data.draw(rationals), data.draw(matrices("ext-p2", n, m))),
         (data.draw(entries("ext-p2")), data.draw(matrices("fraction", n, m))),
+        (ExtScalar.one(2), rational),
+        (-ExtScalar.one(2), rational),
     ):
         assert_same(linalg.scale(c, a), tuple(tuple(c * x for x in row) for row in a))
 
@@ -151,11 +158,17 @@ def naive_sum_of_products(terms, n, one):
 
 @given(st.data(), st.sampled_from(sorted(RINGS)), sizes)
 def test_sum_of_products_matches_naive_fold(data, ring, n):
-    # +-1 as int and as Fraction, any rational (0 included) and any ring element
+    # +-1 as int and as Fraction, any rational (0 included) and any ring element;
+    # the factors come from a pool of up to three matrices, so terms repeat, and
+    # the sum may end in -c M and c M, so that entries cancel on purpose
     units = st.sampled_from([1, -1, Fraction(1), Fraction(-1)])
     coeffs = st.one_of(units, rationals, RINGS[ring][1])
-    term = st.tuples(coeffs, st.lists(matrices(ring, n, n), max_size=3))
+    pool = data.draw(st.lists(matrices(ring, n, n), min_size=1, max_size=3))
+    term = st.tuples(coeffs, st.lists(st.sampled_from(pool), max_size=3))
     terms = data.draw(st.lists(term, max_size=4))
+    if data.draw(st.booleans()):
+        c, factors = data.draw(term)
+        terms = [*terms, (-c, factors), (c, factors)]
     got = linalg.sum_of_products(terms, n, ONES[ring])
     assert_canonical(got)
     assert_same(got, naive_sum_of_products(terms, n, ONES[ring]))
@@ -175,46 +188,58 @@ def test_empty_sum_and_empty_product(ring):
 
 
 def test_unit_coefficients_are_not_multiplied(monkeypatch):
-    """One p = 4 homomorphism suite: every coefficient is +-1, so no ExtScalar
-    product happens inside linalg.scale, and no ExtScalar is multiplied by a
-    plain +-1 (an int or Fraction coefficient) anywhere in the sweep."""
-    in_scale = scaled = by_unit = 0
-    scale, mul = linalg.scale, ExtScalar.__mul__
+    """A coefficient +-1, int or ExtScalar, makes no ExtScalar product inside
+    sum_of_products, add or sub, and one p = 4 homomorphism suite multiplies
+    no ExtScalar by a plain +-1 (an int or Fraction coefficient)."""
+    p = 4
+    one = ExtScalar.one(p)
+    units = [1, -1, one, -one]
+    mats = {b: rep_matrices(GENERATORS, b, p) for b in Basis}
+    inside = in_kernel = by_unit = 0
+    mul = ExtScalar.__mul__
 
-    def counted_scale(c, a):
-        nonlocal in_scale
-        in_scale += 1
-        try:
-            return scale(c, a)
-        finally:
-            in_scale -= 1
+    def counted_kernel(kernel):
+        def wrapper(*args):
+            nonlocal inside
+            inside += 1
+            try:
+                return kernel(*args)
+            finally:
+                inside -= 1
+        return wrapper
 
     def counted_mul(self, other):
-        nonlocal scaled, by_unit
-        scaled += bool(in_scale)
+        nonlocal in_kernel, by_unit
+        in_kernel += bool(inside)
         by_unit += isinstance(other, (int, Fraction)) and other in (1, -1)
         return mul(self, other)
 
-    mats = {b: rep_matrices(GENERATORS, b, 4) for b in Basis}
-    monkeypatch.setattr(linalg, "scale", counted_scale)
+    for name in ("sum_of_products", "add", "sub"):
+        monkeypatch.setattr(linalg, name, counted_kernel(getattr(linalg, name)))
     monkeypatch.setattr(ExtScalar, "__mul__", counted_mul)
     monkeypatch.setattr(ExtScalar, "__rmul__", counted_mul)
-    checks = list(cli._homomorphism_checks(4, mats))
+    checks = list(cli._homomorphism_checks(p, mats))
     assert len(checks) == len(Basis) * len(GENERATORS) ** 2 and all(ok for _, ok in checks)
-    assert scaled == by_unit == 0
-    # the counters are live: -1 * x is a unit product, and a coefficient 2 a scaling pass
-    assert -1 * ExtScalar.one(4) == -ExtScalar.one(4) and by_unit == 1
-    linalg.sum_of_products([(2, [rep_matrix(E00_1, Basis.MU, 4)])], 8, ExtScalar.one(4))
-    assert scaled > 0
+    for ms in mats.values():
+        x, y, *_ = gens = list(ms.values())
+        terms = [(c, [m]) for c, m in zip(cycle(units), gens)] + [(c, []) for c in units]
+        linalg.sum_of_products(terms, 2 * p, one)
+        linalg.add(x, y)
+        linalg.sub(x, y)
+    assert in_kernel == by_unit == 0
+    # the counters are live: -1 * x is a unit product, and a coefficient 2 a scaling
+    assert -1 * one == -one and by_unit == 1
+    linalg.sum_of_products([(2, [rep_matrix(E00_1, Basis.MU, p)])], 2 * p, one)
+    assert in_kernel > 0
 
 
-def _row_dicts(rows):
-    return [row.nz for row in linalg.freeze(rows)]
+def _row_dicts(m):
+    return [row.nz for row in m]
 
 
 @given(st.data(), st.sampled_from(["fraction", "ext-p2", "ext-p4"]), sizes)
 def test_signed_row_sums_agree_with_matrix_equality(data, ring, n):
-    """signed_sums_equal on rows (product_rows, Row.nz) decides as equal on sum_of_products.
+    """signed_sums_equal on rows (product_rows, Row.nz) decides as the dense naive fold does.
 
     A term is +-1 times one matrix or a product of two.  The right side
     repeats the left side's terms in another order, and may add a pair that
@@ -244,13 +269,14 @@ def test_signed_row_sums_agree_with_matrix_equality(data, ring, n):
         return out
 
     one = ONES[ring]
-    want = linalg.equal(linalg.sum_of_products(lhs, n, one), linalg.sum_of_products(rhs, n, one))
+    want = naive_sum_of_products(lhs, n, one) == naive_sum_of_products(rhs, n, one)
     assert linalg.signed_sums_equal(as_rows(lhs), as_rows(rhs)) == want
 
 
 def test_vanishing_products_are_dropped():
     # over Q[sqrt(4)], (2 + s)(2 - s) = 0: the one product entry is not stored
-    a, b = ((ext(4, 2, 1), ext(4, 1)),), ((ext(4, 2, -1),), (ext(4, 0),))
+    a = linalg.freeze(((ext(4, 2, 1), ext(4, 1)),))
+    b = linalg.freeze(((ext(4, 2, -1),), (ext(4, 0),)))
     assert linalg.product_rows(a, b) == [{}]
     assert linalg.signed_sums_equal([(1, linalg.product_rows(a, b))], [])
     assert not linalg.signed_sums_equal([(1, _row_dicts(a))], [(-1, _row_dicts(a))])
@@ -271,37 +297,33 @@ def test_equal_and_first_difference(data, case):
         assert all(a[r][c] == b[r][c] for r in range(n) for c in range(m) if (r, c) < diff)
 
 
-@given(st.data(), ring_and_shapes(), st.booleans())
-def test_kernels_mix_sparse_rows_and_plain_tuples(data, case, sparse_left):
+@given(st.data(), ring_and_shapes())
+def test_kernels_keep_all_zero_rows(data, case):
     ring, n, k, m = case
     zero = RINGS[ring][0]
 
     def draw(rows, cols):
+        """A drawn matrix with a drawn set of its rows made all zero."""
         plain = data.draw(matrices(ring, rows, cols))
         blank = data.draw(st.sets(st.integers(0, rows - 1)))
-        return tuple(
+        return linalg.freeze(
             tuple(zero for _ in row) if i in blank else row for i, row in enumerate(plain)
         )
 
-    def mixed(x, y):
-        """One operand as kernel-made sparse rows, the other a plain tuple of tuples."""
-        return (linalg.freeze(x), y) if sparse_left else (x, linalg.freeze(y))
-
     a, b, c = draw(n, k), draw(k, m), draw(n, k)
-    cases = [
-        (linalg.matmul(*mixed(a, b)), naive_matmul(a, b, zero)),
-        (linalg.add(*mixed(a, c)), naive_entrywise(lambda x, y: x + y, a, c)),
-        (linalg.sub(*mixed(a, c)), naive_entrywise(lambda x, y: x - y, a, c)),
-        (linalg.transpose(mixed(a, c)[0]), tuple(zip(*a))),
-    ]
     s = data.draw(entries(ring))
-    cases.append((linalg.scale(s, linalg.freeze(a)), tuple(tuple(s * x for x in row) for row in a)))
+    cases = [
+        (linalg.matmul(a, b), naive_matmul(a, b, zero)),
+        (linalg.add(a, c), naive_entrywise(lambda x, y: x + y, a, c)),
+        (linalg.sub(a, c), naive_entrywise(lambda x, y: x - y, a, c)),
+        (linalg.transpose(a), tuple(zip(*a))),
+        (linalg.scale(s, a), tuple(tuple(s * x for x in row) for row in a)),
+    ]
     for got, want in cases:
         assert_canonical(got)
         assert_same(got, want)
-    x, y = mixed(a, c)
-    diff = linalg.first_difference(x, y)
-    assert linalg.equal(x, y) == (diff is None) == (a == c)
+    diff = linalg.first_difference(a, c)
+    assert linalg.equal(a, c) == (diff is None) == (a == c)
     if diff is not None:
         i, j = diff
         assert a[i][j] != c[i][j]
@@ -337,7 +359,9 @@ def test_solve_matches_dense_elimination(data, ring, n, q, extra):
     a = data.draw(matrices(ring, n + extra, n))
     if data.draw(st.booleans()):  # a shifted diagonal makes most systems solvable
         d = data.draw(RINGS[ring][1])
-        a = tuple(tuple(x + d if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a))
+        a = linalg.freeze(
+            tuple(x + d if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a)
+        )
     b = data.draw(matrices(ring, n + extra, q))
     if data.draw(st.booleans()):
         b = linalg.matmul(a, data.draw(matrices(ring, n, q)))
@@ -377,13 +401,15 @@ def test_equal_compares_only_stored_nonzeros(monkeypatch):
 
 def test_shape_mismatch_raises():
     z = Fraction(0)
-    a = ((z, z, z), (z, z, z))  # 2 x 3
+    a = linalg.freeze(((z, z, z), (z, z, z)))  # 2 x 3
     with pytest.raises(ValueError):
         linalg.matmul(a, a)
     with pytest.raises(ValueError):
         linalg.add(a, linalg.transpose(a))
     with pytest.raises(ValueError):
         linalg.sub(a, a[:1])
+    with pytest.raises(ValueError):
+        linalg.sum_of_products([(1, [a]), (-1, [linalg.transpose(a)])], 2, Fraction(1))
     # equal says False here, so first_difference must not say "no difference"
     two, three = linalg.ext_identity(2, 3), linalg.ext_identity(3, 3)
     assert not linalg.equal(two, three)
@@ -402,11 +428,12 @@ def test_all_zero_product_keeps_ext_type(p):
 
 def test_zero_divisor_product_is_an_ext_zero():
     # (2 + s)(2 - s) = 0 at p = 4
-    out = linalg.matmul(((ext(4, 2, 1), ext(4, 0)),), ((ext(4, 2, -1),), (ext(4, 0),)))
+    a = linalg.freeze(((ext(4, 2, 1), ext(4, 0)),))
+    out = linalg.matmul(a, linalg.freeze(((ext(4, 2, -1),), (ext(4, 0),))))
     assert out == ((ext(4, 0),),) and out[0][0].p == 4
     # the zero a sum or a scaling reaches is dropped, leaving the shared zero
-    rows = linalg.freeze(((ext(4, 2, 1), ext(4, 0)),))
-    for out in (linalg.add(rows, ((ext(4, -2, -1), ext(4, 0)),)), linalg.scale(ext(4, 2, -1), rows)):
+    minus_a = linalg.freeze(((ext(4, -2, -1), ext(4, 0)),))
+    for out in (linalg.add(a, minus_a), linalg.scale(ext(4, 2, -1), a)):
         assert_canonical(out)
         assert not out[0].nz and all(type(x) is ExtScalar and x.p == 4 and not x for x in out[0])
 
@@ -430,7 +457,7 @@ def test_matmul_multiplies_only_nonzero_pairs(monkeypatch, gx, gy):
     out = linalg.matmul(a, b)
     monkeypatch.undo()
     assert calls <= pairs < n ** 3 // 4
-    assert linalg.equal(out, naive_matmul(a, b, ExtScalar.zero(p)))
+    assert linalg.equal(out, linalg.freeze(naive_matmul(a, b, ExtScalar.zero(p))))
 
 
 def test_ext_kernels_build_no_fraction(monkeypatch):
