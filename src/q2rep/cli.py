@@ -147,7 +147,12 @@ def _orthogonality_checks(p):
 
 
 def _identification_checks(p, so4_mats, lc):
-    for line in so4.identification_lines(p, so4_mats, lc):
+    try:
+        lines = so4.identification_lines(p, so4_mats, lc)
+    except ValueError as exc:
+        yield f"p={p}: {exc}", False
+        return
+    for line in lines:
         yield f"p={p}: {line.label} at {line.first_difference}", line.passed
 
 

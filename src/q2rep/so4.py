@@ -1,11 +1,16 @@
 """so(4) = sl(2) + sl(2) in the tensor representation D^{(p-1)/2} x D^{1/2}.
 
 The J family acts on the spin-(p-1)/2 factor, the K family on the spin-1/2
-factor.  Matrix entries are square roots of rationals with assorted
-radicands, which do not all live in Q[sqrt(p)]; they are kept exact in a
-small multi-radical layer: finite Q-linear combinations of sqrt(r) over
-squarefree positive integers r.  Every identity checked here then reduces
-to integer arithmetic.
+factor.  The unitary matrix entries are square roots of rationals with
+assorted radicands, which do not all live in Q[sqrt(p)]; they are kept
+exact in a small multi-radical layer: finite Q-linear combinations of
+sqrt(r) over squarefree positive integers r.  The commutation relations
+and the Casimirs are checked in that layer.
+
+The identification with q(2) is checked over Q[sqrt(p)] instead.  The
+diagonal similarity D = diag(sqrt(C(p-1, i_m))) on the tensor index makes
+D^-1 X D rational for every J/K generator X, and D^-1 T rational for the
+Lam/chi map T, so every entry there is an `ExtScalar`.
 
 Tensor basis ordering: m descending from (p-1)/2 to -(p-1)/2 in integer
 steps, and within each m the spin-1/2 label mu = +1/2 before mu = -1/2.
@@ -18,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from . import linalg
 from .algebra import GeneratorId
 from .linalg import Matrix
 from .rep import combination_matrices
-from .scalars import ExtScalar
+from .scalars import ExtScalar, rational_sqrt
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -76,15 +81,6 @@ class Radical:
             return cls({})
         outer, inner = _squarefree_split(value.numerator * value.denominator)
         return cls({inner: Fraction(outer, value.denominator)})
-
-    @classmethod
-    def from_ext(cls, x: ExtScalar) -> Radical:
-        """Embed a + b*s with s -> +sqrt(p), splitting off square factors."""
-        out = {1: x.rat}
-        if x.irr:
-            outer, inner = _squarefree_split(x.p)
-            out[inner] = out.get(inner, Fraction(0)) + x.irr * outer
-        return cls(out)
 
     def __add__(self, other: Radical) -> Radical:
         out = dict(self.terms)
@@ -189,11 +185,6 @@ def so4_matrices(p: int) -> dict[So4Generator, Matrix]:
     return {g: linalg.sparse(2 * p, RAD_ZERO, r) for g, r in rows.items()}
 
 
-def ext_to_radical_matrix(a: Matrix) -> Matrix:
-    rows = ({j: Radical.from_ext(x) for j, x in row.nz.items()} for row in a)
-    return linalg.sparse(len(a[0]) if a else 0, RAD_ZERO, rows)
-
-
 def tensor_to_lambda_chi(p: int) -> Matrix:
     """Columns express Lam_0..Lam_p, chi_1..chi_{p-1} in tensor coordinates."""
     n = 2 * p
@@ -203,26 +194,49 @@ def tensor_to_lambda_chi(p: int) -> Matrix:
         col = {}
         norm = Fraction(factorial(p - k) * factorial(k), pf)
         if k < p:
-            amp = Radical.sqrt(norm) * Radical.sqrt(Fraction(p - k, p))
+            amp = Radical.sqrt(norm * Fraction(p - k, p))
             col[_tensor_index(k, 0, p)] = amp  # m = (p-1)/2 - k, mu = +1/2
         if k > 0:
-            amp = Radical.sqrt(norm) * Radical.sqrt(Fraction(k, p))
+            amp = Radical.sqrt(norm * Fraction(k, p))
             col[_tensor_index(k - 1, 1, p)] = amp  # m = (p+1)/2 - k, mu = -1/2
         cols.append(col)
     for l in range(1, p):
         col = {}
         norm = Fraction(factorial(p - l - 1) * factorial(l - 1), pf)
-        col[_tensor_index(l, 0, p)] = Radical.sqrt(norm) * Radical.sqrt(Fraction(l, p))
-        col[_tensor_index(l - 1, 1, p)] = -(
-            Radical.sqrt(norm) * Radical.sqrt(Fraction(p - l, p))
-        )
+        col[_tensor_index(l, 0, p)] = Radical.sqrt(norm * Fraction(l, p))
+        col[_tensor_index(l - 1, 1, p)] = -Radical.sqrt(norm * Fraction(p - l, p))
         cols.append(col)
     return linalg.transpose(linalg.sparse(n, RAD_ZERO, cols))
 
 
-def _so4_combo(parts: list[tuple[Fraction | Radical, list[So4Generator]]], mats: dict) -> Matrix:
+def _so4_combo(
+    parts: list[tuple[Fraction | Radical | ExtScalar, list[So4Generator]]], mats: dict, one=RAD_ONE
+) -> Matrix:
     terms = ((c, [mats[g] for g in factors]) for c, factors in parts)
-    return linalg.sum_of_products(terms, len(mats[J0]), RAD_ONE)
+    return linalg.sum_of_products(terms, len(mats[J0]), one)
+
+
+def _similar(a: Matrix, w_row: list[int], w_col: list[int], name: str, p: int) -> Matrix:
+    """The matrix diag(w_row)^(-1/2) a diag(w_col)^(1/2) over ExtScalar at p.
+
+    Each term c sqrt(r) of an entry becomes c sqrt(r w_col / w_row), which
+    must be rational; a ValueError names the matrix and the entry otherwise.
+    """
+    rows = []
+    for i, row in enumerate(a):
+        out = {}
+        for j, x in row.nz.items():
+            v = 0
+            for r, c in x.terms.items():
+                root = rational_sqrt(Fraction(r * w_col[j], w_row[i]))
+                if root is None:
+                    raise ValueError(
+                        f"{name} entry ({i}, {j}) = {x!r} is irrational under the similarity D"
+                    )
+                v += c * root
+            out[j] = ExtScalar(v, 0, p)
+        rows.append(out)
+    return linalg.sparse(len(w_col), ExtScalar.zero(p), rows)
 
 
 @dataclass(frozen=True)
@@ -239,14 +253,19 @@ def identification_lines(
 
     `mats` are the so(4) matrices (`so4_matrices`) and `lc` the eight
     generators' LAMBDA_CHI matrices at this p.  Both sides are mapped into
-    the tensor basis: with T the column map from (Lam, chi) coordinates and
-    M the q(2) matrix, the check is so4_expression @ T == T @ M, which
-    avoids inverting T.
+    the tensor basis: with T the column map from (Lam, chi) coordinates, M
+    the q(2) matrix and S the so(4) expression, the identity is S T = T M,
+    which avoids inverting T.  It is checked as S' T' = T' M over
+    Q[sqrt(p)], with S' = D^-1 S D and T' = D^-1 T for the diagonal
+    D = diag(sqrt(C(p-1, i_m))) that makes the J/K matrices and T rational.
+    D is invertible and diagonal, so each verdict and first differing entry
+    is that of S T = T M.  Raises ValueError when a J/K or T entry stays
+    irrational under D.
     """
     one = Fraction(1)
     two = Fraction(2)
-    sp = Radical.sqrt(p)
-    two_over_sp = Radical.sqrt(Fraction(4, p))
+    sp = ExtScalar.sqrt_p(p)
+    two_over_sp = ExtScalar(0, Fraction(2, p), p)
     half = Fraction(1, 2)
 
     # each line: label, the q(2) combination (algebra.COMBINATIONS), the so(4) side
@@ -256,7 +275,7 @@ def identification_lines(
         ("e00_0 - e11_0 = 2J0 + 2K0", "e0_diff", [(two, [J0]), (two, [K0])]),
         ("f- = sqrt(p) K+", "f-", [(sp, [KP])]),
         ("f+ = sqrt(p) K-", "f+", [(sp, [KM])]),
-        ("e00_1 - e11_1 = 2 sqrt(p) K0", "e1_diff", [(Radical.rational(2) * sp, [K0])]),
+        ("e00_1 - e11_1 = 2 sqrt(p) K0", "e1_diff", [(2 * sp, [K0])]),
         ("e00_0 + e11_0 = p", "e0_sum", [(Fraction(p), [])]),
         (
             "e00_1 + e11_1 = (2/sqrt(p)) (2 J0 K0 + J+ K- + J- K+ + 1/2)",
@@ -269,12 +288,14 @@ def identification_lines(
             ],
         ),
     ]
-    T = tensor_to_lambda_chi(p)
+    w = [comb(p - 1, t // 2) for t in range(2 * p)]  # D^2 on the tensor index
+    scaled = {g: _similar(x, w, w, f"{g.family}{g.component}", p) for g, x in mats.items()}
+    T = _similar(tensor_to_lambda_chi(p), w, [1] * (2 * p), "T", p)
     q2 = combination_matrices({name for _, name, _ in lines}, lc, p)
     out = []
     for label, name, so4_parts in lines:
-        lhs = linalg.matmul(T, ext_to_radical_matrix(q2[name]))
-        rhs = linalg.matmul(_so4_combo(so4_parts, mats), T)
+        lhs = linalg.matmul(T, q2[name])
+        rhs = linalg.matmul(_so4_combo(so4_parts, scaled, ExtScalar.one(p)), T)
         diff = linalg.first_difference(rhs, lhs)
         out.append(IdentificationLine(label, diff is None, diff))
     return out

@@ -453,10 +453,13 @@ def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
     assert built[0] == 2  # the counter is live
 
 
-# ExtScalar arithmetic calls (17,753) and Row constructions (3,344) of
-# `verify --p 8`, plus 5%; before the row-wise bracket check they were 18,889
-# and 15,120
-VERIFY_P8_EXT_OPS = 18_640
+# ExtScalar and Radical arithmetic calls together (19,053) and Row
+# constructions (3,344) of `verify --p 8`, plus 5%.  The so(4) identification
+# runs over ExtScalar since it checks through the similarity D, which moved
+# about 900 calls from Radical to ExtScalar; the ExtScalar calls alone were
+# 17,749 before that, and the Row constructions 15,120 before the row-wise
+# bracket check
+VERIFY_P8_ARITHMETIC = 20_005
 VERIFY_P8_ROWS = 3_511
 
 
@@ -471,11 +474,32 @@ def test_verify_p8_work_is_bounded(monkeypatch, capsys):
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
         monkeypatch.setattr(ExtScalar, name, counted(getattr(ExtScalar, name)))
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(so4.Radical, name, counted(getattr(so4.Radical, name)))
     rows = count_constructions(monkeypatch, linalg.Row)
     assert main(["verify", "--p", "8"]) == 0
     capsys.readouterr()
-    assert ops[0] <= VERIFY_P8_EXT_OPS
+    assert ops[0] <= VERIFY_P8_ARITHMETIC
     assert rows[0] <= VERIFY_P8_ROWS
+
+
+def test_verify_reports_an_irrational_so4_entry_as_a_failure(monkeypatch, capsys):
+    """A J+ entry that the similarity D cannot make rational fails the suite; no traceback."""
+    so4_matrices = so4.so4_matrices
+
+    def mutated(p):
+        mats = so4_matrices(p)
+        rows = [dict(r.nz) for r in mats[so4.JP]]
+        i = 1
+        rows[i][min(rows[i])] = so4.Radical.sqrt(i * (p - i) + 1)
+        return {**mats, so4.JP: linalg.sparse(2 * p, so4.RAD_ZERO, rows)}
+
+    monkeypatch.setattr(so4, "so4_matrices", mutated)
+    code, out, err = run(capsys, "verify", "--p", "3")
+    assert code == 1
+    line = next(l for l in out.splitlines() if l.startswith("so4-identification"))
+    assert "FAIL (p=3: J+ entry (1, 3)" in line
+    assert "Traceback" not in err
 
 
 def test_verify_builds_each_p_matrices_once(monkeypatch, capsys):

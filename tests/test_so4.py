@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,7 +15,6 @@ from q2rep.so4 import (
     RAD_ZERO,
     Radical,
     casimir,
-    ext_to_radical_matrix,
     gram_in_tensor_basis,
     identification_lines,
     so4_matrices,
@@ -89,18 +89,88 @@ def test_tensor_map_invertibility_via_gram():
         n = 2 * p
         assert all(not g[i][j] for i in range(n) for j in range(n) if i != j)
         assert all(g[i][i] for i in range(n))
-        # and it coincides with the V_p metric of the Lam/chi basis
-        assert linalg.equal(g, ext_to_radical_matrix(gram_matrix(Basis.LAMBDA_CHI, p)))
+        # and it coincides, entry by entry as rationals, with the V_p metric of the Lam/chi basis
+        metric = gram_matrix(Basis.LAMBDA_CHI, p)
+        for i in range(n):
+            for j in range(n):
+                assert metric[i][j].is_rational(), (p, i, j)
+                assert g[i][j].rational_value() == metric[i][j].rat, (p, i, j)
 
 
 def test_identification_lines_all_pass():
-    for p in range(1, 9):
+    for p in (*range(1, 9), 16, 32, 64):
         lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
         lines = identification_lines(p, so4_matrices(p), lc)
         assert len(lines) == 8
         assert all(line.passed for line in lines), [
             line.label for line in lines if not line.passed
         ]
+
+
+def test_similarity_d_makes_so4_and_t_rational():
+    # D = diag(sqrt(C(p-1, i_m))): D^-1 X D and D^-1 T have rational entries
+    for p in range(1, 65):
+        d = [Radical.sqrt(comb(p - 1, t // 2)) for t in range(2 * p)]
+        for g, x in so4_matrices(p).items():
+            for i, row in enumerate(x):
+                for j, v in row.nz.items():
+                    scaled = v * d[j] * Radical.sqrt(Fraction(1, comb(p - 1, i // 2)))
+                    assert scaled.is_rational(), (p, g, i, j)
+        for i, row in enumerate(tensor_to_lambda_chi(p)):
+            for j, v in row.nz.items():
+                assert (v * Radical.sqrt(Fraction(1, comb(p - 1, i // 2)))).is_rational(), (p, i, j)
+
+
+def _with_jp_entry(p, i, change):
+    """The so(4) matrices at p with the first J+ entry of row i replaced by change(entry)."""
+    mats = so4_matrices(p)
+    rows = [dict(r.nz) for r in mats[JP]]
+    j = min(rows[i])
+    rows[i][j] = change(rows[i][j], i)
+    return {**mats, JP: linalg.sparse(2 * p, RAD_ZERO, rows)}
+
+
+# the first differences that the same doubled J+ entries gave when the check
+# ran as S T = T M in multi-radical arithmetic, without the similarity D
+@pytest.mark.parametrize("p, row, expected", [
+    (3, 1, {"b-": (1, 2), "e1_sum": (1, 1)}),
+    (3, 3, {"b-": (3, 3), "e1_sum": (3, 2)}),
+    (8, 1, {"b-": (1, 2), "e1_sum": (1, 1)}),
+    (8, 9, {"b-": (9, 6), "e1_sum": (9, 5)}),
+])
+def test_doubled_j_plus_entry_fails_at_the_unscaled_first_difference(p, row, expected):
+    mats = _with_jp_entry(p, row, lambda x, i: x * 2)
+    lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
+    lines = identification_lines(p, mats, lc)
+    names = ["b-", "b+", "e0_diff", "f-", "f+", "e1_diff", "e0_sum", "e1_sum"]
+    failed = {name: line.first_difference for name, line in zip(names, lines) if not line.passed}
+    assert failed == expected
+
+
+def test_irrational_j_plus_entry_is_named():
+    p = 3
+    mats = _with_jp_entry(p, 1, lambda x, i: Radical.sqrt(i * (p - i) + 1))
+    lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
+    with pytest.raises(ValueError, match=r"J\+ entry \(1, 3\)"):
+        identification_lines(p, mats, lc)
+
+
+def test_identification_multiplies_no_radicals(monkeypatch):
+    products = []
+    true_mul = Radical.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Radical):
+            products.append((self, other))
+        return true_mul(self, other)
+
+    monkeypatch.setattr(Radical, "__mul__", counted)
+    monkeypatch.setattr(Radical, "__rmul__", counted)
+    for p in (1, 2, 8):
+        mats = so4_matrices(p)
+        lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
+        assert all(line.passed for line in identification_lines(p, mats, lc))
+    assert products == []
 
 
 def test_casimirs_are_scalar():
