@@ -1,16 +1,18 @@
 """so(4) = sl(2) + sl(2) in the tensor representation D^{(p-1)/2} x D^{1/2}.
 
 The J family acts on the spin-(p-1)/2 factor, the K family on the spin-1/2
-factor.  The unitary matrix entries are square roots of rationals with
-assorted radicands, which do not all live in Q[sqrt(p)]; they are kept
-exact in a small multi-radical layer: finite Q-linear combinations of
-sqrt(r) over squarefree positive integers r.  The commutation relations
-and the Casimirs are checked in that layer.
+factor.  The six generators are the integer ladders D^-1 X D over
+Q[sqrt(p)] of the unitary spin matrices X, for the diagonal similarity
+D = diag(sqrt(C(p-1, i_m))) on the tensor index: J+ has the entries p - i_m
+and J- the entries i_m + 1, and J0, K0 and K+- are unchanged.  The
+commutation relations and the Casimirs are similarity invariants, so they
+are checked on the ladders as they are.
 
-The identification with q(2) is checked over Q[sqrt(p)] instead.  The
-diagonal similarity D = diag(sqrt(C(p-1, i_m))) on the tensor index makes
-D^-1 X D rational for every J/K generator X, and D^-1 T rational for the
-Lam/chi map T, so every entry there is an `ExtScalar`.
+Only the Lam/chi map T keeps the unitary entries, square roots of
+rationals with assorted radicands; they are kept exact in a small
+multi-radical layer (finite Q-linear combinations of sqrt(r), r
+squarefree), where the Gram tie checks T^t T.  The identification with
+q(2) is checked over Q[sqrt(p)], through the rational T' = D^-1 T.
 
 Tensor basis ordering: m descending from (p-1)/2 to -(p-1)/2 in integer
 steps, and within each m the spin-1/2 label mu = +1/2 before mu = -1/2.
@@ -29,7 +31,7 @@ from . import linalg
 from .algebra import GeneratorId
 from .linalg import Matrix
 from .rep import combination_matrices
-from .scalars import ExtScalar, rational_sqrt
+from .scalars import ExtScalar, inv_sqrt_p, rational_sqrt
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -120,14 +122,6 @@ class Radical:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_rational(self) -> bool:
-        return set(self.terms) <= {1}
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.terms.get(1, Fraction(0))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -138,7 +132,6 @@ class Radical:
 
 
 RAD_ZERO = Radical({})
-RAD_ONE = Radical.rational(1)
 
 
 @dataclass(frozen=True)
@@ -159,30 +152,32 @@ KP = So4Generator("K", "+")
 KM = So4Generator("K", "-")
 
 
-def _tensor_index(i_m: int, i_mu: int, p: int) -> int:
+def _tensor_index(i_m: int, i_mu: int) -> int:
     # i_m = 0..p-1 counts m downward from (p-1)/2; i_mu = 0 for +1/2, 1 for -1/2
     return 2 * i_m + i_mu
 
 
 def so4_matrices(p: int) -> dict[So4Generator, Matrix]:
-    """Exact matrices of the six J/K generators in the tensor basis, built in one pass."""
+    """The six J/K generators as integer ladders D^-1 X D over ExtScalar at p, built in one pass.
+
+    No square root is taken: D makes every unitary J+- entry an integer.
+    """
     rows = {g: [{} for _ in range(2 * p)] for g in (J0, JP, JM, K0, KP, KM)}
-    j = Fraction(p - 1, 2)
     for i_m in range(p):
-        m = j - i_m
+        m = ExtScalar(Fraction(p - 1, 2) - i_m, 0, p)
         for i_mu in range(2):
-            col = _tensor_index(i_m, i_mu, p)
-            rows[J0][col][col] = Radical.rational(m)
-            rows[K0][col][col] = Radical.rational(Fraction(1, 2) - i_mu)
+            col = _tensor_index(i_m, i_mu)
+            rows[J0][col][col] = m
+            rows[K0][col][col] = ExtScalar(Fraction(1, 2) - i_mu, 0, p)
             # J+ (J-) raises (lowers) m, one step up (down) the ordering
             if i_m > 0:
-                rows[JP][_tensor_index(i_m - 1, i_mu, p)][col] = Radical.sqrt((j - m) * (j + m + 1))
+                rows[JP][_tensor_index(i_m - 1, i_mu)][col] = ExtScalar(p - i_m, 0, p)
             if i_m < p - 1:
-                rows[JM][_tensor_index(i_m + 1, i_mu, p)][col] = Radical.sqrt((j + m) * (j - m + 1))
+                rows[JM][_tensor_index(i_m + 1, i_mu)][col] = ExtScalar(i_m + 1, 0, p)
         # K+ raises mu = -1/2 to +1/2 and K- lowers it back
-        up, down = _tensor_index(i_m, 0, p), _tensor_index(i_m, 1, p)
-        rows[KP][up][down] = rows[KM][down][up] = RAD_ONE
-    return {g: linalg.sparse(2 * p, RAD_ZERO, r) for g, r in rows.items()}
+        up, down = _tensor_index(i_m, 0), _tensor_index(i_m, 1)
+        rows[KP][up][down] = rows[KM][down][up] = ExtScalar.one(p)
+    return {g: linalg.sparse(2 * p, ExtScalar.zero(p), r) for g, r in rows.items()}
 
 
 def tensor_to_lambda_chi(p: int) -> Matrix:
@@ -195,48 +190,67 @@ def tensor_to_lambda_chi(p: int) -> Matrix:
         norm = Fraction(factorial(p - k) * factorial(k), pf)
         if k < p:
             amp = Radical.sqrt(norm * Fraction(p - k, p))
-            col[_tensor_index(k, 0, p)] = amp  # m = (p-1)/2 - k, mu = +1/2
+            col[_tensor_index(k, 0)] = amp  # m = (p-1)/2 - k, mu = +1/2
         if k > 0:
             amp = Radical.sqrt(norm * Fraction(k, p))
-            col[_tensor_index(k - 1, 1, p)] = amp  # m = (p+1)/2 - k, mu = -1/2
+            col[_tensor_index(k - 1, 1)] = amp  # m = (p+1)/2 - k, mu = -1/2
         cols.append(col)
     for l in range(1, p):
         col = {}
         norm = Fraction(factorial(p - l - 1) * factorial(l - 1), pf)
-        col[_tensor_index(l, 0, p)] = Radical.sqrt(norm * Fraction(l, p))
-        col[_tensor_index(l - 1, 1, p)] = -Radical.sqrt(norm * Fraction(p - l, p))
+        col[_tensor_index(l, 0)] = Radical.sqrt(norm * Fraction(l, p))
+        col[_tensor_index(l - 1, 1)] = -Radical.sqrt(norm * Fraction(p - l, p))
         cols.append(col)
     return linalg.transpose(linalg.sparse(n, RAD_ZERO, cols))
 
 
 def _so4_combo(
-    parts: list[tuple[Fraction | Radical | ExtScalar, list[So4Generator]]], mats: dict, one=RAD_ONE
+    parts: list[tuple[Fraction | ExtScalar, list[So4Generator]]], mats: dict, p: int
 ) -> Matrix:
     terms = ((c, [mats[g] for g in factors]) for c, factors in parts)
-    return linalg.sum_of_products(terms, len(mats[J0]), one)
+    return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
 
-def _similar(a: Matrix, w_row: list[int], w_col: list[int], name: str, p: int) -> Matrix:
-    """The matrix diag(w_row)^(-1/2) a diag(w_col)^(1/2) over ExtScalar at p.
+def _similar(t: Matrix, p: int) -> Matrix:
+    """T' = D^-1 t over ExtScalar at p, for D = diag(sqrt(C(p-1, i_m))).
 
-    Each term c sqrt(r) of an entry becomes c sqrt(r w_col / w_row), which
-    must be rational; a ValueError names the matrix and the entry otherwise.
+    Each term c sqrt(r) of an entry in row i becomes c sqrt(r / C(p-1, i_m)),
+    which must be rational; a ValueError names the entry otherwise.
     """
     rows = []
-    for i, row in enumerate(a):
+    for i, row in enumerate(t):
+        w = comb(p - 1, i // 2)
         out = {}
         for j, x in row.nz.items():
             v = 0
             for r, c in x.terms.items():
-                root = rational_sqrt(Fraction(r * w_col[j], w_row[i]))
+                root = rational_sqrt(Fraction(r, w))
                 if root is None:
                     raise ValueError(
-                        f"{name} entry ({i}, {j}) = {x!r} is irrational under the similarity D"
+                        f"T entry ({i}, {j}) = {x!r} is irrational under the similarity D"
                     )
                 v += c * root
             out[j] = ExtScalar(v, 0, p)
         rows.append(out)
-    return linalg.sparse(len(w_col), ExtScalar.zero(p), rows)
+    return linalg.sparse(len(t[0]), ExtScalar.zero(p), rows)
+
+
+# each line: label, the q(2) combination (algebra.COMBINATIONS), and the so(4)
+# side as (c, k, [X_1, ..., X_n]) terms, each c sqrt(p)^k X_1 ... X_n
+IDENTIFICATIONS: tuple[tuple[str, str, list], ...] = (
+    ("b- = J+ + K+", "b-", [(1, 0, [JP]), (1, 0, [KP])]),
+    ("b+ = J- + K-", "b+", [(1, 0, [JM]), (1, 0, [KM])]),
+    ("e00_0 - e11_0 = 2J0 + 2K0", "e0_diff", [(2, 0, [J0]), (2, 0, [K0])]),
+    ("f- = sqrt(p) K+", "f-", [(1, 1, [KP])]),
+    ("f+ = sqrt(p) K-", "f+", [(1, 1, [KM])]),
+    ("e00_1 - e11_1 = 2 sqrt(p) K0", "e1_diff", [(2, 1, [K0])]),
+    ("e00_0 + e11_0 = p", "e0_sum", [(1, 2, [])]),
+    (
+        "e00_1 + e11_1 = (2/sqrt(p)) (2 J0 K0 + J+ K- + J- K+ + 1/2)",
+        "e1_sum",
+        [(4, -1, [J0, K0]), (2, -1, [JP, KM]), (2, -1, [JM, KP]), (1, -1, [])],
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -249,53 +263,26 @@ class IdentificationLine:
 def identification_lines(
     p: int, mats: dict[So4Generator, Matrix], lc: dict[GeneratorId, Matrix]
 ) -> list[IdentificationLine]:
-    """Check the q(2) <-> so(4) identification as exact matrix identities.
+    """Check the q(2) <-> so(4) identification, line by line of IDENTIFICATIONS.
 
-    `mats` are the so(4) matrices (`so4_matrices`) and `lc` the eight
+    `mats` are the so(4) ladders (`so4_matrices`) and `lc` the eight
     generators' LAMBDA_CHI matrices at this p.  Both sides are mapped into
     the tensor basis: with T the column map from (Lam, chi) coordinates, M
     the q(2) matrix and S the so(4) expression, the identity is S T = T M,
     which avoids inverting T.  It is checked as S' T' = T' M over
-    Q[sqrt(p)], with S' = D^-1 S D and T' = D^-1 T for the diagonal
-    D = diag(sqrt(C(p-1, i_m))) that makes the J/K matrices and T rational.
-    D is invertible and diagonal, so each verdict and first differing entry
-    is that of S T = T M.  Raises ValueError when a J/K or T entry stays
-    irrational under D.
+    Q[sqrt(p)], with S' = D^-1 S D the expression in the ladders and
+    T' = D^-1 T.  D is invertible and diagonal, so each verdict and first
+    differing entry is that of S T = T M.  Raises ValueError when a T entry
+    stays irrational under D.
     """
-    one = Fraction(1)
-    two = Fraction(2)
-    sp = ExtScalar.sqrt_p(p)
-    two_over_sp = ExtScalar(0, Fraction(2, p), p)
-    half = Fraction(1, 2)
-
-    # each line: label, the q(2) combination (algebra.COMBINATIONS), the so(4) side
-    lines: list[tuple[str, str, list]] = [
-        ("b- = J+ + K+", "b-", [(one, [JP]), (one, [KP])]),
-        ("b+ = J- + K-", "b+", [(one, [JM]), (one, [KM])]),
-        ("e00_0 - e11_0 = 2J0 + 2K0", "e0_diff", [(two, [J0]), (two, [K0])]),
-        ("f- = sqrt(p) K+", "f-", [(sp, [KP])]),
-        ("f+ = sqrt(p) K-", "f+", [(sp, [KM])]),
-        ("e00_1 - e11_1 = 2 sqrt(p) K0", "e1_diff", [(2 * sp, [K0])]),
-        ("e00_0 + e11_0 = p", "e0_sum", [(Fraction(p), [])]),
-        (
-            "e00_1 + e11_1 = (2/sqrt(p)) (2 J0 K0 + J+ K- + J- K+ + 1/2)",
-            "e1_sum",
-            [
-                (two_over_sp * Fraction(2), [J0, K0]),
-                (two_over_sp, [JP, KM]),
-                (two_over_sp, [JM, KP]),
-                (two_over_sp * half, []),
-            ],
-        ),
-    ]
-    w = [comb(p - 1, t // 2) for t in range(2 * p)]  # D^2 on the tensor index
-    scaled = {g: _similar(x, w, w, f"{g.family}{g.component}", p) for g, x in mats.items()}
-    T = _similar(tensor_to_lambda_chi(p), w, [1] * (2 * p), "T", p)
-    q2 = combination_matrices({name for _, name, _ in lines}, lc, p)
+    powers = {-1: inv_sqrt_p(p), 0: 1, 1: ExtScalar.sqrt_p(p), 2: p}  # sqrt(p)^k
+    T = _similar(tensor_to_lambda_chi(p), p)
+    q2 = combination_matrices({name for _, name, _ in IDENTIFICATIONS}, lc, p)
     out = []
-    for label, name, so4_parts in lines:
+    for label, name, so4_parts in IDENTIFICATIONS:
+        parts = [(c * powers[k], factors) for c, k, factors in so4_parts]
         lhs = linalg.matmul(T, q2[name])
-        rhs = linalg.matmul(_so4_combo(so4_parts, scaled, ExtScalar.one(p)), T)
+        rhs = linalg.matmul(_so4_combo(parts, mats, p), T)
         diff = linalg.first_difference(rhs, lhs)
         out.append(IdentificationLine(label, diff is None, diff))
     return out
@@ -304,9 +291,11 @@ def identification_lines(
 def so4_relation_report(p: int) -> list[tuple[str, bool]]:
     """The commutation relations that hold in this tensor representation.
 
-    Note [K+, K-] closes onto 2 K0 here (the spin-1/2 matrices), matching
-    {K+, K-} = I and K0^2 = I/4; all q(2) identification lines are
-    consistent with that normalization.
+    They are checked on the integer ladders of `so4_matrices`, where they
+    hold exactly when they hold for the unitary matrices.  Note [K+, K-]
+    closes onto 2 K0 here (the spin-1/2 matrices), matching {K+, K-} = I
+    and K0^2 = I/4; all q(2) identification lines are consistent with that
+    normalization.
     """
 
     def bracket(a: So4Generator, b: So4Generator, sign: int) -> list:
@@ -333,18 +322,19 @@ def so4_relation_report(p: int) -> list[tuple[str, bool]]:
     ]
     mats = so4_matrices(p)
     return [
-        (label, linalg.equal(_so4_combo(lhs, mats), _so4_combo(rhs, mats)))
+        (label, linalg.equal(_so4_combo(lhs, mats, p), _so4_combo(rhs, mats, p)))
         for label, lhs, rhs in relations
     ]
 
 
 def casimir(which: int, p: int, mats: dict[So4Generator, Matrix]) -> tuple[Matrix, Fraction]:
-    """Build C1 or C2 from the so(4) matrices `mats` at p; returns (matrix, scalar value).
+    """Build C1 or C2 from the so(4) ladders `mats` at p; returns (matrix, rational scalar value).
 
     C1 = J0^2 + K0^2 + (1/2){J+, J-} + (1/2){K+, K-}
     C2 = J0^2 - K0^2 + (1/2){J+, J-} - (1/2){K+, K-}
 
-    Raises ValueError when the result is not an exact scalar matrix.
+    On the ladders D^-1 X D each Casimir is D^-1 C D, scalar exactly when C
+    is.  Raises ValueError when the result is not an exact rational scalar matrix.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
@@ -352,10 +342,12 @@ def casimir(which: int, p: int, mats: dict[So4Generator, Matrix]) -> tuple[Matri
     half = Fraction(1, 2)
     j_part = [(1, [J0, J0]), (half, [JP, JM]), (half, [JM, JP])]
     k_part = [(sign, [K0, K0]), (sign * half, [KP, KM]), (sign * half, [KM, KP])]
-    out = _so4_combo(j_part + k_part, mats)
+    out = _so4_combo(j_part + k_part, mats, p)
     if not linalg.is_scalar_matrix(out):
         raise ValueError(f"Casimir C{which} is not scalar for p={p}")
-    return out, out[0][0].rational_value()
+    if not out[0][0].is_rational():
+        raise ValueError(f"Casimir C{which} = {out[0][0]} is not rational for p={p}")
+    return out, out[0][0].rat
 
 
 def gram_in_tensor_basis(p: int) -> Matrix:

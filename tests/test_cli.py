@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def suite_lines(out):
+    """{suite: (number of checks, status)} from the table that verify prints."""
+    return {
+        parts[0]: (int(parts[1]), " ".join(parts[3:]))
+        for parts in map(str.split, out.splitlines())
+        if len(parts) >= 4 and parts[2] == "checks"
+    }
+
+
 def test_verify_small_range(capsys):
     code, out, _ = run(capsys, "verify", "--p", "1..2")
     assert code == 0
@@ -38,12 +47,7 @@ def test_verify_includes_degenerate_p1(capsys):
 def test_verify_p16_passes_every_suite(capsys):
     code, out, _ = run(capsys, "verify", "--p", "16")
     assert code == 0
-    suites = {}
-    for line in out.splitlines():
-        parts = line.split()
-        if len(parts) == 4 and parts[2] == "checks":
-            suites[parts[0]] = (int(parts[1]), parts[3])
-    assert suites == {
+    assert suite_lines(out) == {
         "graded-jacobi": (512, "pass"),
         "rep-homomorphism": (256, "pass"),
         "gram-adjointness": (2, "pass"),
@@ -453,14 +457,13 @@ def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
     assert built[0] == 2  # the counter is live
 
 
-# ExtScalar and Radical arithmetic calls together (19,053) and Row
-# constructions (3,344) of `verify --p 8`, plus 5%.  The so(4) identification
-# runs over ExtScalar since it checks through the similarity D, which moved
-# about 900 calls from Radical to ExtScalar; the ExtScalar calls alone were
-# 17,749 before that, and the Row constructions 15,120 before the row-wise
-# bracket check
-VERIFY_P8_ARITHMETIC = 20_005
-VERIFY_P8_ROWS = 3_511
+# ExtScalar and Radical arithmetic calls together (19,021, of which 7 are
+# Radical negations in T) and Row constructions (2,640) of `verify --p 8`,
+# plus 5%.  Since the J/K generators are built as integer ladders over
+# ExtScalar, the Radical calls left are those of T; the bounds before were
+# 20,005 and 3,511, on 19,053 calls (405 of them Radical) and 2,736 Rows
+VERIFY_P8_ARITHMETIC = 19_972
+VERIFY_P8_ROWS = 2_772
 
 
 def test_verify_p8_work_is_bounded(monkeypatch, capsys):
@@ -484,21 +487,43 @@ def test_verify_p8_work_is_bounded(monkeypatch, capsys):
 
 
 def test_verify_reports_an_irrational_so4_entry_as_a_failure(monkeypatch, capsys):
-    """A J+ entry that the similarity D cannot make rational fails the suite; no traceback."""
+    """A T entry that the similarity D cannot make rational fails all 8 lines; no traceback."""
+    tensor_to_lambda_chi = so4.tensor_to_lambda_chi
+
+    def mutated(p):
+        rows = [dict(r.nz) for r in tensor_to_lambda_chi(p)]
+        rows[1][1] = rows[1][1] * so4.Radical.sqrt(2)  # the first entry of row 1
+        return linalg.sparse(2 * p, so4.RAD_ZERO, rows)
+
+    monkeypatch.setattr(so4, "tensor_to_lambda_chi", mutated)
+    code, out, err = run(capsys, "verify", "--p", "3")
+    assert code == 1
+    suites = suite_lines(out)
+    count, status = suites["so4-identification"]
+    assert count == len(so4.IDENTIFICATIONS) == 8
+    assert status.startswith("FAIL (p=3: T entry (1, 1) = ")
+    assert status.endswith("is irrational under the similarity D)")
+    assert suites["so4-casimir-scalar"] == (3, "pass")
+    assert "Traceback" not in err
+
+
+def test_verify_counts_a_non_scalar_casimir_as_three_failures(monkeypatch, capsys):
+    """A K0 that makes C1 and C2 non-scalar fails the Casimir suite's 3 checks; no traceback."""
     so4_matrices = so4.so4_matrices
 
     def mutated(p):
         mats = so4_matrices(p)
-        rows = [dict(r.nz) for r in mats[so4.JP]]
-        i = 1
-        rows[i][min(rows[i])] = so4.Radical.sqrt(i * (p - i) + 1)
-        return {**mats, so4.JP: linalg.sparse(2 * p, so4.RAD_ZERO, rows)}
+        rows = [dict(r.nz) for r in mats[so4.K0]]
+        rows[0][0] = rows[0][0] * 2
+        return {**mats, so4.K0: linalg.sparse(2 * p, rows[0][0] - rows[0][0], rows)}
 
     monkeypatch.setattr(so4, "so4_matrices", mutated)
     code, out, err = run(capsys, "verify", "--p", "3")
     assert code == 1
-    line = next(l for l in out.splitlines() if l.startswith("so4-identification"))
-    assert "FAIL (p=3: J+ entry (1, 3)" in line
+    suites = suite_lines(out)
+    assert suites["so4-casimir-scalar"] == (3, "FAIL (p=3: Casimir C1 is not scalar for p=3)")
+    assert suites["so4-identification"] == (8, "FAIL (p=3: e00_0 - e11_0 = 2J0 + 2K0 at (0, 0))")
+    assert "casimir values p=3" not in out
     assert "Traceback" not in err
 
 

@@ -19,7 +19,7 @@ from q2rep import cli, linalg
 from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS, GENERATORS
 from q2rep.rep import Basis, rep_matrices, rep_matrix
 from q2rep.scalars import ExtScalar, NotInvertibleError, ext
-from q2rep.so4 import RAD_ONE, RAD_ZERO, Radical
+from q2rep.so4 import RAD_ZERO, Radical
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 nonzero_rationals = rationals.filter(bool)
@@ -50,7 +50,7 @@ RINGS = {
     ),
 }
 ONES = {
-    "fraction": Fraction(1), "ext-p2": ExtScalar.one(2), "ext-p4": ExtScalar.one(4), "radical": RAD_ONE
+    "fraction": Fraction(1), "ext-p2": ExtScalar.one(2), "ext-p4": ExtScalar.one(4), "radical": Radical.rational(1)
 }
 sizes = st.integers(1, 4)
 

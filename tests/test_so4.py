@@ -1,17 +1,21 @@
+import ast
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from q2rep import linalg
+from q2rep import linalg, so4
 from q2rep.algebra import GENERATORS
 from q2rep.rep import Basis, gram_matrix, rep_matrices
+from q2rep.scalars import ExtScalar
 from q2rep.so4 import (
+    J0,
+    JM,
     JP,
     K0,
     KM,
     KP,
-    RAD_ONE,
     RAD_ZERO,
     Radical,
     casimir,
@@ -53,14 +57,14 @@ def test_k_family_relations():
         kp = so4_matrices(p)[KP]
         km = so4_matrices(p)[KM]
         k0 = so4_matrices(p)[K0]
-        ident = linalg.identity(n, RAD_ONE, RAD_ZERO)
+        ident = linalg.ext_identity(n, p)
         assert linalg.equal(linalg.matmul(kp, kp), linalg.scale(Fraction(0), ident))
         anti = linalg.add(linalg.matmul(kp, km), linalg.matmul(km, kp))
         assert linalg.equal(anti, ident)
         assert linalg.equal(linalg.matmul(k0, k0), linalg.scale(Fraction(1, 4), ident))
         # K0 is diag(+-1/2) across the spin-1/2 label
-        assert k0[0][0] == Radical.rational(Fraction(1, 2))
-        assert k0[1][1] == Radical.rational(Fraction(-1, 2))
+        assert k0[0][0] == ExtScalar(Fraction(1, 2), 0, p)
+        assert k0[1][1] == ExtScalar(Fraction(-1, 2), 0, p)
 
 
 def test_j_plus_annihilates_top():
@@ -80,7 +84,7 @@ def test_all_commutation_relations():
 def test_tensor_map_p1():
     t = tensor_to_lambda_chi(1)
     # Lam_0 = |0,0> x |up>, Lam_1 = |0,0> x |down>, no chi sector
-    assert linalg.equal(t, linalg.identity(2, RAD_ONE, RAD_ZERO))
+    assert linalg.equal(t, linalg.identity(2, Radical.rational(1), RAD_ZERO))
 
 
 def test_tensor_map_invertibility_via_gram():
@@ -94,7 +98,7 @@ def test_tensor_map_invertibility_via_gram():
         for i in range(n):
             for j in range(n):
                 assert metric[i][j].is_rational(), (p, i, j)
-                assert g[i][j].rational_value() == metric[i][j].rat, (p, i, j)
+                assert g[i][j] == metric[i][j].rat, (p, i, j)
 
 
 def test_identification_lines_all_pass():
@@ -107,27 +111,51 @@ def test_identification_lines_all_pass():
         ]
 
 
+def _unitary_spin_matrices(p):
+    """The six J/K generators with the unitary spin entries, as {(row, column): Radical} dicts."""
+    j = Fraction(p - 1, 2)
+    out = {g: {} for g in (J0, JP, JM, K0, KP, KM)}
+    for i_m in range(p):
+        m = j - i_m
+        for mu in range(2):
+            t = 2 * i_m + mu
+            out[J0][t, t] = Radical.rational(m)
+            out[K0][t, t] = Radical.rational(Fraction(1, 2) - mu)
+            if i_m > 0:
+                out[JP][t - 2, t] = Radical.sqrt((j - m) * (j + m + 1))
+            if i_m < p - 1:
+                out[JM][t + 2, t] = Radical.sqrt((j + m) * (j - m + 1))
+        out[KP][2 * i_m, 2 * i_m + 1] = out[KM][2 * i_m + 1, 2 * i_m] = Radical.rational(1)
+    return out
+
+
 def test_similarity_d_makes_so4_and_t_rational():
-    # D = diag(sqrt(C(p-1, i_m))): D^-1 X D and D^-1 T have rational entries
+    # D = diag(sqrt(C(p-1, i_m))): so4_matrices is D^-1 X D of the unitary
+    # spin matrices X, entry by entry, and D^-1 T has rational entries
     for p in range(1, 65):
         d = [Radical.sqrt(comb(p - 1, t // 2)) for t in range(2 * p)]
+        d_inv = [Radical.sqrt(Fraction(1, comb(p - 1, t // 2))) for t in range(2 * p)]
+        unitary_mats = _unitary_spin_matrices(p)
         for g, x in so4_matrices(p).items():
-            for i, row in enumerate(x):
-                for j, v in row.nz.items():
-                    scaled = v * d[j] * Radical.sqrt(Fraction(1, comb(p - 1, i // 2)))
-                    assert scaled.is_rational(), (p, g, i, j)
+            ladder = {(i, j): v for i, row in enumerate(x) for j, v in row.nz.items()}
+            unitary = {ij: v for ij, v in unitary_mats[g].items() if v}
+            assert ladder.keys() == unitary.keys(), (p, g)
+            for (i, j), v in unitary.items():
+                assert ladder[i, j].is_rational(), (p, g, i, j)
+                assert d_inv[i] * v * d[j] == ladder[i, j].rat, (p, g, i, j)
         for i, row in enumerate(tensor_to_lambda_chi(p)):
             for j, v in row.nz.items():
-                assert (v * Radical.sqrt(Fraction(1, comb(p - 1, i // 2)))).is_rational(), (p, i, j)
+                scaled = d_inv[i] * v
+                assert set(scaled.terms) <= {1}, (p, i, j)
 
 
-def _with_jp_entry(p, i, change):
-    """The so(4) matrices at p with the first J+ entry of row i replaced by change(entry)."""
+def _with_doubled_jp_entry(p, i):
+    """The so(4) matrices at p with the first J+ entry of row i doubled."""
     mats = so4_matrices(p)
     rows = [dict(r.nz) for r in mats[JP]]
     j = min(rows[i])
-    rows[i][j] = change(rows[i][j], i)
-    return {**mats, JP: linalg.sparse(2 * p, RAD_ZERO, rows)}
+    rows[i][j] = rows[i][j] * 2
+    return {**mats, JP: linalg.sparse(2 * p, ExtScalar.zero(p), rows)}
 
 
 # the first differences that the same doubled J+ entries gave when the check
@@ -139,38 +167,65 @@ def _with_jp_entry(p, i, change):
     (8, 9, {"b-": (9, 6), "e1_sum": (9, 5)}),
 ])
 def test_doubled_j_plus_entry_fails_at_the_unscaled_first_difference(p, row, expected):
-    mats = _with_jp_entry(p, row, lambda x, i: x * 2)
+    mats = _with_doubled_jp_entry(p, row)
     lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
     lines = identification_lines(p, mats, lc)
-    names = ["b-", "b+", "e0_diff", "f-", "f+", "e1_diff", "e0_sum", "e1_sum"]
+    names = [name for _, name, _ in so4.IDENTIFICATIONS]
     failed = {name: line.first_difference for name, line in zip(names, lines) if not line.passed}
     assert failed == expected
 
 
-def test_irrational_j_plus_entry_is_named():
+def test_irrational_t_entry_is_named(monkeypatch):
+    """A T entry that the similarity D cannot make rational raises a ValueError naming it."""
     p = 3
-    mats = _with_jp_entry(p, 1, lambda x, i: Radical.sqrt(i * (p - i) + 1))
+    true_t = so4.tensor_to_lambda_chi
+
+    def mutated(p):
+        rows = [dict(r.nz) for r in true_t(p)]
+        rows[1][1] = rows[1][1] * Radical.sqrt(2)  # the first entry of row 1
+        return linalg.sparse(2 * p, RAD_ZERO, rows)
+
+    monkeypatch.setattr(so4, "tensor_to_lambda_chi", mutated)
     lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
-    with pytest.raises(ValueError, match=r"J\+ entry \(1, 3\)"):
-        identification_lines(p, mats, lc)
+    with pytest.raises(ValueError, match=r"T entry \(1, 1\)"):
+        identification_lines(p, so4_matrices(p), lc)
 
 
 def test_identification_multiplies_no_radicals(monkeypatch):
-    products = []
-    true_mul = Radical.__mul__
+    calls = []
 
-    def counted(self, other):
-        if isinstance(other, Radical):
-            products.append((self, other))
-        return true_mul(self, other)
+    def counted(name):
+        method = vars(Radical)[name]
 
-    monkeypatch.setattr(Radical, "__mul__", counted)
-    monkeypatch.setattr(Radical, "__rmul__", counted)
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Radical, name, counted(name))
+    for p in (1, 2, 8):
+        mats = so4_matrices(p)
+        assert all(ok for _, ok in so4_relation_report(p))
+        assert casimir(1, p, mats)[1] - casimir(2, p, mats)[1] == Fraction(3, 2)
+    assert calls == []  # the ladders, their relations and Casimirs do no Radical arithmetic
     for p in (1, 2, 8):
         mats = so4_matrices(p)
         lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
         assert all(line.passed for line in identification_lines(p, mats, lc))
-    assert products == []
+    # the identification only builds and reads T, whose chi columns are negated
+    assert set(calls) == {"__neg__"}
+
+
+def test_tracer_hooks_exist_on_radical():
+    """Every Radical method that perfbench/tracing.py wraps is still defined on Radical."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    hooked = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "RADICAL_ARITHMETIC"
+    )
+    assert hooked and all(name in vars(so4.Radical) for name in hooked), hooked
 
 
 def test_casimirs_are_scalar():
