@@ -32,7 +32,6 @@ from .models import (
     Model,
     ModelSpec,
     ConstraintError,
-    NoClosedFormError,
     SPHALERON_MODELS,
     closed_form_blocks,
     closed_form_spectrum,
@@ -147,14 +146,7 @@ def _orthogonality_checks(p):
 
 
 def _identification_checks(p, so4_mats, lc):
-    try:
-        lines = so4.identification_lines(p, so4_mats, lc)
-    except ValueError as exc:
-        # a step that raises fails every line of the table
-        for _ in so4.IDENTIFICATIONS:
-            yield f"p={p}: {exc}", False
-        return
-    for line in lines:
+    for line in so4.identification_lines(p, so4_mats, lc):
         yield f"p={p}: {line.label} at {line.first_difference}", line.passed
 
 
@@ -500,9 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConstraintError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
-        return 3
-    except NoClosedFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"error: uncertified spectrum: {exc}", file=sys.stderr)

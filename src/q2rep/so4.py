@@ -8,11 +8,11 @@ and J- the entries i_m + 1, and J0, K0 and K+- are unchanged.  The
 commutation relations and the Casimirs are similarity invariants, so they
 are checked on the ladders as they are.
 
-Only the Lam/chi map T keeps the unitary entries, square roots of
-rationals with assorted radicands; they are kept exact in a small
-multi-radical layer (finite Q-linear combinations of sqrt(r), r
-squarefree), where the Gram tie checks T^t T.  The identification with
-q(2) is checked over Q[sqrt(p)], through the rational T' = D^-1 T.
+The identification with q(2) is checked over Q[sqrt(p)] through
+T' = D^-1 T, built directly from its rational closed form.  Only the
+unitary Lam/chi map T, whose entries are square roots of rationals with
+assorted radicands, is kept in a small multi-radical layer (finite
+Q-linear combinations of sqrt(r), r squarefree), for the Gram tie T^t T.
 
 Tensor basis ordering: m descending from (p-1)/2 to -(p-1)/2 in integer
 steps, and within each m the spin-1/2 label mu = +1/2 before mu = -1/2.
@@ -31,7 +31,7 @@ from . import linalg
 from .algebra import GeneratorId
 from .linalg import Matrix
 from .rep import combination_matrices
-from .scalars import ExtScalar, inv_sqrt_p, rational_sqrt
+from .scalars import ExtScalar, inv_sqrt_p
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -211,28 +211,25 @@ def _so4_combo(
     return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
 
 
-def _similar(t: Matrix, p: int) -> Matrix:
-    """T' = D^-1 t over ExtScalar at p, for D = diag(sqrt(C(p-1, i_m))).
+def _scaled_tensor_map(p: int) -> Matrix:
+    """T' = D^-1 T over ExtScalar at p, from its rational closed form.
 
-    Each term c sqrt(r) of an entry in row i becomes c sqrt(r / C(p-1, i_m)),
-    which must be rational; a ValueError names the entry otherwise.
+    Lam_k maps to (|k, +> + |k-1, ->) / C(p, k), the first term for k < p and
+    the second for k > 0, and chi_l to (l!(p-l-1)! |l, +> - (l-1)!(p-l)! |l-1, ->) / p!.
     """
-    rows = []
-    for i, row in enumerate(t):
-        w = comb(p - 1, i // 2)
-        out = {}
-        for j, x in row.nz.items():
-            v = 0
-            for r, c in x.terms.items():
-                root = rational_sqrt(Fraction(r, w))
-                if root is None:
-                    raise ValueError(
-                        f"T entry ({i}, {j}) = {x!r} is irrational under the similarity D"
-                    )
-                v += c * root
-            out[j] = ExtScalar(v, 0, p)
-        rows.append(out)
-    return linalg.sparse(len(t[0]), ExtScalar.zero(p), rows)
+    rows: list[dict[int, ExtScalar]] = [{} for _ in range(2 * p)]
+    for k in range(p + 1):
+        amp = ExtScalar(Fraction(1, comb(p, k)), 0, p)
+        if k < p:
+            rows[_tensor_index(k, 0)][k] = amp
+        if k > 0:
+            rows[_tensor_index(k - 1, 1)][k] = amp
+    pf = factorial(p)
+    for l in range(1, p):  # chi_l is column p + l
+        up, down = factorial(l) * factorial(p - l - 1), factorial(l - 1) * factorial(p - l)
+        rows[_tensor_index(l, 0)][p + l] = ExtScalar(Fraction(up, pf), 0, p)
+        rows[_tensor_index(l - 1, 1)][p + l] = ExtScalar(Fraction(-down, pf), 0, p)
+    return linalg.sparse(2 * p, ExtScalar.zero(p), rows)
 
 
 # each line: label, the q(2) combination (algebra.COMBINATIONS), and the so(4)
@@ -272,11 +269,10 @@ def identification_lines(
     which avoids inverting T.  It is checked as S' T' = T' M over
     Q[sqrt(p)], with S' = D^-1 S D the expression in the ladders and
     T' = D^-1 T.  D is invertible and diagonal, so each verdict and first
-    differing entry is that of S T = T M.  Raises ValueError when a T entry
-    stays irrational under D.
+    differing entry is that of S T = T M.  T' is built from its closed form.
     """
     powers = {-1: inv_sqrt_p(p), 0: 1, 1: ExtScalar.sqrt_p(p), 2: p}  # sqrt(p)^k
-    T = _similar(tensor_to_lambda_chi(p), p)
+    T = _scaled_tensor_map(p)
     q2 = combination_matrices({name for _, name, _ in IDENTIFICATIONS}, lc, p)
     out = []
     for label, name, so4_parts in IDENTIFICATIONS:

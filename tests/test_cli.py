@@ -457,13 +457,13 @@ def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
     assert built[0] == 2  # the counter is live
 
 
-# ExtScalar and Radical arithmetic calls together (19,021, of which 7 are
-# Radical negations in T) and Row constructions (2,640) of `verify --p 8`,
-# plus 5%.  Since the J/K generators are built as integer ladders over
-# ExtScalar, the Radical calls left are those of T; the bounds before were
-# 20,005 and 3,511, on 19,053 calls (405 of them Radical) and 2,736 Rows
-VERIFY_P8_ARITHMETIC = 19_972
-VERIFY_P8_ROWS = 2_772
+# ExtScalar and Radical arithmetic calls together (19,014, none of them
+# Radical) and Row constructions (2,608) of `verify --p 8`, plus 5%.  Since
+# T' = D^-1 T is built directly over ExtScalar, verify does no Radical
+# arithmetic; the bounds before were 19,972 and 2,772, on 19,021 calls (7 of
+# them Radical negations in T) and 2,640 Rows
+VERIFY_P8_ARITHMETIC = 19_964
+VERIFY_P8_ROWS = 2_738
 
 
 def test_verify_p8_work_is_bounded(monkeypatch, capsys):
@@ -487,22 +487,19 @@ def test_verify_p8_work_is_bounded(monkeypatch, capsys):
 
 
 def test_verify_reports_an_irrational_so4_entry_as_a_failure(monkeypatch, capsys):
-    """A T entry that the similarity D cannot make rational fails all 8 lines; no traceback."""
-    tensor_to_lambda_chi = so4.tensor_to_lambda_chi
+    """A T' entry made irrational (times sqrt(p)) fails the identification; no traceback."""
+    scaled_tensor_map = so4._scaled_tensor_map
 
     def mutated(p):
-        rows = [dict(r.nz) for r in tensor_to_lambda_chi(p)]
-        rows[1][1] = rows[1][1] * so4.Radical.sqrt(2)  # the first entry of row 1
-        return linalg.sparse(2 * p, so4.RAD_ZERO, rows)
+        rows = [dict(r.nz) for r in scaled_tensor_map(p)]
+        rows[1][1] = rows[1][1] * ExtScalar.sqrt_p(p)  # the first entry of row 1
+        return linalg.sparse(2 * p, ExtScalar.zero(p), rows)
 
-    monkeypatch.setattr(so4, "tensor_to_lambda_chi", mutated)
+    monkeypatch.setattr(so4, "_scaled_tensor_map", mutated)
     code, out, err = run(capsys, "verify", "--p", "3")
     assert code == 1
     suites = suite_lines(out)
-    count, status = suites["so4-identification"]
-    assert count == len(so4.IDENTIFICATIONS) == 8
-    assert status.startswith("FAIL (p=3: T entry (1, 1) = ")
-    assert status.endswith("is irrational under the similarity D)")
+    assert suites["so4-identification"] == (8, "FAIL (p=3: b- = J+ + K+ at (0, 1))")
     assert suites["so4-casimir-scalar"] == (3, "pass")
     assert "Traceback" not in err
 

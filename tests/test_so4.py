@@ -129,24 +129,30 @@ def _unitary_spin_matrices(p):
     return out
 
 
+def _entries(m):
+    return {(i, j): v for i, row in enumerate(m) for j, v in row.nz.items()}
+
+
 def test_similarity_d_makes_so4_and_t_rational():
     # D = diag(sqrt(C(p-1, i_m))): so4_matrices is D^-1 X D of the unitary
-    # spin matrices X, entry by entry, and D^-1 T has rational entries
+    # spin matrices X, and the T' that identification_lines reads is D^-1 T
+    # of the unitary T, both entry by entry
     for p in range(1, 65):
         d = [Radical.sqrt(comb(p - 1, t // 2)) for t in range(2 * p)]
         d_inv = [Radical.sqrt(Fraction(1, comb(p - 1, t // 2))) for t in range(2 * p)]
         unitary_mats = _unitary_spin_matrices(p)
         for g, x in so4_matrices(p).items():
-            ladder = {(i, j): v for i, row in enumerate(x) for j, v in row.nz.items()}
+            ladder = _entries(x)
             unitary = {ij: v for ij, v in unitary_mats[g].items() if v}
             assert ladder.keys() == unitary.keys(), (p, g)
             for (i, j), v in unitary.items():
                 assert ladder[i, j].is_rational(), (p, g, i, j)
                 assert d_inv[i] * v * d[j] == ladder[i, j].rat, (p, g, i, j)
-        for i, row in enumerate(tensor_to_lambda_chi(p)):
-            for j, v in row.nz.items():
-                scaled = d_inv[i] * v
-                assert set(scaled.terms) <= {1}, (p, i, j)
+        t, t_prime = _entries(tensor_to_lambda_chi(p)), _entries(so4._scaled_tensor_map(p))
+        assert t_prime.keys() == t.keys(), p
+        for (i, j), v in t.items():
+            assert t_prime[i, j].is_rational(), (p, i, j)
+            assert d_inv[i] * v == t_prime[i, j].rat, (p, i, j)
 
 
 def _with_doubled_jp_entry(p, i):
@@ -175,22 +181,6 @@ def test_doubled_j_plus_entry_fails_at_the_unscaled_first_difference(p, row, exp
     assert failed == expected
 
 
-def test_irrational_t_entry_is_named(monkeypatch):
-    """A T entry that the similarity D cannot make rational raises a ValueError naming it."""
-    p = 3
-    true_t = so4.tensor_to_lambda_chi
-
-    def mutated(p):
-        rows = [dict(r.nz) for r in true_t(p)]
-        rows[1][1] = rows[1][1] * Radical.sqrt(2)  # the first entry of row 1
-        return linalg.sparse(2 * p, RAD_ZERO, rows)
-
-    monkeypatch.setattr(so4, "tensor_to_lambda_chi", mutated)
-    lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
-    with pytest.raises(ValueError, match=r"T entry \(1, 1\)"):
-        identification_lines(p, so4_matrices(p), lc)
-
-
 def test_identification_multiplies_no_radicals(monkeypatch):
     calls = []
 
@@ -202,19 +192,16 @@ def test_identification_multiplies_no_radicals(monkeypatch):
             return method(*args)
         return wrapper
 
-    for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__"):
+    for name in ("__init__", "__add__", "__neg__", "__sub__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Radical, name, counted(name))
     for p in (1, 2, 8):
         mats = so4_matrices(p)
         assert all(ok for _, ok in so4_relation_report(p))
         assert casimir(1, p, mats)[1] - casimir(2, p, mats)[1] == Fraction(3, 2)
-    assert calls == []  # the ladders, their relations and Casimirs do no Radical arithmetic
-    for p in (1, 2, 8):
-        mats = so4_matrices(p)
         lc = rep_matrices(GENERATORS, Basis.LAMBDA_CHI, p)
         assert all(line.passed for line in identification_lines(p, mats, lc))
-    # the identification only builds and reads T, whose chi columns are negated
-    assert set(calls) == {"__neg__"}
+    # the ladders, their relations, Casimirs and the identification build no Radical
+    assert calls == []
 
 
 def test_tracer_hooks_exist_on_radical():
