@@ -39,7 +39,7 @@ from .models import (
     model_basis,
     sector_matrix,
 )
-from .rep import Basis, gram_matrix, rep_matrices
+from .rep import Basis, gram_matrix, integer_rows, rep_matrices
 from .scalars import parse_rational
 from .spectra import SolverError, decompose, spectrum_of_matrix
 
@@ -105,17 +105,35 @@ def _homomorphism_checks(p, mats):
     The products come from linalg.product_rows, the loop matmul is built on;
     every coefficient is +-1, so both sides are signed sums of rows
     (linalg.signed_sums_equal).
+
+    The checks run over the integers, on the rows N'_g = L s^pi_g S M_g S^-1
+    of rep.integer_rows.  Every z in [[x, y]] has parity pi_x + pi_y mod 2,
+    so [[N'_x, N'_y]] = L p^(pi_x pi_y) sum c N'_z holds exactly when
+    [[M_x, M_y]] = sum c M_z: L, s and S are invertible.  The right-hand
+    rows are scaled by L, or by L p when x and y are both odd.  A basis
+    whose matrices leave the grading is checked on its ExtScalar rows,
+    unscaled.
     """
 
-    def check(rows, gx, gy, xy, yx):
+    def check(rhs, gx, gy, xy, yx):
         # [[x, y]] is x y + y x when both are odd, x y - y x otherwise
-        sign = 1 if (gx.parity and gy.parity) else -1
-        terms = [(c, rows[g]) for g, c in structure_terms(gx, gy)]
+        both_odd = gx.parity * gy.parity
+        sign = 1 if both_odd else -1
+        terms = [(c, rhs[both_odd][g]) for g, c in structure_terms(gx, gy)]
         return linalg.signed_sums_equal([(1, xy), (sign, yx)], terms)
+
+    def scaled(rows, k):
+        return {g: [{j: x * k for j, x in row.items()} for row in r] for g, r in rows.items()}
 
     for basis in Basis:
         ms = mats[basis]
-        rows = {g: [row.nz for row in m] for g, m in ms.items()}
+        graded = integer_rows(ms, basis, p)
+        if graded is None:
+            rows = {g: [row.nz for row in m] for g, m in ms.items()}
+            rhs = (rows, rows)
+        else:
+            scale, rows = graded
+            rhs = (scaled(rows, scale), scaled(rows, scale * p))
         later = {}
         for gx, gy in itertools.product(GENERATORS, repeat=2):
             ok = later.pop((gx, gy), None)
@@ -123,12 +141,13 @@ def _homomorphism_checks(p, mats):
                 # each product serves two pairs: M_x M_y and M_y M_x make the
                 # checks of (x, y) and of (y, x), both here; the products are
                 # then dropped, and the result for (y, x) waits for its turn
-                xy = linalg.product_rows(ms[gx], ms[gy])
-                yx = xy if gx == gy else linalg.product_rows(ms[gy], ms[gx])
-                ok = check(rows, gx, gy, xy, yx)
+                xy = linalg.product_rows(rows[gx], rows[gy])
+                yx = xy if gx == gy else linalg.product_rows(rows[gy], rows[gx])
+                ok = check(rhs, gx, gy, xy, yx)
                 if gx != gy:
-                    later[gy, gx] = check(rows, gy, gx, yx, xy)
+                    later[gy, gx] = check(rhs, gy, gx, yx, xy)
             yield None if ok else f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", ok
+        del graded, rows, rhs  # before the next basis builds its own
 
 
 def _gram_checks(p, vw):

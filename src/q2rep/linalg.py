@@ -1,10 +1,13 @@
 """Exact matrices as tuples of sparse rows.
 
 A `Row` keeps its length, the one shared zero of its entry type (ExtScalar
-of the right p, Radical, Fraction, ...) and a dict `nz` of its nonzero
+of the right p, Radical, Fraction, int, ...) and a dict `nz` of its nonzero
 entries by ascending column.  `len(row)`, `row[j]` and iteration give the
-dense view, zeros included.  The kernels take matrices of `Row`s only;
-`freeze` is the one conversion from dense rows.
+dense view, zeros included.  The Matrix kernels take matrices of `Row`s
+only; `freeze` is the one conversion from dense rows.  Entries need only
+ring arithmetic and a truth value (`solve` also needs `inverse`), so plain
+ints work too: `verify` checks the bracket relations on the integer rows
+of `rep.integer_rows`.
 
 The kernels, `solve` included, do arithmetic, comparisons and truth tests
 on stored nonzeros only.  Each product entry still sums its terms over
@@ -13,13 +16,15 @@ from its operands' zeros, so every entry has the value, type and p a dense
 kernel gives.
 
 Two loops do the arithmetic.  The multiply-accumulate loop, `product_rows`,
-returns each row of a @ b as a dict of its nonzeros; `matmul` sorts those
-rows into a Matrix.  The linear-combination loop, `_combination_row`, sums
-c times such rows over (c, rows) terms: `add`, `sub` and `sum_of_products`
-sort its rows into a Matrix, and `signed_sums_equal` compares them as they
-are, which is how `verify` checks each bracket relation
-[[M_x, M_y]] = sum c M_z without building a matrix.  `scale` sums nothing;
-it multiplies every entry, so that each has the type of c * x.
+takes a and b as rows of {column: entry} dicts and returns each row of
+a @ b as a dict of its nonzeros; `matmul` checks the shapes, passes the
+`nz` rows and sorts the result into a Matrix.  The linear-combination
+loop, `_combination_row`, sums c times such rows over (c, rows) terms:
+`add`, `sub` and `sum_of_products` sort its rows into a Matrix, and
+`signed_sums_equal` compares them as they are, which is how `verify`
+checks each bracket relation [[M_x, M_y]] = sum c M_z without building a
+matrix.  `scale` sums nothing; it multiplies every entry, so that each has
+the type of c * x.
 """
 
 from __future__ import annotations
@@ -184,23 +189,22 @@ def scale(c: T, a: Matrix) -> Matrix:
     return tuple(Row(m, zero, {j: v for j, x in r.nz.items() if (v := c * x)}) for r in a)
 
 
-def product_rows(a: Matrix, b: Matrix) -> list[dict]:
+def product_rows(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
     """The rows of a @ b as {column: entry} dicts of their nonzeros, in no set column order.
 
-    This is the one multiply-accumulate loop: `matmul` sorts its rows into a
-    Matrix, and `signed_sums_equal` and `sum_of_products` sum them as they
-    are.  Only nonzero pairs are multiplied, each entry sums its terms over
-    ascending k, and an entry that cancels, or is a product of zero
-    divisors, is deleted.
+    This is the one multiply-accumulate loop.  a and b are sequences of
+    rows given as {column: entry} dicts of nonzeros, as a Row stores them
+    (`nz`) or this loop returns them; shapes are the caller's to check.
+    `matmul` sorts its rows into a Matrix, and `signed_sums_equal` and
+    `sum_of_products` sum them as they are.  Only nonzero pairs are
+    multiplied, each entry sums its terms over ascending k, and an entry
+    that cancels, or is a product of zero divisors, is deleted.
     """
-    if shape(a)[1] != len(b):
-        raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
-    b_nz = [row.nz for row in b]
     out = []
     for row in a:
         acc: dict = {}
-        for kk, x in row.nz.items():
-            for j, y in b_nz[kk].items():
+        for kk, x in row.items():
+            for j, y in b[kk].items():
                 t = acc.get(j)
                 acc[j] = x * y if t is None else t + x * y
         if not all(acc.values()):
@@ -209,8 +213,14 @@ def product_rows(a: Matrix, b: Matrix) -> list[dict]:
     return out
 
 
+def _check_product(a: Matrix, b: Matrix) -> None:
+    if shape(a)[1] != len(b):
+        raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows = product_rows(a, b)
+    _check_product(a, b)
+    rows = product_rows([r.nz for r in a], [r.nz for r in b])
     m = shape(b)[1]
     # built by addition, so that every multiplication is of a nonzero pair
     zero = a[0].zero + b[0].zero if a and b and m else None
@@ -255,7 +265,8 @@ def sum_of_products(terms: Iterable[tuple[T, Sequence[Matrix]]], n: int, one: T)
             prod = factors[0]
             for f in factors[1:-1]:
                 prod = matmul(prod, f)
-            rows = product_rows(prod, factors[-1])
+            _check_product(prod, factors[-1])
+            rows = product_rows([r.nz for r in prod], [r.nz for r in factors[-1]])
         summands.append((c, rows))
     return _combination(summands, n, n, one - one)
 

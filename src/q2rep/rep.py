@@ -25,6 +25,16 @@ basis vector c.  `rep_matrices` builds several generators' matrices in one
 basis from one T or C.  Nothing is memoized: each call builds its matrices
 anew, and a caller that uses a matrix more than once builds it once and
 keeps it.
+
+The matrices are graded by sqrt(p).  Give each basis vector a degree:
+1 for w_1..w_{p-1} in VW and 0 for every other vector of every basis
+(`degrees`).  Then entry (i, j) of an even generator's matrix is a
+rational times s^(delta_i + delta_j mod 2), and an odd generator's carries
+one more factor s.  `integer_rows` uses this to rescale one basis's eight
+matrices into integer rows with the same bracket relations, which `verify`
+checks.  A test asserts the grading for every generator in every basis at
+p = 1..64; turning the 1/sqrt(p) of one `_LAM_TERMS` coefficient into 1
+makes it fail.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import linalg
 from .algebra import (
@@ -233,6 +243,48 @@ def combination_matrices(
     """
     terms = {name: [(c, [mats[g]]) for g, c in COMBINATIONS[name].items()] for name in names}
     return {name: linalg.sum_of_products(t, 2 * p, ExtScalar.one(p)) for name, t in terms.items()}
+
+
+# sqrt(p) grading ------------------------------------------------------------
+
+def degrees(basis: Basis, p: int) -> list[int]:
+    """The sqrt(p) degree of each basis vector: 1 for w_1..w_{p-1} in VW, else 0."""
+    if basis is Basis.VW:
+        return [0] * p + [1] * (p - 1) + [0]
+    return [0] * (2 * p)
+
+
+def integer_rows(
+    mats: dict[GeneratorId, Matrix], basis: Basis, p: int
+) -> tuple[int, dict[GeneratorId, list[dict[int, int]]]] | None:
+    """(L, N'): one basis's generator matrices M_g made integer by the sqrt(p) grading.
+
+    With s = sqrt(p), S = diag(s^delta_i) for delta = degrees(basis, p) and
+    pi_g the parity of g, N'_g = L s^pi_g S M_g S^-1 as rows of
+    {column: int} dicts of nonzeros, where L is the lcm of the
+    denominators of all eight matrices' entries.  This needs entry (i, j)
+    of M_g to lie in Q s^r, r = (delta_i + delta_j + pi_g) mod 2; then
+    s^(delta_i - delta_j + r + pi_g) is 1 or p.  None at the first entry
+    that does not.
+    """
+    deg = degrees(basis, p)
+    scale = lcm(*(x.triple()[2] for m in mats.values() for row in m for x in row.nz.values()))
+    graded = {}
+    for g, m in mats.items():
+        rows = []
+        for i, row in enumerate(m):
+            out = {}
+            for j, x in row.nz.items():
+                a, b, d = x.triple()
+                r = (deg[i] + deg[j] + g.parity) % 2
+                num, off = (b, a) if r else (a, b)
+                if off:
+                    return None
+                # the power of s is 0 or 2
+                out[j] = num * (scale // d) * (p if deg[i] - deg[j] + r + g.parity else 1)
+            rows.append(out)
+        graded[g] = rows
+    return scale, graded
 
 
 # metric ---------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings, HealthCheck
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "default",
@@ -11,7 +11,16 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# The default's examples without the shrink phase: a failing property test
+# reports the counterexample it drew, unshrunk, in seconds rather than
+# minutes.  Q2REP_HYPOTHESIS_PROFILE=no-shrink selects it for runs that are
+# expected to fail, such as checks against a mutated copy.
+settings.register_profile(
+    "no-shrink",
+    parent=settings.get_profile("default"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+settings.load_profile(os.environ.get("Q2REP_HYPOTHESIS_PROFILE", "default"))
 
 
 def seeded_rng() -> random.Random:

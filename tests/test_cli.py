@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from q2rep import cli, diffop, linalg, rep, so4, spectra
-from q2rep.algebra import GENERATORS
+from q2rep.algebra import B_MINUS, E00_0, E11_1, F_PLUS, GENERATORS
 from q2rep.models import Model, ModelSpec
 from q2rep.cli import main
 from q2rep.rep import Basis, rep_matrices
@@ -434,6 +434,55 @@ def test_homomorphism_sweep_makes_each_product_once(monkeypatch):
     assert 0 < len(calls) <= 4 * 64
 
 
+def _sweeps(monkeypatch, p, mats):
+    """The homomorphism sweep on the graded integer rows, then on the ExtScalar rows."""
+    graded = list(cli._homomorphism_checks(p, mats))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "integer_rows", lambda *args: None)
+        plain = list(cli._homomorphism_checks(p, mats))
+    return graded, plain
+
+
+@pytest.mark.parametrize("p", [*range(1, 17), 64])
+def test_integer_sweep_matches_the_ext_sweep(monkeypatch, p):
+    mats = {basis: rep_matrices(GENERATORS, basis, p) for basis in Basis}
+    assert all(rep.integer_rows(mats[basis], basis, p) is not None for basis in Basis)
+    graded, plain = _sweeps(monkeypatch, p, mats)
+    assert len(graded) == 4 * 64 and all(ok for _, ok in graded)
+    assert graded == plain
+
+
+# the generator whose matrix is mutated in each basis, one of each kind
+MUTATED = {Basis.VW: F_PLUS, Basis.LAMBDA_CHI: E00_0, Basis.MU: E11_1, Basis.THIRD: B_MINUS}
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("basis", list(Basis))
+@pytest.mark.parametrize("rat, irr", [(Fraction(1, 7), 0), (0, Fraction(2, 7)), (1, 1)])
+def test_a_mutated_entry_fails_alike_on_both_sweeps(monkeypatch, p, basis, rat, irr):
+    """One entry of one generator, changed by a rational, by sqrt(p) or by both.
+
+    A change of the entry's own degree stays graded and fails in the integer
+    sweep; any other leaves the grading, so the sweep falls back to ExtScalar.
+    """
+    mats = {b: rep_matrices(GENERATORS, b, p) for b in Basis}
+    g = MUTATED[basis]
+    m = mats[basis][g]
+    # the first stored entry from row p on: in VW a w_l row, of degree 1
+    i = next(i for i in range(p, 2 * p) if m[i].nz)
+    j, x = next(iter(m[i].nz.items()))
+    rows = [dict(row.nz) for row in m]
+    rows[i][j] = x + ExtScalar(rat, irr, p)
+    mats[basis] = {**mats[basis], g: linalg.sparse(2 * p, ExtScalar.zero(p), rows)}
+    graded, plain = _sweeps(monkeypatch, p, mats)
+    assert graded == plain
+    assert not all(ok for _, ok in graded)
+    assert all(f"basis={basis.value} " in where for where, ok in graded if not ok)
+    a, _, _ = x.triple()
+    stays_graded = irr == 0 if a else rat == 0
+    assert (rep.integer_rows(mats[basis], basis, p) is not None) == stays_graded
+
+
 def count_constructions(monkeypatch, cls):
     built = [0]
     init = cls.__init__
@@ -457,12 +506,12 @@ def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
     assert built[0] == 2  # the counter is live
 
 
-# ExtScalar and Radical arithmetic calls together (19,014, none of them
+# ExtScalar and Radical arithmetic calls together (4,248, none of them
 # Radical) and Row constructions (2,608) of `verify --p 8`, plus 5%.  Since
-# T' = D^-1 T is built directly over ExtScalar, verify does no Radical
-# arithmetic; the bounds before were 19,972 and 2,772, on 19,021 calls (7 of
-# them Radical negations in T) and 2,640 Rows
-VERIFY_P8_ARITHMETIC = 19_964
+# the homomorphism sweep runs on the integer rows of the sqrt(p) grading, it
+# does no ExtScalar arithmetic; the arithmetic bound before was 19,964, on
+# 19,014 calls
+VERIFY_P8_ARITHMETIC = 4_460
 VERIFY_P8_ROWS = 2_738
 
 

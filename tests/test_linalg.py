@@ -1,11 +1,13 @@
 """The sparse-row kernels against a naive dense reference.
 
-Matrices are drawn as dense rows with about 70% zero entries over
-Fraction, over Q[sqrt(p)] at p = 2 and at p = 4 (a perfect square, so
-nonzero elements can multiply to zero) and over the multi-radical scalars
-of so(4), and frozen into sparse Rows (`linalg.freeze`), the one input
-format of the kernels.  Every entry of a result's dense view must equal the
-reference exactly and have the reference's type (and p).
+Matrices are drawn as dense rows with about 70% zero entries over int
+(the entries of verify's graded homomorphism sweep), Fraction, over
+Q[sqrt(p)] at p = 2 and at p = 4 (a perfect square, so nonzero elements
+can multiply to zero) and over the multi-radical scalars of so(4), and
+frozen into sparse Rows (`linalg.freeze`), the one input format of the
+Matrix kernels; `product_rows` takes their `nz` dicts.  Every entry of a
+result's dense view must equal the reference exactly and have the
+reference's type (and p).
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ nonzero_rationals = rationals.filter(bool)
 ZERO_DIVISORS_P4 = [ext(4, 2, 1), ext(4, 2, -1), ext(4, -1, Fraction(1, 2)), ext(4, 3, Fraction(-3, 2))]
 
 RINGS = {
+    "int": (0, st.integers(-9, 9).filter(bool)),
     "fraction": (Fraction(0), nonzero_rationals),
     "ext-p2": (
         ExtScalar.zero(2),
@@ -50,7 +53,7 @@ RINGS = {
     ),
 }
 ONES = {
-    "fraction": Fraction(1), "ext-p2": ExtScalar.one(2), "ext-p4": ExtScalar.one(4), "radical": Radical.rational(1)
+    "int": 1, "fraction": Fraction(1), "ext-p2": ExtScalar.one(2), "ext-p4": ExtScalar.one(4), "radical": Radical.rational(1)
 }
 sizes = st.integers(1, 4)
 
@@ -161,8 +164,13 @@ def test_sum_of_products_matches_naive_fold(data, ring, n):
     # +-1 as int and as Fraction, any rational (0 included) and any ring element;
     # the factors come from a pool of up to three matrices, so terms repeat, and
     # the sum may end in -c M and c M, so that entries cancel on purpose
-    units = st.sampled_from([1, -1, Fraction(1), Fraction(-1)])
-    coeffs = st.one_of(units, rationals, RINGS[ring][1])
+    # over int the coefficients are ints too: a Fraction one would turn the
+    # naive fold's int entries into Fractions that the kernel never multiplies
+    if ring == "int":
+        coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9))
+    else:
+        units = st.sampled_from([1, -1, Fraction(1), Fraction(-1)])
+        coeffs = st.one_of(units, rationals, RINGS[ring][1])
     pool = data.draw(st.lists(matrices(ring, n, n), min_size=1, max_size=3))
     term = st.tuples(coeffs, st.lists(st.sampled_from(pool), max_size=3))
     terms = data.draw(st.lists(term, max_size=4))
@@ -237,7 +245,7 @@ def _row_dicts(m):
     return [row.nz for row in m]
 
 
-@given(st.data(), st.sampled_from(["fraction", "ext-p2", "ext-p4"]), sizes)
+@given(st.data(), st.sampled_from(["int", "fraction", "ext-p2", "ext-p4"]), sizes)
 def test_signed_row_sums_agree_with_matrix_equality(data, ring, n):
     """signed_sums_equal on rows (product_rows, Row.nz) decides as the dense naive fold does.
 
@@ -263,7 +271,9 @@ def test_signed_row_sums_agree_with_matrix_equality(data, ring, n):
     def as_rows(terms):
         out = []
         for c, factors in terms:
-            rows = linalg.product_rows(*factors) if len(factors) == 2 else _row_dicts(factors[0])
+            rows = _row_dicts(factors[0])
+            if len(factors) == 2:
+                rows = linalg.product_rows(rows, _row_dicts(factors[1]))
             assert all(all(row.values()) for row in rows)
             out.append((c, rows))
         return out
@@ -277,8 +287,9 @@ def test_vanishing_products_are_dropped():
     # over Q[sqrt(4)], (2 + s)(2 - s) = 0: the one product entry is not stored
     a = linalg.freeze(((ext(4, 2, 1), ext(4, 1)),))
     b = linalg.freeze(((ext(4, 2, -1),), (ext(4, 0),)))
-    assert linalg.product_rows(a, b) == [{}]
-    assert linalg.signed_sums_equal([(1, linalg.product_rows(a, b))], [])
+    prod = linalg.product_rows(_row_dicts(a), _row_dicts(b))
+    assert prod == [{}]
+    assert linalg.signed_sums_equal([(1, prod)], [])
     assert not linalg.signed_sums_equal([(1, _row_dicts(a))], [(-1, _row_dicts(a))])
     with pytest.raises(ValueError):
         linalg.signed_sums_equal([(2, _row_dicts(a))], [])
@@ -410,6 +421,8 @@ def test_shape_mismatch_raises():
         linalg.sub(a, a[:1])
     with pytest.raises(ValueError):
         linalg.sum_of_products([(1, [a]), (-1, [linalg.transpose(a)])], 2, Fraction(1))
+    with pytest.raises(ValueError):  # 2 x 3 times 2 x 2: the last product does not fit
+        linalg.sum_of_products([(1, [a, linalg.freeze(((z, z), (z, z)))])], 2, Fraction(1))
     # equal says False here, so first_difference must not say "no difference"
     two, three = linalg.ext_identity(2, 3), linalg.ext_identity(3, 3)
     assert not linalg.equal(two, three)

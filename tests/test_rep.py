@@ -31,7 +31,7 @@ from q2rep.rep import (
     rep_of_element,
     weights_lambda_chi,
 )
-from q2rep.scalars import ExtScalar, ext
+from q2rep.scalars import ExtScalar, ext, inv_sqrt_p
 
 
 def vw_col(g, p, j):
@@ -352,6 +352,40 @@ def test_expansion_matrices_invertible():
         for basis in Basis:
             e = expansion_in_rvw(basis, p)
             linalg.ext_invert(e, p)  # raises if singular
+
+
+def test_every_generator_matrix_is_graded_by_sqrt_p():
+    """Entry (i, j) of M_g lies in Q sqrt(p)^((delta_i + delta_j + parity) mod 2), p = 1..64."""
+    for p in range(1, 65):
+        for basis in Basis:
+            deg = rep.degrees(basis, p)
+            assert len(deg) == 2 * p
+            for g, m in rep.rep_matrices(GENERATORS, basis, p).items():
+                for i, row in enumerate(m):
+                    for j, x in row.nz.items():
+                        a, b, _ = x.triple()
+                        odd = (deg[i] + deg[j] + g.parity) % 2
+                        assert (a if odd else b) == 0, (p, basis, g.name, i, j, x)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 9])
+def test_integer_rows_are_the_scaled_similarity(p):
+    """N'_g = L s^parity S M_g S^-1, S = diag(s^delta_i), entry for entry, and each an int."""
+    s, s_inv = ExtScalar.sqrt_p(p), inv_sqrt_p(p)
+    for basis in Basis:
+        deg = rep.degrees(basis, p)
+        mats = rep.rep_matrices(GENERATORS, basis, p)
+        scale, rows = rep.integer_rows(mats, basis, p)
+        assert scale >= 1 and set(rows) == set(mats)
+        for g, m in mats.items():
+            assert len(rows[g]) == 2 * p
+            for i, (want, got) in enumerate(zip(m, rows[g])):
+                assert set(got) == set(want.nz)
+                for j, x in want.nz.items():
+                    y = x * scale
+                    for factor in [s] * g.parity + [s] * deg[i] + [s_inv] * deg[j]:
+                        y = y * factor
+                    assert type(got[j]) is int and y == got[j], (basis, g.name, i, j)
 
 
 def test_unbounded_caches_are_the_listed_ones():
