@@ -15,26 +15,38 @@ Bases and their fixed orderings:
     THIRD       same abstract vectors as LAMBDA_CHI (only the polynomial
                 realization differs), so its matrices are LAMBDA_CHI's
 
-The V_p action is written out once, on LAMBDA_CHI (`_lc_action`).  VW and
-MU are each one exact change of basis of it, T (`_vw_change`) and C, with
-matrices T^-1 M T and C^-1 M C.  Two checks see T and C independently:
-Gram adjointness on VW, whose Gram matrix comes from the reduced
-coordinates and not from T, and realization 2 in `diffop` on MU.  All
-matrices are exact over Q[s]/(s^2 - p) and column c holds the image of
-basis vector c.  `rep_matrices` builds several generators' matrices in one
-basis from one T or C.  Nothing is memoized: each call builds its matrices
-anew, and a caller that uses a matrix more than once builds it once and
-keeps it.
+The V_p action is written out once, on LAMBDA_CHI (`_LAM_TERMS`,
+`_CHI_TERMS`).  VW and MU are each one exact change of basis of it, T
+(`_vw_change`) and C, with matrices T^-1 M T and C^-1 M C.  Two checks see
+T and C independently: Gram adjointness on VW, whose Gram matrix comes
+from the reduced coordinates and not from T, and realization 2 in `diffop`
+on MU.  All matrices are exact over Q[s]/(s^2 - p) and column c holds the
+image of basis vector c.  Nothing is memoized: each call builds its
+matrices anew, and a caller that uses a matrix more than once builds it
+once and keeps it.
 
 The matrices are graded by sqrt(p).  Give each basis vector a degree:
 1 for w_1..w_{p-1} in VW and 0 for every other vector of every basis
 (`degrees`).  Then entry (i, j) of an even generator's matrix is a
 rational times s^(delta_i + delta_j mod 2), and an odd generator's carries
-one more factor s.  `integer_rows` uses this to rescale one basis's eight
+one more factor s.  `rep_matrices` builds through this grading on ints:
+
+- the action tables, evaluated with one = isp = 1, give an integer matrix
+  I_g with M_g = (s/p)^pi_g I_g on LAMBDA_CHI, pi_g the parity of g;
+- each change is an integer table (X, Y, D) with Y = D X^-1: C itself,
+  T_Q with T = T_Q S for S = diag(s^delta_i), and the identity for
+  LAMBDA_CHI and THIRD;
+- one integer product R_g = Y I_g X per generator; the matrix is
+  S^-1 X^-1 M_g X S = (s/p)^pi_g S^-1 R_g S / D, so its entry (i, j) is
+  R_ij/(D p^pi_g) s^(pi_g + delta_j - delta_i).
+
+ExtScalar appears only at that last step, one per nonzero entry.
+`integer_rows` goes the other way: it rescales one basis's eight built
 matrices into integer rows with the same bracket relations, which `verify`
-checks.  A test asserts the grading for every generator in every basis at
-p = 1..64; turning the 1/sqrt(p) of one `_LAM_TERMS` coefficient into 1
-makes it fail.
+checks.  A test asserts the grading of every generator in every basis at
+p = 1..64; taking s^1 as 1 in the last step makes it fail.  A change of the
+tables cannot: they are evaluated on ints, and the last step grades what
+they give.
 """
 
 from __future__ import annotations
@@ -58,7 +70,7 @@ from .algebra import (
     GeneratorId,
     SuperElement,
 )
-from .linalg import Matrix
+from .linalg import Matrix, Row
 from .scalars import ExtScalar, inv_sqrt_p
 
 
@@ -85,59 +97,68 @@ def expansion_in_rvw(basis: Basis, p: int) -> Matrix:
             c = ExtScalar.of(Fraction(factorial(p - l - 1), factorial(p)), p)
             cols.append({l: c, p + l - 1: -(c * s)})
     elif basis is Basis.MU:
-        return linalg.matmul(expansion_in_rvw(Basis.LAMBDA_CHI, p), _mu_change(p)[0])
+        c = linalg.sparse(n, 0, _mu_change(p)[0])
+        return linalg.matmul(expansion_in_rvw(Basis.LAMBDA_CHI, p), c)
     else:
         raise KeyError(basis)
     return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
 
 
-def _mu_change(p: int) -> tuple[Matrix, Matrix]:
-    """(C, C^-1): the columns of C are mu_0..mu_{2p-1} in LAMBDA_CHI coordinates.
+# The changes of basis are integer tables (X, Y, D): X and Y = D X^-1 as
+# rows of {column: int} dicts of nonzeros, for one integer D > 0.
+IntRows = list[dict[int, int]]
+
+
+def _rows(cols: list[dict[int, int]]) -> IntRows:
+    """The rows of the square matrix with these columns."""
+    rows: IntRows = [{} for _ in cols]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def _mu_change(p: int) -> tuple[IntRows, IntRows, int]:
+    """(C, p C^-1, p): the columns of C are mu_0..mu_{2p-1} in LAMBDA_CHI coordinates.
 
     mu_0 = Lam_p and mu_{2p-1} = Lam_0.  For 1 <= j <= p-1 the pair
     mu_{p-j} = Lam_j - (p-j) chi_j and mu_{2p-1-j} = Lam_j + j chi_j is a
-    2x2 block of determinant p, so C^-1 has the closed form
-    Lam_j = (j mu_{p-j} + (p-j) mu_{2p-1-j})/p, chi_j = (mu_{2p-1-j} - mu_{p-j})/p.
+    2x2 block of determinant p, so p C^-1 has the closed form
+    p Lam_j = j mu_{p-j} + (p-j) mu_{2p-1-j}, p chi_j = mu_{2p-1-j} - mu_{p-j}.
     """
     n = 2 * p
-    one = ExtScalar.one(p)
-    mu: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of C
-    lc: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of C^-1
-    mu[0], lc[p] = {p: one}, {0: one}
-    mu[n - 1], lc[0] = {0: one}, {n - 1: one}
+    mu: list[dict[int, int]] = [{} for _ in range(n)]  # columns of C
+    lc: list[dict[int, int]] = [{} for _ in range(n)]  # columns of p C^-1
+    mu[0], lc[p] = {p: 1}, {0: p}
+    mu[n - 1], lc[0] = {0: 1}, {n - 1: p}
     for j in range(1, p):
         a, b, chi = p - j, n - 1 - j, p + j
-        mu[a] = {j: one, chi: one * (j - p)}
-        mu[b] = {j: one, chi: one * j}
-        lc[j] = {a: one * Fraction(j, p), b: one * Fraction(p - j, p)}
-        lc[chi] = {a: one * Fraction(-1, p), b: one * Fraction(1, p)}
-    zero = ExtScalar.zero(p)
-    return tuple(linalg.transpose(linalg.sparse(n, zero, cols)) for cols in (mu, lc))
+        mu[a], mu[b] = {j: 1, chi: j - p}, {j: 1, chi: j}
+        lc[j], lc[chi] = {a: j, b: p - j}, {a: -1, b: 1}
+    return _rows(mu), _rows(lc), p
 
 
-def _vw_change(p: int) -> tuple[Matrix, Matrix]:
-    """(T, T^-1): the columns of T are the VW basis vectors in LAMBDA_CHI coordinates.
+def _vw_change(p: int) -> tuple[IntRows, IntRows, int]:
+    """(T_Q, 2 p! T_Q^-1, 2 p!) with T = T_Q S, S = diag(s^delta_i) of `degrees`.
 
+    The columns of T are the VW basis vectors in LAMBDA_CHI coordinates:
     v_k = p!/(p-k)! Lam_k, w_l = sqrt(p) (p-1)! (Lam_l/(p-l)! - chi_l/(p-l-1)!)
     and v_p + sqrt(p) w_p = 2 p! Lam_p, so T^-1 has the closed form
     Lam_k = (p-k)!/p! v_k, Lam_p = (v_p + sqrt(p) w_p)/(2 p!) and
-    chi_l = (p-l-1)!/p! (v_l - sqrt(p) w_l).
+    chi_l = (p-l-1)!/p! (v_l - sqrt(p) w_l).  S takes the sqrt(p) of w_l
+    out of T and into T^-1 = S^-1 T_Q^-1, where its s^2 = p is rational.
     """
-    n, s, fp = 2 * p, ExtScalar.sqrt_p(p), factorial(p)
-    vw: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of T
-    lc: list[dict[int, ExtScalar]] = [{} for _ in range(n)]  # columns of T^-1
+    n, fp = 2 * p, factorial(p)
+    vw: list[dict[int, int]] = [{} for _ in range(n)]  # columns of T_Q
+    lc: list[dict[int, int]] = [{} for _ in range(n)]  # columns of 2 p! T_Q^-1
     for k in range(p):
-        vw[k] = {k: ExtScalar.of(Fraction(fp, factorial(p - k)), p)}
-        lc[k] = {k: ExtScalar.of(Fraction(factorial(p - k), fp), p)}
-    vw[n - 1], lc[p] = {p: ExtScalar.of(2 * fp, p)}, {n - 1: ExtScalar.of(Fraction(1, 2 * fp), p)}
+        vw[k], lc[k] = {k: fp // factorial(p - k)}, {k: 2 * factorial(p - k)}
+    vw[n - 1], lc[p] = {p: 2 * fp}, {n - 1: 1}
     for l in range(1, p):
-        w, chi = p + l - 1, p + l
-        vw[w] = {l: s * Fraction(factorial(p - 1), factorial(p - l)),
-                 chi: -(s * Fraction(factorial(p - 1), factorial(p - l - 1)))}
-        c = ExtScalar.of(Fraction(factorial(p - l - 1), fp), p)
-        lc[chi] = {l: c, w: -(c * s)}
-    zero = ExtScalar.zero(p)
-    return tuple(linalg.transpose(linalg.sparse(n, zero, cols)) for cols in (vw, lc))
+        w, chi, f = p + l - 1, p + l, factorial(p - l - 1)
+        vw[w] = {l: fp // (p * (p - l) * f), chi: -(fp // (p * f))}
+        lc[chi] = {l: 2 * f, w: -2 * p * f}
+    return _rows(vw), _rows(lc), 2 * fp
 
 
 def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
@@ -150,7 +171,10 @@ def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
 # direct action tables ------------------------------------------------------
 
 # The images of Lam_k and of chi_k under each generator: (k, p, one, isp) ->
-# its (kind, index, coefficient) terms, with one = 1 and isp = 1/sqrt(p).
+# its (kind, index, coefficient) terms.  Even generators use only `one` and
+# odd ones only `isp`, which stand for 1 and 1/sqrt(p); `rep_matrices`
+# evaluates the tables with one = isp = 1, on ints, and puts the factor
+# (s/p)^parity = 1/sqrt(p)^parity on the result.
 _LAM_TERMS = {
     B_MINUS: lambda k, p, one, isp: [("L", k - 1, one * k)],
     B_PLUS: lambda k, p, one, isp: [("L", k + 1, one * (p - k))],
@@ -177,11 +201,12 @@ _CHI_TERMS = {
 
 
 def _lc_action(
-    g: GeneratorId, kind: str, k: int, p: int, one: ExtScalar, isp: ExtScalar
-) -> list[tuple[str, int, ExtScalar]]:
+    g: GeneratorId, kind: str, k: int, p: int, one: int | ExtScalar, isp: int | ExtScalar
+) -> list[tuple[str, int, int | ExtScalar]]:
     """Images of Lam_k / chi_l under g as (kind, index, coefficient) terms.
 
-    `one` is 1 and `isp` is 1/sqrt(p), made once per matrix by the caller.
+    `one` and `isp` stand for 1 and 1/sqrt(p) (see the tables), made once
+    per matrix by the caller.
     """
     terms = (_LAM_TERMS if kind == "L" else _CHI_TERMS)[g](k, p, one, isp)
     out = []
@@ -197,29 +222,52 @@ def _lc_action(
     return out
 
 
-def _lc_matrix(g: GeneratorId, p: int) -> Matrix:
-    """Exact 2p x 2p matrix of the generator in the LAMBDA_CHI basis."""
-    n, one, isp = 2 * p, ExtScalar.one(p), inv_sqrt_p(p)
-    cols: list[dict[int, ExtScalar]] = [{} for _ in range(n)]
-    for col in range(n):
+def _lc_rows(g: GeneratorId, p: int, one: int | ExtScalar, isp: int | ExtScalar) -> list[dict]:
+    """The rows of g's LAMBDA_CHI matrix as dicts of nonzeros, with the given one and isp."""
+    rows: list[dict] = [{} for _ in range(2 * p)]
+    for col in range(2 * p):
         kind, idx = ("L", col) if col <= p else ("C", col - p)
         for tkind, tidx, c in _lc_action(g, kind, idx, p, one, isp):
-            cols[col][tidx if tkind == "L" else p + tidx] = c
-    return linalg.transpose(linalg.sparse(n, ExtScalar.zero(p), cols))
+            rows[tidx if tkind == "L" else p + tidx][col] = c
+    return rows
 
 
 def rep_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> dict[GeneratorId, Matrix]:
     """Exact 2p x 2p matrices of the generators in the requested ordered basis.
 
-    VW and MU build their change of basis once and conjugate every generator's
-    LAMBDA_CHI matrix by it; THIRD has LAMBDA_CHI's matrices.
+    Built over the integers: with the basis's change (X, Y, D), made once
+    for all generators, and the integer action I_g, entry (i, j) of
+    R_g = Y I_g X gives the entry R_ij/(D p^pi_g) s^(pi_g + delta_j - delta_i)
+    (module docstring).  LAMBDA_CHI and THIRD have X = Y = I and D = 1.
     """
-    if basis in (Basis.LAMBDA_CHI, Basis.THIRD):
-        return {g: _lc_matrix(g, p) for g in gens}
-    if basis not in (Basis.MU, Basis.VW):
+    if basis is Basis.VW:
+        x, y, den = _vw_change(p)
+    elif basis is Basis.MU:
+        x, y, den = _mu_change(p)
+    elif basis in (Basis.LAMBDA_CHI, Basis.THIRD):
+        x, y, den = None, None, 1
+    else:
         raise KeyError(basis)
-    c, c_inv = (_mu_change if basis is Basis.MU else _vw_change)(p)
-    return {g: linalg.matmul(c_inv, linalg.matmul(_lc_matrix(g, p), c)) for g in gens}
+    n, deg, zero, new = 2 * p, degrees(basis, p), ExtScalar.zero(p), ExtScalar.from_triple
+    # s^e = (a + b s)/d for e = -1..2, since s^-1 = s/p and s^2 = p
+    powers = {-1: (0, 1, p), 0: (1, 0, 1), 1: (0, 1, 1), 2: (p, 0, 1)}
+    out = {}
+    for g in gens:
+        rows = _lc_rows(g, p, 1, 1)
+        if x is not None:
+            rows = linalg.product_rows(y, linalg.product_rows(rows, x))
+        pi = g.parity
+        d = den * p**pi
+        mat = []
+        for i, acc in enumerate(rows):
+            entries = {}
+            for j in sorted(acc):
+                a, b, q = powers[pi + deg[j] - deg[i]]
+                v = acc[j]
+                entries[j] = new(v * a, v * b, d * q, p)
+            mat.append(Row(n, zero, entries))
+        out[g] = tuple(mat)
+    return out
 
 
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:

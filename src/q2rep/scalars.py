@@ -5,9 +5,10 @@ sqrt(p).  An element is one integer triple (a + b*s)/d in canonical form:
 d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal elements have
 equal triples.  Arithmetic works on ints alone and ends in one normaliser,
 which makes one gcd call (none when d = 1); no Fraction is built.  The
-`rat` and `irr` components are read as Fractions, and `triple` gives the
-integers themselves.  s stays symbolic even when p is a perfect square:
-equality is structural in Q[s]/(s^2 - p).
+`rat` and `irr` components are read as Fractions, `triple` gives the
+integers themselves, and `from_triple` builds an element from any integer
+triple through the same normaliser.  s stays symbolic even when p is a
+perfect square: equality is structural in Q[s]/(s^2 - p).
 There is no division operator: `inverse` (used by the exact solve) refuses
 elements of zero norm a^2 - p*b^2, which exist exactly when p is a perfect
 square.
@@ -106,6 +107,13 @@ class ExtScalar:
     def triple(self) -> tuple[int, int, int]:
         """The canonical integer triple (a, b, d) of (a + b*s)/d."""
         return self._a, self._b, self._d
+
+    @classmethod
+    def from_triple(cls, a: int, b: int, d: int, p: int) -> ExtScalar:
+        """The canonical (a + b*s)/d of integers with d > 0; `triple` reads it back."""
+        if d <= 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        return _normal(a, b, d, p)
 
     @classmethod
     def zero(cls, p: int) -> ExtScalar:

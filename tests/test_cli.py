@@ -506,13 +506,14 @@ def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
     assert built[0] == 2  # the counter is live
 
 
-# ExtScalar and Radical arithmetic calls together (4,248, none of them
-# Radical) and Row constructions (2,608) of `verify --p 8`, plus 5%.  Since
+# ExtScalar and Radical arithmetic calls together (1,727, none of them
+# Radical) and Row constructions (1,456) of `verify --p 8`, plus 5%.  Since
 # the homomorphism sweep runs on the integer rows of the sqrt(p) grading, it
-# does no ExtScalar arithmetic; the arithmetic bound before was 19,964, on
-# 19,014 calls
-VERIFY_P8_ARITHMETIC = 4_460
-VERIFY_P8_ROWS = 2_738
+# does no ExtScalar arithmetic, and since rep builds the matrices on ints,
+# neither does the build; the bounds before were 4,460 and 2,738, on 4,248
+# calls and 2,608 rows, and 19,964 on 19,014 calls before that
+VERIFY_P8_ARITHMETIC = 1_813
+VERIFY_P8_ROWS = 1_528
 
 
 def test_verify_p8_work_is_bounded(monkeypatch, capsys):

@@ -3,12 +3,13 @@ import importlib
 import pkgutil
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 import q2rep
-from q2rep import cli, linalg, rep
+from q2rep import cli, linalg, rep, scalars
 from q2rep.algebra import (
     B_MINUS,
     B_PLUS,
@@ -214,10 +215,29 @@ def test_conjugation_consistency():
             assert linalg.equal(lhs, rhs)
 
 
-def test_mu_change_inverse_is_exact():
+def table_inverse(x, p):
+    """(Y, D) with Y = D X^-1 for integer rows X: the exact solve, then the lcm of denominators."""
+    n, zero = 2 * p, ExtScalar.zero(p)
+    x = linalg.sparse(n, zero, [{j: ExtScalar.of(v, p) for j, v in row.items()} for row in x])
+    inv = [{j: e.triple() for j, e in row.nz.items()} for row in linalg.ext_invert(x, p)]
+    assert all(b == 0 for row in inv for _, b, _ in row.values())
+    d = lcm(*(q for row in inv for _, _, q in row.values()))
+    return [{j: a * (d // q) for j, (a, _, q) in row.items()} for row in inv], d
+
+
+def assert_integer_change(change):
+    """X (D X^-1) = (D X^-1) X = D I over the ints, for p = 1..64."""
     for p in range(1, 65):
-        c, c_inv = rep._mu_change(p)
-        assert linalg.equal(linalg.matmul(c, c_inv), linalg.ext_identity(2 * p, p))
+        x, y, d = change(p)
+        assert type(d) is int and d > 0
+        assert all(type(v) is int for rows in (x, y) for row in rows for v in row.values())
+        assert len(x) == len(y) == 2 * p
+        diagonal = [{i: d} for i in range(2 * p)]
+        assert linalg.product_rows(x, y) == linalg.product_rows(y, x) == diagonal, p
+
+
+def test_mu_change_inverse_is_exact():
+    assert_integer_change(rep._mu_change)
 
 
 def test_realization_2_checks_mu_independently_of_c(monkeypatch):
@@ -226,12 +246,10 @@ def test_realization_2_checks_mu_independently_of_c(monkeypatch):
     true_change = rep._mu_change
 
     def wrong_change(p):
-        c, _ = true_change(p)
-        rows = [dict(r.nz) for r in c]
+        c = [dict(row) for row in true_change(p)[0]]
         # mu_{p-1} = Lam_1 - p chi_1 in place of Lam_1 - (p-1) chi_1
-        rows[p + 1][p - 1] = rows[p + 1][p - 1] - ExtScalar.one(p)
-        c = linalg.sparse(2 * p, ExtScalar.zero(p), rows)
-        return c, linalg.ext_invert(c, p)
+        c[p + 1][p - 1] -= 1
+        return (c, *table_inverse(c, p))
 
     monkeypatch.setattr(rep, "_mu_change", wrong_change)
     try:
@@ -244,14 +262,16 @@ def test_realization_2_checks_mu_independently_of_c(monkeypatch):
 
 
 def test_vw_change_inverse_is_exact():
-    for p in range(1, 65):
-        t, t_inv = rep._vw_change(p)
-        assert linalg.equal(linalg.matmul(t, t_inv), linalg.ext_identity(2 * p, p))
+    assert_integer_change(rep._vw_change)
 
 
 def test_vw_change_is_the_generic_change_of_basis():
+    # T = T_Q S, S = diag(sqrt(p)^delta_j)
     for p in range(1, 17):
-        t, _ = rep._vw_change(p)
+        t_q, _, _ = rep._vw_change(p)
+        s, deg = ExtScalar.sqrt_p(p), rep.degrees(Basis.VW, p)
+        rows = [{j: s * v if deg[j] else ExtScalar.of(v, p) for j, v in row.items()} for row in t_q]
+        t = linalg.sparse(2 * p, ExtScalar.zero(p), rows)
         assert linalg.equal(t, change_of_basis(Basis.VW, Basis.LAMBDA_CHI, p))
 
 
@@ -261,11 +281,8 @@ def test_gram_adjointness_checks_vw_independently_of_t(monkeypatch, capsys):
     true_change = rep._vw_change
 
     def wrong_change(p):
-        t, _ = true_change(p)
-        t = linalg.matmul(t, linalg.sparse(2 * p, ExtScalar.zero(p), [
-            {i: ExtScalar.one(p) * (2 if i == 1 else 1)} for i in range(2 * p)
-        ]))
-        return t, linalg.ext_invert(t, p)
+        t_q = [{j: v * 2 if j == 1 else v for j, v in row.items()} for row in true_change(p)[0]]
+        return (t_q, *table_inverse(t_q, p))
 
     monkeypatch.setattr(rep, "_vw_change", wrong_change)
     try:
@@ -279,6 +296,36 @@ def test_gram_adjointness_checks_vw_independently_of_t(monkeypatch, capsys):
             assert cli.main(["check-realization", "--which", which, "--p", "3"]) == 0
     finally:
         monkeypatch.undo()
+
+
+def reference_matrices(basis, p):
+    """The eight matrices by ExtScalar algebra, as the build was before it ran on ints.
+
+    The action tables with one = 1 and isp = 1/sqrt(p), conjugated by the
+    change_of_basis matrices, which come from the exact solve against
+    expansion_in_rvw.
+    """
+    n, one, isp = 2 * p, ExtScalar.one(p), inv_sqrt_p(p)
+    to_basis = change_of_basis(Basis.LAMBDA_CHI, basis, p)
+    from_basis = change_of_basis(basis, Basis.LAMBDA_CHI, p)
+    out = {}
+    for g in GENERATORS:
+        lc = linalg.sparse(n, ExtScalar.zero(p), rep._lc_rows(g, p, one, isp))
+        out[g] = linalg.matmul(to_basis, linalg.matmul(lc, from_basis))
+    return out
+
+
+@pytest.mark.parametrize("p", [*range(1, 13), 32])
+def test_rep_matrices_equal_the_ext_reference(p):
+    for basis in Basis:
+        ref = reference_matrices(basis, p)
+        built = rep.rep_matrices(GENERATORS, basis, p)
+        for g in GENERATORS:
+            assert linalg.equal(built[g], ref[g]), (p, basis, g.name)
+            for row, want in zip(built[g], ref[g]):
+                assert list(row.nz) == sorted(row.nz)
+                assert type(row.zero) is ExtScalar and row.zero == want.zero
+                assert row.n == want.n == 2 * p
 
 
 def test_homomorphism_sample():
@@ -325,22 +372,34 @@ def test_third_shares_lambda_chi_matrices():
             assert linalg.equal(rep_matrix(g, Basis.THIRD, p), rep_matrix(g, Basis.LAMBDA_CHI, p))
 
 
+EXT_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+                  "inverse")
+
+
 def test_lambda_chi_matrices_build_only_their_own_terms(monkeypatch):
-    # 644 products for the eight matrices at p = 32: each basis vector's image
-    # under one generator, where building all eight generators' terms made 5,152
-    calls = 0
-    true_mul = vars(ExtScalar)["__mul__"]
+    # The eight matrices at p = 32, in each basis, are built on ints: no
+    # ExtScalar arithmetic, and one ExtScalar made per nonzero entry besides
+    # the one zero that the rows share
+    ops, made = [0], [0]
 
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return true_mul(self, other)
+    def counted(fn, cell):
+        def wrapper(*args):
+            cell[0] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(ExtScalar, "__mul__", counted)
-    built = {g: rep.rep_matrix(g, Basis.LAMBDA_CHI, 32) for g in GENERATORS}
-    monkeypatch.undo()
-    assert all(linalg.equal(m, rep_matrix(g, Basis.LAMBDA_CHI, 32)) for g, m in built.items())
-    assert 0 < calls <= 700
+    for basis in Basis:
+        ops[0] = made[0] = 0
+        with monkeypatch.context() as m:
+            for name in EXT_ARITHMETIC:
+                m.setattr(ExtScalar, name, counted(vars(ExtScalar)[name], ops))
+            m.setattr(ExtScalar, "__init__", counted(ExtScalar.__init__, made))
+            m.setattr(scalars, "_normal", counted(scalars._normal, made))
+            built = rep.rep_matrices(GENERATORS, basis, 32)
+        assert ops[0] == 0, basis
+        entries = [x for m in built.values() for row in m for x in row.nz.values()]
+        assert made[0] == len(entries) + 1 and len(set(map(id, entries))) == len(entries), basis
+        assert all(linalg.equal(m, rep_matrix(g, basis, 32)) for g, m in built.items())
 
 
 def test_p1_has_no_chi_sector():

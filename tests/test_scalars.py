@@ -192,3 +192,16 @@ def test_arithmetic_matches_fraction_pair_reference(case):
                 z.inverse()
         else:
             assert_canonical(z.inverse(), (rz[0] / norm, -rz[1] / norm), p)
+
+
+@given(
+    st.sampled_from([2, 4, 5]),
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(1, 40),
+)
+def test_from_triple_is_canonical(p, a, b, d):
+    assert_canonical(ExtScalar.from_triple(a, b, d, p), (Fraction(a, d), Fraction(b, d)), p)
+    for bad in (0, -d):
+        with pytest.raises(ValueError):
+            ExtScalar.from_triple(a, b, bad, p)
