@@ -39,7 +39,7 @@ from .models import (
     model_basis,
     sector_matrix,
 )
-from .rep import Basis, gram_matrix, integer_rows, rep_matrices
+from .rep import Basis, ext_matrices, graded_matrices, gram_matrix, rep_matrices
 from .scalars import parse_rational
 from .spectra import SolverError, decompose, spectrum_of_matrix
 
@@ -97,8 +97,8 @@ def _jacobi_checks():
         yield None if ok else f"triple {triple}", ok
 
 
-def _homomorphism_checks(p, mats):
-    """The 64 pair checks in each basis; `mats` maps each basis to its eight matrices.
+def _homomorphism_checks(p, graded):
+    """The 64 pair checks in each basis; `graded` maps each basis to its graded form.
 
     Each check compares [[M_x, M_y]] with the sum of c M_z over the structure
     terms of [[x, y]] row by row, as dicts of nonzeros, and builds no matrix.
@@ -106,13 +106,11 @@ def _homomorphism_checks(p, mats):
     every coefficient is +-1, so both sides are signed sums of rows
     (linalg.signed_sums_equal).
 
-    The checks run over the integers, on the rows N'_g = L s^pi_g S M_g S^-1
-    of rep.integer_rows.  Every z in [[x, y]] has parity pi_x + pi_y mod 2,
-    so [[N'_x, N'_y]] = L p^(pi_x pi_y) sum c N'_z holds exactly when
-    [[M_x, M_y]] = sum c M_z: L, s and S are invertible.  The right-hand
-    rows are scaled by L, or by L p when x and y are both odd.  A basis
-    whose matrices leave the grading is checked on its ExtScalar rows,
-    unscaled.
+    The checks run over the integers, on the rows R_g of rep.graded_matrices,
+    with s^pi_g S M_g S^-1 = R_g / D.  Every z in [[x, y]] has parity
+    pi_x + pi_y mod 2, so [[R_x, R_y]] = D p^(pi_x pi_y) sum c R_z holds
+    exactly when [[M_x, M_y]] = sum c M_z: D, s and S are invertible.  The
+    right-hand rows are scaled by D, or by D p when x and y are both odd.
     """
 
     def check(rhs, gx, gy, xy, yx):
@@ -126,14 +124,8 @@ def _homomorphism_checks(p, mats):
         return {g: [{j: x * k for j, x in row.items()} for row in r] for g, r in rows.items()}
 
     for basis in Basis:
-        ms = mats[basis]
-        graded = integer_rows(ms, basis, p)
-        if graded is None:
-            rows = {g: [row.nz for row in m] for g, m in ms.items()}
-            rhs = (rows, rows)
-        else:
-            scale, rows = graded
-            rhs = (scaled(rows, scale), scaled(rows, scale * p))
+        scale, rows = graded[basis]
+        rhs = (scaled(rows, scale), scaled(rows, scale * p))
         later = {}
         for gx, gy in itertools.product(GENERATORS, repeat=2):
             ok = later.pop((gx, gy), None)
@@ -147,7 +139,7 @@ def _homomorphism_checks(p, mats):
                 if gx != gy:
                     later[gy, gx] = check(rhs, gy, gx, yx, xy)
             yield None if ok else f"p={p} basis={basis.value} pair=({gx.name},{gy.name})", ok
-        del graded, rows, rhs  # before the next basis builds its own
+        del rhs  # before the next basis scales its own
 
 
 def _gram_checks(p, vw):
@@ -216,12 +208,15 @@ def _suite_results(
 
     run("graded-jacobi", _jacobi_checks())
     for p in p_values:
-        mats = {basis: rep_matrices(GENERATORS, basis, p) for basis in Basis}
-        run("rep-homomorphism", _homomorphism_checks(p, mats))
-        run("gram-adjointness", _gram_checks(p, mats[Basis.VW]))
+        graded = {basis: graded_matrices(GENERATORS, basis, p) for basis in Basis}
+        run("rep-homomorphism", _homomorphism_checks(p, graded))
+        # the other suites read only these two views
+        vw, lc = (ext_matrices(graded[b], b, p) for b in (Basis.VW, Basis.LAMBDA_CHI))
+        del graded
+        run("gram-adjointness", _gram_checks(p, vw))
         run("lambda-chi-orthogonality", _orthogonality_checks(p))
         so4_mats = so4.so4_matrices(p)
-        run("so4-identification", _identification_checks(p, so4_mats, mats[Basis.LAMBDA_CHI]))
+        run("so4-identification", _identification_checks(p, so4_mats, lc))
         run("so4-casimir-scalar", _casimir_checks(p, so4_mats, casimirs))
     return [(name, counts[name], fails[name]) for name in SUITES]
 

@@ -7,7 +7,7 @@ dense view, zeros included.  The Matrix kernels take matrices of `Row`s
 only; `freeze` is the one conversion from dense rows.  Entries need only
 ring arithmetic and a truth value (`solve` also needs `inverse`), so plain
 ints work too: `verify` checks the bracket relations on the integer rows
-of `rep.integer_rows`.
+of `rep.graded_matrices`.
 
 The kernels, `solve` included, do arithmetic, comparisons and truth tests
 on stored nonzeros only.  Each product entry still sums its terms over

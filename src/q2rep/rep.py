@@ -29,24 +29,24 @@ The matrices are graded by sqrt(p).  Give each basis vector a degree:
 1 for w_1..w_{p-1} in VW and 0 for every other vector of every basis
 (`degrees`).  Then entry (i, j) of an even generator's matrix is a
 rational times s^(delta_i + delta_j mod 2), and an odd generator's carries
-one more factor s.  `rep_matrices` builds through this grading on ints:
+one more factor s.  Each basis is built through this grading on ints:
 
-- the action tables, evaluated with one = isp = 1, give an integer matrix
-  I_g with M_g = (s/p)^pi_g I_g on LAMBDA_CHI, pi_g the parity of g;
+- the action tables are integer polynomials in (k, p); they give an
+  integer matrix I_g with M_g = (s/p)^pi_g I_g on LAMBDA_CHI, pi_g the
+  parity of g;
 - each change is an integer table (X, Y, D) with Y = D X^-1: C itself,
   T_Q with T = T_Q S for S = diag(s^delta_i), and the identity for
   LAMBDA_CHI and THIRD;
 - one integer product R_g = Y I_g X per generator; the matrix is
-  S^-1 X^-1 M_g X S = (s/p)^pi_g S^-1 R_g S / D, so its entry (i, j) is
-  R_ij/(D p^pi_g) s^(pi_g + delta_j - delta_i).
+  S^-1 X^-1 M_g X S = (s/p)^pi_g S^-1 R_g S / D.
 
-ExtScalar appears only at that last step, one per nonzero entry.
-`integer_rows` goes the other way: it rescales one basis's eight built
-matrices into integer rows with the same bracket relations, which `verify`
-checks.  A test asserts the grading of every generator in every basis at
-p = 1..64; taking s^1 as 1 in the last step makes it fail.  A change of the
-tables cannot: they are evaluated on ints, and the last step grades what
-they give.
+(D, {g: R_g}) is the basis's graded form.  `graded_matrices` hands it out
+in lowest terms, and `verify` checks the bracket relations on it, since
+s^pi_g S M_g S^-1 = R_g / D.  `ext_matrices` views a graded form over
+Q(sqrt(p)), one ExtScalar per nonzero entry R_ij/(D p^pi_g)
+s^(pi_g + delta_j - delta_i), and `rep_matrices` is that view of the
+product as built.  A test asserts the grading of every generator in every
+basis at p = 1..64; taking s^1 as 1 in the view makes it fail.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd
 
 from . import linalg
 from .algebra import (
@@ -170,47 +170,36 @@ def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
 
 # direct action tables ------------------------------------------------------
 
-# The images of Lam_k and of chi_k under each generator: (k, p, one, isp) ->
-# its (kind, index, coefficient) terms.  Even generators use only `one` and
-# odd ones only `isp`, which stand for 1 and 1/sqrt(p); `rep_matrices`
-# evaluates the tables with one = isp = 1, on ints, and puts the factor
-# (s/p)^parity = 1/sqrt(p)^parity on the result.
+# The images of Lam_k and of chi_k under each generator: (k, p) -> its
+# (kind, index, coefficient) terms, integer polynomials in k and p.  They
+# give the integer matrix I_g with M_g = (s/p)^parity I_g on LAMBDA_CHI:
+# an odd generator's coefficients stand for themselves times 1/sqrt(p).
 _LAM_TERMS = {
-    B_MINUS: lambda k, p, one, isp: [("L", k - 1, one * k)],
-    B_PLUS: lambda k, p, one, isp: [("L", k + 1, one * (p - k))],
-    F_MINUS: lambda k, p, one, isp: [("L", k - 1, isp * k), ("C", k - 1, isp * (k * (k - 1)))],
-    F_PLUS: lambda k, p, one, isp: [
-        ("L", k + 1, isp * (p - k)),
-        ("C", k + 1, -(isp * ((p - k) * (p - k - 1)))),
-    ],
-    E00_0: lambda k, p, one, isp: [("L", k, one * (p - k))],
-    E11_0: lambda k, p, one, isp: [("L", k, one * k)],
-    E00_1: lambda k, p, one, isp: [("L", k, isp * (p - k)), ("C", k, isp * (k * (p - k)))],
-    E11_1: lambda k, p, one, isp: [("L", k, isp * k), ("C", k, -(isp * (k * (p - k))))],
+    B_MINUS: lambda k, p: [("L", k - 1, k)],
+    B_PLUS: lambda k, p: [("L", k + 1, p - k)],
+    F_MINUS: lambda k, p: [("L", k - 1, k), ("C", k - 1, k * (k - 1))],
+    F_PLUS: lambda k, p: [("L", k + 1, p - k), ("C", k + 1, -(p - k) * (p - k - 1))],
+    E00_0: lambda k, p: [("L", k, p - k)],
+    E11_0: lambda k, p: [("L", k, k)],
+    E00_1: lambda k, p: [("L", k, p - k), ("C", k, k * (p - k))],
+    E11_1: lambda k, p: [("L", k, k), ("C", k, -k * (p - k))],
 }
 _CHI_TERMS = {
-    B_MINUS: lambda k, p, one, isp: [("C", k - 1, one * (k - 1))],
-    B_PLUS: lambda k, p, one, isp: [("C", k + 1, one * (p - k - 1))],
-    F_MINUS: lambda k, p, one, isp: [("L", k - 1, -isp), ("C", k - 1, -(isp * (k - 1)))],
-    F_PLUS: lambda k, p, one, isp: [("L", k + 1, isp), ("C", k + 1, -(isp * (p - k - 1)))],
-    E00_0: lambda k, p, one, isp: [("C", k, one * (p - k))],
-    E11_0: lambda k, p, one, isp: [("C", k, one * k)],
-    E00_1: lambda k, p, one, isp: [("L", k, isp), ("C", k, -(isp * (p - k)))],
-    E11_1: lambda k, p, one, isp: [("L", k, -isp), ("C", k, -(isp * k))],
+    B_MINUS: lambda k, p: [("C", k - 1, k - 1)],
+    B_PLUS: lambda k, p: [("C", k + 1, p - k - 1)],
+    F_MINUS: lambda k, p: [("L", k - 1, -1), ("C", k - 1, -(k - 1))],
+    F_PLUS: lambda k, p: [("L", k + 1, 1), ("C", k + 1, -(p - k - 1))],
+    E00_0: lambda k, p: [("C", k, p - k)],
+    E11_0: lambda k, p: [("C", k, k)],
+    E00_1: lambda k, p: [("L", k, 1), ("C", k, -(p - k))],
+    E11_1: lambda k, p: [("L", k, -1), ("C", k, -k)],
 }
 
 
-def _lc_action(
-    g: GeneratorId, kind: str, k: int, p: int, one: int | ExtScalar, isp: int | ExtScalar
-) -> list[tuple[str, int, int | ExtScalar]]:
-    """Images of Lam_k / chi_l under g as (kind, index, coefficient) terms.
-
-    `one` and `isp` stand for 1 and 1/sqrt(p) (see the tables), made once
-    per matrix by the caller.
-    """
-    terms = (_LAM_TERMS if kind == "L" else _CHI_TERMS)[g](k, p, one, isp)
+def _lc_action(g: GeneratorId, kind: str, k: int, p: int) -> list[tuple[str, int, int]]:
+    """Images of Lam_k / chi_l under g as (kind, index, coefficient) terms of I_g."""
     out = []
-    for tkind, idx, c in terms:
+    for tkind, idx, c in (_LAM_TERMS if kind == "L" else _CHI_TERMS)[g](k, p):
         if not c:
             continue
         in_range = (0 <= idx <= p) if tkind == "L" else (1 <= idx <= p - 1)
@@ -222,44 +211,60 @@ def _lc_action(
     return out
 
 
-def _lc_rows(g: GeneratorId, p: int, one: int | ExtScalar, isp: int | ExtScalar) -> list[dict]:
-    """The rows of g's LAMBDA_CHI matrix as dicts of nonzeros, with the given one and isp."""
-    rows: list[dict] = [{} for _ in range(2 * p)]
+def _lc_rows(g: GeneratorId, p: int) -> IntRows:
+    """The rows of I_g as dicts of nonzeros."""
+    rows: IntRows = [{} for _ in range(2 * p)]
     for col in range(2 * p):
         kind, idx = ("L", col) if col <= p else ("C", col - p)
-        for tkind, tidx, c in _lc_action(g, kind, idx, p, one, isp):
+        for tkind, tidx, c in _lc_action(g, kind, idx, p):
             rows[tidx if tkind == "L" else p + tidx][col] = c
     return rows
 
 
-def rep_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> dict[GeneratorId, Matrix]:
-    """Exact 2p x 2p matrices of the generators in the requested ordered basis.
+# A graded form (D, {g: R_g}) of a basis: integer rows R_g and one integer
+# D > 0 with M_g = (s/p)^pi_g S^-1 R_g S / D (module docstring).
+Graded = tuple[int, dict[GeneratorId, IntRows]]
 
-    Built over the integers: with the basis's change (X, Y, D), made once
-    for all generators, and the integer action I_g, entry (i, j) of
-    R_g = Y I_g X gives the entry R_ij/(D p^pi_g) s^(pi_g + delta_j - delta_i)
-    (module docstring).  LAMBDA_CHI and THIRD have X = Y = I and D = 1.
-    """
+
+def _products(gens: Iterable[GeneratorId], basis: Basis, p: int) -> Graded:
+    """(D, {g: Y I_g X}) for the basis's change (X, Y, D), made once for all generators."""
     if basis is Basis.VW:
         x, y, den = _vw_change(p)
     elif basis is Basis.MU:
         x, y, den = _mu_change(p)
     elif basis in (Basis.LAMBDA_CHI, Basis.THIRD):
-        x, y, den = None, None, 1
+        return 1, {g: _lc_rows(g, p) for g in gens}
     else:
         raise KeyError(basis)
+    return den, {g: linalg.product_rows(y, linalg.product_rows(_lc_rows(g, p), x)) for g in gens}
+
+
+def graded_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> Graded:
+    """The graded form (D, {g: R_g}) of the generators, in lowest terms.
+
+    The gcd of D and of every entry of every R_g is divided out, which keeps
+    the ints small: VW's D = 2 p! drops to 2p.
+    """
+    den, rows = _products(gens, basis, p)
+    c = gcd(den, *(v for r in rows.values() for row in r for v in row.values()))
+    if c > 1:
+        den, rows = den // c, {g: [{j: v // c for j, v in row.items()} for row in r]
+                               for g, r in rows.items()}
+    return den, rows
+
+
+def ext_matrices(graded: Graded, basis: Basis, p: int) -> dict[GeneratorId, Matrix]:
+    """The exact matrices M_g of a graded form of `basis`, one ExtScalar per nonzero entry."""
+    den, rows = graded
     n, deg, zero, new = 2 * p, degrees(basis, p), ExtScalar.zero(p), ExtScalar.from_triple
     # s^e = (a + b s)/d for e = -1..2, since s^-1 = s/p and s^2 = p
     powers = {-1: (0, 1, p), 0: (1, 0, 1), 1: (0, 1, 1), 2: (p, 0, 1)}
     out = {}
-    for g in gens:
-        rows = _lc_rows(g, p, 1, 1)
-        if x is not None:
-            rows = linalg.product_rows(y, linalg.product_rows(rows, x))
+    for g, r in rows.items():
         pi = g.parity
         d = den * p**pi
         mat = []
-        for i, acc in enumerate(rows):
+        for i, acc in enumerate(r):
             entries = {}
             for j in sorted(acc):
                 a, b, q = powers[pi + deg[j] - deg[i]]
@@ -268,6 +273,14 @@ def rep_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> dict[Gene
             mat.append(Row(n, zero, entries))
         out[g] = tuple(mat)
     return out
+
+
+def rep_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> dict[GeneratorId, Matrix]:
+    """Exact 2p x 2p matrices of the generators in the requested ordered basis.
+
+    The view of the graded form as built: no gcd is taken out.
+    """
+    return ext_matrices(_products(gens, basis, p), basis, p)
 
 
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:
@@ -300,39 +313,6 @@ def degrees(basis: Basis, p: int) -> list[int]:
     if basis is Basis.VW:
         return [0] * p + [1] * (p - 1) + [0]
     return [0] * (2 * p)
-
-
-def integer_rows(
-    mats: dict[GeneratorId, Matrix], basis: Basis, p: int
-) -> tuple[int, dict[GeneratorId, list[dict[int, int]]]] | None:
-    """(L, N'): one basis's generator matrices M_g made integer by the sqrt(p) grading.
-
-    With s = sqrt(p), S = diag(s^delta_i) for delta = degrees(basis, p) and
-    pi_g the parity of g, N'_g = L s^pi_g S M_g S^-1 as rows of
-    {column: int} dicts of nonzeros, where L is the lcm of the
-    denominators of all eight matrices' entries.  This needs entry (i, j)
-    of M_g to lie in Q s^r, r = (delta_i + delta_j + pi_g) mod 2; then
-    s^(delta_i - delta_j + r + pi_g) is 1 or p.  None at the first entry
-    that does not.
-    """
-    deg = degrees(basis, p)
-    scale = lcm(*(x.triple()[2] for m in mats.values() for row in m for x in row.nz.values()))
-    graded = {}
-    for g, m in mats.items():
-        rows = []
-        for i, row in enumerate(m):
-            out = {}
-            for j, x in row.nz.items():
-                a, b, d = x.triple()
-                r = (deg[i] + deg[j] + g.parity) % 2
-                num, off = (b, a) if r else (a, b)
-                if off:
-                    return None
-                # the power of s is 0 or 2
-                out[j] = num * (scale // d) * (p if deg[i] - deg[j] + r + g.parity else 1)
-            rows.append(out)
-        graded[g] = rows
-    return scale, graded
 
 
 # metric ---------------------------------------------------------------------

@@ -14,8 +14,9 @@ from q2rep import cli, diffop, linalg, rep, so4, spectra
 from q2rep.algebra import B_MINUS, E00_0, E11_1, F_PLUS, GENERATORS
 from q2rep.models import Model, ModelSpec
 from q2rep.cli import main
-from q2rep.rep import Basis, rep_matrices
+from q2rep.rep import Basis
 from q2rep.scalars import ExtScalar
+from conftest import reference_matrices, reference_sweep
 
 
 def run(capsys, *argv):
@@ -396,20 +397,25 @@ def test_closed_form_match_sees_coupling_between_blocks(monkeypatch, capsys, fmt
 
 
 def test_homomorphism_sweep_builds_each_matrix_once(monkeypatch):
-    calls = 0
-    true_rep_matrices = cli.rep_matrices
+    built = {"graded_matrices": 0, "ext_matrices": 0, "rep_matrices": 0}
 
-    def counted(gens, basis, p):
-        nonlocal calls
-        gens = list(gens)
-        calls += len(gens)
-        return true_rep_matrices(gens, basis, p)
+    def counted(name, size):
+        true_fn = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "rep_matrices", counted)
-    assert all(fail is None for _, _, fail in cli._suite_results([4], {}))
-    # eight generators in each of the four bases, shared by the 64 pairs and
-    # by the suites after the homomorphism sweep
-    assert calls <= 32
+        def wrapper(*args):
+            built[name] += size(*args)
+            return true_fn(*args)
+        return wrapper
+
+    for name, size in (("graded_matrices", lambda gens, *_: len(gens)),
+                       ("ext_matrices", lambda graded, *_: len(graded[1])),
+                       ("rep_matrices", lambda gens, *_: len(gens))):
+        monkeypatch.setattr(cli, name, counted(name, size))
+    assert all(fail is None for _, _, fail in cli._suite_results([3, 4], {}))
+    # per p, the graded form of the eight generators in each of the four
+    # bases, shared by the 64 pairs, and the ExtScalar view of VW (Gram) and
+    # of LAMBDA_CHI (identification) made from it
+    assert built == {"graded_matrices": 2 * 32, "ext_matrices": 2 * 16, "rep_matrices": 0}
 
 
 def count_calls(monkeypatch, module, name):
@@ -424,30 +430,24 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def graded_forms(p):
+    return {basis: rep.graded_matrices(GENERATORS, basis, p) for basis in Basis}
+
+
 def test_homomorphism_sweep_makes_each_product_once(monkeypatch):
-    mats = {basis: rep_matrices(GENERATORS, basis, 4) for basis in Basis}
+    graded = graded_forms(4)
     # the multiply-accumulate loop; matmul is built on it too
     calls = count_calls(monkeypatch, linalg, "product_rows")
-    checks = list(cli._homomorphism_checks(4, mats))
+    checks = list(cli._homomorphism_checks(4, graded))
     assert len(checks) == 4 * 64 and all(ok for _, ok in checks)
     # one product M_x M_y per ordered pair serves the checks of (x, y) and (y, x)
     assert 0 < len(calls) <= 4 * 64
 
 
-def _sweeps(monkeypatch, p, mats):
-    """The homomorphism sweep on the graded integer rows, then on the ExtScalar rows."""
-    graded = list(cli._homomorphism_checks(p, mats))
-    with monkeypatch.context() as m:
-        m.setattr(cli, "integer_rows", lambda *args: None)
-        plain = list(cli._homomorphism_checks(p, mats))
-    return graded, plain
-
-
 @pytest.mark.parametrize("p", [*range(1, 17), 64])
-def test_integer_sweep_matches_the_ext_sweep(monkeypatch, p):
-    mats = {basis: rep_matrices(GENERATORS, basis, p) for basis in Basis}
-    assert all(rep.integer_rows(mats[basis], basis, p) is not None for basis in Basis)
-    graded, plain = _sweeps(monkeypatch, p, mats)
+def test_integer_sweep_matches_the_ext_sweep(p):
+    graded = list(cli._homomorphism_checks(p, graded_forms(p)))
+    plain = list(reference_sweep(p, {basis: reference_matrices(basis, p) for basis in Basis}))
     assert len(graded) == 4 * 64 and all(ok for _, ok in graded)
     assert graded == plain
 
@@ -458,29 +458,26 @@ MUTATED = {Basis.VW: F_PLUS, Basis.LAMBDA_CHI: E00_0, Basis.MU: E11_1, Basis.THI
 
 @pytest.mark.parametrize("p", [3, 4])
 @pytest.mark.parametrize("basis", list(Basis))
-@pytest.mark.parametrize("rat, irr", [(Fraction(1, 7), 0), (0, Fraction(2, 7)), (1, 1)])
-def test_a_mutated_entry_fails_alike_on_both_sweeps(monkeypatch, p, basis, rat, irr):
-    """One entry of one generator, changed by a rational, by sqrt(p) or by both.
+def test_a_mutated_entry_fails_alike_on_both_sweeps(p, basis):
+    """One integer entry of one generator's graded form, one more than it should be.
 
-    A change of the entry's own degree stays graded and fails in the integer
-    sweep; any other leaves the grading, so the sweep falls back to ExtScalar.
+    The integer sweep reads the graded forms and the ExtScalar reference
+    sweep their views; both see the change and report it alike.
     """
-    mats = {b: rep_matrices(GENERATORS, b, p) for b in Basis}
+    graded = graded_forms(p)
     g = MUTATED[basis]
-    m = mats[basis][g]
+    den, rows = graded[basis]
     # the first stored entry from row p on: in VW a w_l row, of degree 1
-    i = next(i for i in range(p, 2 * p) if m[i].nz)
-    j, x = next(iter(m[i].nz.items()))
-    rows = [dict(row.nz) for row in m]
-    rows[i][j] = x + ExtScalar(rat, irr, p)
-    mats[basis] = {**mats[basis], g: linalg.sparse(2 * p, ExtScalar.zero(p), rows)}
-    graded, plain = _sweeps(monkeypatch, p, mats)
-    assert graded == plain
-    assert not all(ok for _, ok in graded)
-    assert all(f"basis={basis.value} " in where for where, ok in graded if not ok)
-    a, _, _ = x.triple()
-    stays_graded = irr == 0 if a else rat == 0
-    assert (rep.integer_rows(mats[basis], basis, p) is not None) == stays_graded
+    i = next(i for i in range(p, 2 * p) if rows[g][i])
+    j = next(iter(rows[g][i]))
+    mutated = [dict(row) for row in rows[g]]
+    mutated[i][j] += 1
+    graded[basis] = (den, {**rows, g: mutated})
+    got = list(cli._homomorphism_checks(p, graded))
+    plain = list(reference_sweep(p, {b: rep.ext_matrices(graded[b], b, p) for b in Basis}))
+    assert got == plain
+    assert not all(ok for _, ok in got)
+    assert all(f"basis={basis.value} " in where for where, ok in got if not ok)
 
 
 def count_constructions(monkeypatch, cls):
@@ -497,9 +494,9 @@ def count_constructions(monkeypatch, cls):
 
 def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
     # the checks compare rows as dicts of nonzeros: no Row, so no zero matrix either
-    mats = {basis: rep_matrices(GENERATORS, basis, 4) for basis in Basis}
+    graded = graded_forms(4)
     built = count_constructions(monkeypatch, linalg.Row)
-    checks = list(cli._homomorphism_checks(4, mats))
+    checks = list(cli._homomorphism_checks(4, graded))
     assert len(checks) == 4 * 64 and all(ok for _, ok in checks)
     assert built[0] == 0
     linalg.identity(2, 1, 0)
@@ -507,13 +504,15 @@ def test_homomorphism_sweep_builds_no_matrix(monkeypatch):
 
 
 # ExtScalar and Radical arithmetic calls together (1,727, none of them
-# Radical) and Row constructions (1,456) of `verify --p 8`, plus 5%.  Since
+# Radical) and Row constructions (1,200) of `verify --p 8`, plus 5%.  Since
 # the homomorphism sweep runs on the integer rows of the sqrt(p) grading, it
 # does no ExtScalar arithmetic, and since rep builds the matrices on ints,
-# neither does the build; the bounds before were 4,460 and 2,738, on 4,248
-# calls and 2,608 rows, and 19,964 on 19,014 calls before that
+# neither does the build; since the sweep reads the graded forms, only the
+# VW and LAMBDA_CHI matrices are viewed as Rows.  The bounds before were
+# 1,813 and 1,528 (on 1,456 rows), 4,460 and 2,738, on 4,248 calls and
+# 2,608 rows, and 19,964 on 19,014 calls before that
 VERIFY_P8_ARITHMETIC = 1_813
-VERIFY_P8_ROWS = 1_528
+VERIFY_P8_ROWS = 1_260
 
 
 def test_verify_p8_work_is_bounded(monkeypatch, capsys):

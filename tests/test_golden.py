@@ -64,18 +64,19 @@ def test_verify_failure_with_a_flipped_structure_sign_is_golden(monkeypatch, cap
 
 
 def test_verify_failure_with_a_perturbed_vw_entry_is_golden(monkeypatch, capsys):
-    # entry (1, 0) of the VW matrix of f+ at p = 2, one more than it should be
-    true_rep_matrices = cli.rep_matrices
+    # integer entry (1, 0) of the graded form of f+ in VW at p = 2, one more
+    # than it should be; every suite reads the graded form or its view
+    true_graded_matrices = cli.graded_matrices
 
     def perturbed(gens, basis, p):
-        mats = true_rep_matrices(gens, basis, p)
+        den, rows = true_graded_matrices(gens, basis, p)
         if basis is Basis.VW and p == 2:
-            rows = [dict(row.nz) for row in mats[F_PLUS]]
-            rows[1][0] = rows[1].get(0, ExtScalar.zero(p)) + ExtScalar.one(p)
-            mats[F_PLUS] = linalg.sparse(2 * p, ExtScalar.zero(p), rows)
-        return mats
+            f_plus = [dict(row) for row in rows[F_PLUS]]
+            f_plus[1][0] = f_plus[1].get(0, 0) + 1
+            rows = {**rows, F_PLUS: f_plus}
+        return den, rows
 
-    monkeypatch.setattr(cli, "rep_matrices", perturbed)
+    monkeypatch.setattr(cli, "graded_matrices", perturbed)
     assert main(["verify", "--p", "1..3"]) == 1
     got = capsys.readouterr().out
     assert got == (DATA / "verify_p1-3_vw_entry_perturbed.txt").read_text()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from q2rep import cli, linalg
 from q2rep.algebra import B_MINUS, B_PLUS, E00_1, F_PLUS, GENERATORS
-from q2rep.rep import Basis, rep_matrices, rep_matrix
+from q2rep.rep import Basis, graded_matrices, rep_matrices, rep_matrix
 from q2rep.scalars import ExtScalar, NotInvertibleError, ext
 from q2rep.so4 import RAD_ZERO, Radical
 
@@ -203,6 +203,7 @@ def test_unit_coefficients_are_not_multiplied(monkeypatch):
     one = ExtScalar.one(p)
     units = [1, -1, one, -one]
     mats = {b: rep_matrices(GENERATORS, b, p) for b in Basis}
+    graded = {b: graded_matrices(GENERATORS, b, p) for b in Basis}
     inside = in_kernel = by_unit = 0
     mul = ExtScalar.__mul__
 
@@ -226,7 +227,7 @@ def test_unit_coefficients_are_not_multiplied(monkeypatch):
         monkeypatch.setattr(linalg, name, counted_kernel(getattr(linalg, name)))
     monkeypatch.setattr(ExtScalar, "__mul__", counted_mul)
     monkeypatch.setattr(ExtScalar, "__rmul__", counted_mul)
-    checks = list(cli._homomorphism_checks(p, mats))
+    checks = list(cli._homomorphism_checks(p, graded))
     assert len(checks) == len(Basis) * len(GENERATORS) ** 2 and all(ok for _, ok in checks)
     for ms in mats.values():
         x, y, *_ = gens = list(ms.values())

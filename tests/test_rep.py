@@ -3,12 +3,13 @@ import importlib
 import pkgutil
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 import q2rep
+from conftest import reference_matrices
 from q2rep import cli, linalg, rep, scalars
 from q2rep.algebra import (
     B_MINUS,
@@ -298,23 +299,6 @@ def test_gram_adjointness_checks_vw_independently_of_t(monkeypatch, capsys):
         monkeypatch.undo()
 
 
-def reference_matrices(basis, p):
-    """The eight matrices by ExtScalar algebra, as the build was before it ran on ints.
-
-    The action tables with one = 1 and isp = 1/sqrt(p), conjugated by the
-    change_of_basis matrices, which come from the exact solve against
-    expansion_in_rvw.
-    """
-    n, one, isp = 2 * p, ExtScalar.one(p), inv_sqrt_p(p)
-    to_basis = change_of_basis(Basis.LAMBDA_CHI, basis, p)
-    from_basis = change_of_basis(basis, Basis.LAMBDA_CHI, p)
-    out = {}
-    for g in GENERATORS:
-        lc = linalg.sparse(n, ExtScalar.zero(p), rep._lc_rows(g, p, one, isp))
-        out[g] = linalg.matmul(to_basis, linalg.matmul(lc, from_basis))
-    return out
-
-
 @pytest.mark.parametrize("p", [*range(1, 13), 32])
 def test_rep_matrices_equal_the_ext_reference(p):
     for basis in Basis:
@@ -364,12 +348,6 @@ def test_third_basis_matches_lambda_chi():
             assert linalg.equal(
                 rep_matrix(g, Basis.THIRD, p), rep_matrix(g, Basis.LAMBDA_CHI, p)
             )
-
-
-def test_third_shares_lambda_chi_matrices():
-    for p in range(1, 6):
-        for g in GENERATORS:
-            assert linalg.equal(rep_matrix(g, Basis.THIRD, p), rep_matrix(g, Basis.LAMBDA_CHI, p))
 
 
 EXT_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
@@ -429,22 +407,35 @@ def test_every_generator_matrix_is_graded_by_sqrt_p():
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 9])
 def test_integer_rows_are_the_scaled_similarity(p):
-    """N'_g = L s^parity S M_g S^-1, S = diag(s^delta_i), entry for entry, and each an int."""
+    """R_g / D = s^parity S M_g S^-1, S = diag(s^delta_i), for the M_g of the exact solve.
+
+    The graded form is in lowest terms, and each R_g entry is an int.
+    """
     s, s_inv = ExtScalar.sqrt_p(p), inv_sqrt_p(p)
     for basis in Basis:
         deg = rep.degrees(basis, p)
-        mats = rep.rep_matrices(GENERATORS, basis, p)
-        scale, rows = rep.integer_rows(mats, basis, p)
-        assert scale >= 1 and set(rows) == set(mats)
+        mats = reference_matrices(basis, p)
+        den, rows = rep.graded_matrices(GENERATORS, basis, p)
+        assert den >= 1 and set(rows) == set(mats)
+        assert gcd(den, *(v for r in rows.values() for row in r for v in row.values())) == 1
         for g, m in mats.items():
             assert len(rows[g]) == 2 * p
             for i, (want, got) in enumerate(zip(m, rows[g])):
                 assert set(got) == set(want.nz)
                 for j, x in want.nz.items():
-                    y = x * scale
+                    y = x * den
                     for factor in [s] * g.parity + [s] * deg[i] + [s_inv] * deg[j]:
                         y = y * factor
                     assert type(got[j]) is int and y == got[j], (basis, g.name, i, j)
+
+
+def test_action_tables_are_integer():
+    """Every coefficient of I_g is an int, for the eight generators at p = 1..64."""
+    for p in range(1, 65):
+        for g in GENERATORS:
+            images = [rep._lc_action(g, "L", k, p) for k in range(p + 1)]
+            images += [rep._lc_action(g, "C", l, p) for l in range(1, p)]
+            assert all(type(c) is int for terms in images for _, _, c in terms), (p, g.name)
 
 
 def test_unbounded_caches_are_the_listed_ones():
