@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 identity failure or a spectrum that cannot be
 certified real, 2 usage error (including `spectrum --model sphaleron`
-without --case, and an output that cannot be written: an --out path or a
-closed standard output), 3 constraint violation.  All numeric inputs are
-exact rationals ("a/b" or integers); floats appear only in output.  Output
-is deterministic: identical configs produce byte-identical files.
+without --case, an eigenvalue whose float is beyond the double range, and
+an output that cannot be written: an --out path or a closed standard
+output), 3 constraint violation.  All numeric inputs are exact rationals
+("a/b" or integers); floats appear only in output.  Output is
+deterministic: identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .models import (
     sector_matrix,
 )
 from .rep import Basis, ext_matrices, graded_matrices, gram_matrix, rep_matrices
-from .scalars import parse_rational
+from .scalars import FloatRangeError, parse_rational
 from .spectra import SolverError, decompose, spectrum_of_matrix
 
 
@@ -510,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"error: uncertified spectrum: {exc}", file=sys.stderr)
         return 1
+    except FloatRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError as exc:
         # the reader closed stdout: send what is still buffered to devnull, so
         # that the interpreter's final flush does not raise again

@@ -330,9 +330,3 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     zero = a[0].zero + b[0].zero if n and q else None
     return sparse(q, zero, ({j - n: x for j, x in row.items() if j >= n} for row in rows[:n]))
 
-
-def ext_invert(a: Matrix, p: int) -> Matrix:
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("only square matrices can be inverted")
-    return solve(a, ext_identity(n, p))

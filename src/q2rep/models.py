@@ -220,37 +220,25 @@ def sector_matrix(spec: ModelSpec) -> Matrix:
 
 # generator expressions -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorExpr:
-    """Sum of coefficient * (at most quadratic) products of the combinations
-    named in algebra.COMBINATIONS."""
-
-    p: int
-    terms: tuple[tuple[ExtScalar, tuple[str, ...]], ...]
-
-    def __post_init__(self) -> None:
-        for _, factors in self.terms:
-            if len(factors) > 2:
-                raise ValueError("expressions are at most quadratic in the generators")
-            for f in factors:
-                if f not in COMBINATIONS:
-                    raise KeyError(f"unknown generator combination {f!r}")
+# An expression: (coefficient, factors) terms, the factors at most two names
+# of algebra.COMBINATIONS; the matrix is the sum of coefficient * product.
+Expression = tuple[tuple[ExtScalar, tuple[str, ...]], ...]
 
 
-def evaluate_expression(expr: GeneratorExpr, basis: Basis, p: int) -> Matrix:
+def evaluate_expression(terms: Expression, basis: Basis, p: int) -> Matrix:
     """Substitute representation matrices into the expression, exactly."""
-    names = {name for _, factors in expr.terms for name in factors}
+    names = {name for _, factors in terms for name in factors}
     gens = {g for name in names for g in COMBINATIONS[name]}
     combos = combination_matrices(names, rep_matrices(gens, basis, p), p)
-    terms = ((c, [combos[name] for name in factors]) for c, factors in expr.terms)
-    return linalg.sum_of_products(terms, 2 * p, ExtScalar.one(p))
+    products = ((c, [combos[name] for name in factors]) for c, factors in terms)
+    return linalg.sum_of_products(products, 2 * p, ExtScalar.one(p))
 
 
 def _E(p: int, value: RationalLike) -> ExtScalar:
     return ExtScalar.of(Fraction(value), p)
 
 
-def generator_expression(spec: ModelSpec) -> GeneratorExpr:
+def generator_expression(spec: ModelSpec) -> Expression:
     """The model operator as a quadratic expression in the q(2) generators."""
     p = spec.p
     isp = inv_sqrt_p(p)
@@ -332,32 +320,26 @@ def generator_expression(spec: ModelSpec) -> GeneratorExpr:
                 (sq * Fraction(-d, 2), ("e1_diff",)),
                 (_E(p, (-2 * p * p + p) * d) + _E(p, lam), ()),
             ]
-        return GeneratorExpr(p, tuple(terms))
+        return tuple(terms)
     if spec.model is Model.MOSZKOWSKI:
         c = spec.param("c")
         v = spec.param("V")
-        return GeneratorExpr(
-            p,
-            (
-                (isp * c, ("e1_diff",)),
-                (_E(p, -Fraction(c, 2)), ("e0_diff",)),
-                (_E(p, v * Fraction(p * p, 2)), ()),
-                (_E(p, -Fraction(v, 2)), ("e0_diff", "e0_diff")),
-                (sq * v, ("e1_sum",)),
-            ),
+        return (
+            (isp * c, ("e1_diff",)),
+            (_E(p, -Fraction(c, 2)), ("e0_diff",)),
+            (_E(p, v * Fraction(p * p, 2)), ()),
+            (_E(p, -Fraction(v, 2)), ("e0_diff", "e0_diff")),
+            (sq * v, ("e1_sum",)),
         )
     omega = spec.param("omega")
     g = spec.param("g")
     # the sigma3 remainder (omega0 - omega + g(p-1))/2 vanishes on the
     # resonance surface enforced by ModelSpec
-    return GeneratorExpr(
-        p,
-        (
-            (_E(p, Fraction(omega, 2)), ("e0_diff",)),
-            (_E(p, Fraction(p, 2) * omega), ()),
-            (sq * Fraction(g, 2), ("e1_sum",)),
-            (isp * Fraction(g, 2), ("e1_diff",)),
-        ),
+    return (
+        (_E(p, Fraction(omega, 2)), ("e0_diff",)),
+        (_E(p, Fraction(p, 2) * omega), ()),
+        (sq * Fraction(g, 2), ("e1_sum",)),
+        (isp * Fraction(g, 2), ("e1_diff",)),
     )
 
 

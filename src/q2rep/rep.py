@@ -44,9 +44,10 @@ one more factor s.  Each basis is built through this grading on ints:
 in lowest terms, and `verify` checks the bracket relations on it, since
 s^pi_g S M_g S^-1 = R_g / D.  `ext_matrices` views a graded form over
 Q(sqrt(p)), one ExtScalar per nonzero entry R_ij/(D p^pi_g)
-s^(pi_g + delta_j - delta_i), and `rep_matrices` is that view of the
-product as built.  A test asserts the grading of every generator in every
-basis at p = 1..64; taking s^1 as 1 in the view makes it fail.
+s^(pi_g + delta_j - delta_i), and `rep_matrices` views `graded_matrices`,
+so every caller reads the one lowest-terms form.  A test asserts the
+grading of every generator in every basis at p = 1..64; taking s^1 as 1
+in the view makes it fail.
 """
 
 from __future__ import annotations
@@ -162,10 +163,8 @@ def _vw_change(p: int) -> tuple[IntRows, IntRows, int]:
 
 
 def change_of_basis(frm: Basis, to: Basis, p: int) -> Matrix:
-    """T with T @ (coordinates in `frm`) = coordinates in `to`."""
-    if frm == to:
-        return linalg.ext_identity(2 * p, p)
-    return linalg.matmul(linalg.ext_invert(expansion_in_rvw(to, p), p), expansion_in_rvw(frm, p))
+    """T with T @ (coordinates in `frm`) = coordinates in `to`: one exact solve."""
+    return linalg.solve(expansion_in_rvw(to, p), expansion_in_rvw(frm, p))
 
 
 # direct action tables ------------------------------------------------------
@@ -226,8 +225,13 @@ def _lc_rows(g: GeneratorId, p: int) -> IntRows:
 Graded = tuple[int, dict[GeneratorId, IntRows]]
 
 
-def _products(gens: Iterable[GeneratorId], basis: Basis, p: int) -> Graded:
-    """(D, {g: Y I_g X}) for the basis's change (X, Y, D), made once for all generators."""
+def graded_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> Graded:
+    """The graded form (D, {g: Y I_g X}) of the generators, in lowest terms.
+
+    One product per generator for the basis's change (X, Y, D); the gcd of D
+    and of every entry of every R_g is then divided out, which keeps the
+    ints small: VW's D = 2 p! drops to 2p.
+    """
     if basis is Basis.VW:
         x, y, den = _vw_change(p)
     elif basis is Basis.MU:
@@ -236,16 +240,7 @@ def _products(gens: Iterable[GeneratorId], basis: Basis, p: int) -> Graded:
         return 1, {g: _lc_rows(g, p) for g in gens}
     else:
         raise KeyError(basis)
-    return den, {g: linalg.product_rows(y, linalg.product_rows(_lc_rows(g, p), x)) for g in gens}
-
-
-def graded_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> Graded:
-    """The graded form (D, {g: R_g}) of the generators, in lowest terms.
-
-    The gcd of D and of every entry of every R_g is divided out, which keeps
-    the ints small: VW's D = 2 p! drops to 2p.
-    """
-    den, rows = _products(gens, basis, p)
+    rows = {g: linalg.product_rows(y, linalg.product_rows(_lc_rows(g, p), x)) for g in gens}
     c = gcd(den, *(v for r in rows.values() for row in r for v in row.values()))
     if c > 1:
         den, rows = den // c, {g: [{j: v // c for j, v in row.items()} for row in r]
@@ -276,11 +271,8 @@ def ext_matrices(graded: Graded, basis: Basis, p: int) -> dict[GeneratorId, Matr
 
 
 def rep_matrices(gens: Iterable[GeneratorId], basis: Basis, p: int) -> dict[GeneratorId, Matrix]:
-    """Exact 2p x 2p matrices of the generators in the requested ordered basis.
-
-    The view of the graded form as built: no gcd is taken out.
-    """
-    return ext_matrices(_products(gens, basis, p), basis, p)
+    """Exact 2p x 2p matrices of the generators in the requested ordered basis."""
+    return ext_matrices(graded_matrices(gens, basis, p), basis, p)
 
 
 def rep_matrix(g: GeneratorId, basis: Basis, p: int) -> Matrix:

@@ -35,6 +35,10 @@ class NotInvertibleError(ZeroDivisionError):
     """Inverting an element of zero norm a^2 - p*b^2."""
 
 
+class FloatRangeError(ArithmeticError):
+    """An exact value whose float, or a term of it, is beyond the double range."""
+
+
 def _num_den(value: RationalLike) -> tuple[int, int]:
     if isinstance(value, int):
         return int(value), 1
@@ -297,13 +301,27 @@ class ExactEig:
     radicand: Fraction
 
     def value(self) -> float:
-        """The nearest float to within a few ulps; an exact zero is 0.0, never -0.0."""
-        root = math.sqrt(self.radicand)
-        if self.sign * self.base >= 0:
-            return float(self.base) + self.sign * root
-        # opposite signs may cancel: divide the exact base^2 - radicand by base - sign*root
-        num = self.base * self.base - self.radicand
-        return float(num) / (float(self.base) - self.sign * root) if num else 0.0
+        """The nearest float to within a few ulps; an exact zero is 0.0, never -0.0.
+
+        Raises FloatRangeError when the value, or a term it is formed from,
+        is beyond the double range.
+        """
+        try:
+            root = math.sqrt(self.radicand)
+            if self.sign * self.base >= 0:
+                x = float(self.base) + self.sign * root
+            else:
+                # opposite signs may cancel: divide the exact base^2 - radicand
+                # by base - sign*root
+                num = self.base * self.base - self.radicand
+                x = float(num) / (float(self.base) - self.sign * root) if num else 0.0
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise FloatRangeError(
+                "an eigenvalue, or a term of its exact form, is beyond the double range"
+            )
+        return x
 
     def __neg__(self) -> ExactEig:
         return ExactEig(-self.base, -self.sign, self.radicand)

@@ -152,7 +152,7 @@ def eigenvalues_tridiagonal(block: Matrix) -> list[tuple[float, ExactEig | None]
     radius = [int(sum(abs(x) for j, x in t[i].items() if j != i) * d) for i in range(n)]
     lo, hi = min(a - r for a, r in zip(diag, radius)), max(a + r for a, r in zip(diag, radius))
     # grid points xs[k] / 2^s, two at least, with values vals[k] = 2^(s n) f(xs[k] / 2^s)
-    step, s = 2 ** math.ceil((hi - lo) / n).bit_length(), 0
+    step, s = 2 ** (-(-(hi - lo) // n)).bit_length(), 0
     xs = list(range(lo // step * step, hi + step + 1, step))
     vals = [_horner(f, x) for x in xs]
     while sum(not v for v in vals) + sum(u * v < 0 for u, v in zip(vals, vals[1:])) < n:
@@ -166,7 +166,8 @@ def eigenvalues_tridiagonal(block: Matrix) -> list[tuple[float, ExactEig | None]
     # a zero is an exact root; a sign change up to the next point brackets one
     roots = [(Fraction(x, 2**s), True) if not v else _refine(f, x, y, v, w, s)
              for x, y, v, w in zip(xs, xs[1:] + [0], vals, vals[1:] + [0]) if not v or v * w < 0]
-    return [(float(r / d), ExactEig(r / d, 0, Fraction(0)) if ok else None) for r, ok in roots]
+    eigs = [(ExactEig(r / d, 0, Fraction(0)), ok) for r, ok in roots]
+    return [(e.value(), e if ok else None) for e, ok in eigs]
 
 
 def values_close(a: float, b: float, rtol: float = NUMERIC_RTOL) -> bool:

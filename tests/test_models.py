@@ -62,8 +62,7 @@ def test_jc_p1_lambda1_eigenvector():
 
 def test_moszkowski_expression_contains_vp2_constant():
     spec = mosz(3, Fraction(1, 2), Fraction(2, 5))
-    expr = generator_expression(spec)
-    consts = [c for c, factors in expr.terms if not factors]
+    consts = [c for c, factors in generator_expression(spec) if not factors]
     assert ext(3, Fraction(2, 5) * Fraction(9, 2)) in consts
 
 

@@ -275,3 +275,41 @@ def test_uncertified_sector_exits_1_with_nothing_on_stdout(monkeypatch, capsys):
     assert code == 1
     assert out.out == ""
     assert "block [0, 1, 2]" in out.err
+
+
+# lambda = -eig at k2 = 0, p = 4, sorted: (2r)^2 and (2r+1)^2 - 1 for 43, (2r+1)^2 and
+# (2r)^2 - 1 for 44, (2r)^2 - 1 and (2r+1)^2 for 50, (2r)^2 and (2r+1)^2 - 1 for 51
+K2_ZERO_P4 = {
+    43: [0, 4, 8, 16, 24, 36, 48, 64],
+    44: [1, 3, 9, 15, 25, 35, 49, 63],
+    50: [-1, 1, 3, 9, 15, 25, 35, 49],
+    51: [0, 0, 4, 8, 16, 24, 36, 48],
+}
+
+
+@pytest.mark.parametrize("case", SECTORS)
+def test_tiny_k2_is_certified_near_the_k2_zero_closed_forms(capsys, case):
+    # k2 = 10^-400 puts a Gershgorin width beyond the double range on the grid
+    argv = ["--case", str(case), "--k2", f"1/{10**400}", "--p", "4"]
+    code = main(["spectrum", "--model", "sphaleron", *argv])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    got = sorted(e["float"] for e in json.loads(out.out)["eigenvalues"])
+    assert len(got) == 8 and all(values_close(a, b) for a, b in zip(got, K2_ZERO_P4[case])), got
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "sphaleron", "--case", "50", "--k2", str(10**400)],
+        ["--model", "moszkowski", "--c", str(10**400)],
+        ["--model", "jc", "--omega", str(10**400)],
+    ],
+    ids=["sphaleron", "moszkowski", "jc"],
+)
+def test_an_eigenvalue_beyond_the_double_range_exits_2(capsys, argv):
+    code = main(["spectrum", "--p", "4", *argv])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    message = "an eigenvalue, or a term of its exact form, is beyond the double range"
+    assert out.err == f"error: {message}\n"
