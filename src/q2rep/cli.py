@@ -1,5 +1,11 @@
 """Command-line interface: verification suites, matrix export, spectra, sweeps.
 
+Usage: q2rep COMMAND [--OPTION VALUE ...], as the table COMMANDS lists and -h
+prints.  A value follows its option after a space or "=" (--c -1/2, --c=-1/2),
+and a unique prefix of an option's name stands for it (--gen for --generator).
+A usage error prints one "error:" line naming the bad command, option or
+value, and raises SystemExit(2).
+
 Exit codes: 0 success, 1 identity failure or a spectrum that cannot be
 certified real, 2 usage error (including `spectrum --model sphaleron`
 without --case, an eigenvalue whose float is beyond the double range, and
@@ -11,12 +17,12 @@ deterministic: identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from . import linalg, so4
@@ -58,33 +64,12 @@ def _parse_p_range(text: str) -> list[int]:
         else:
             lo_i = hi_i = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad p range {text!r}: use N or A..B") from exc
+        raise ValueError(f"bad p range {text!r}: use N or A..B") from exc
     if lo_i < 1 or hi_i < lo_i:
-        raise argparse.ArgumentTypeError(f"bad p range {text!r}")
+        raise ValueError(f"bad p range {text!r}")
     if hi_i > MAX_P:
-        raise argparse.ArgumentTypeError(f"bad p range {text!r}: p is at most {MAX_P}")
+        raise ValueError(f"bad p range {text!r}: p is at most {MAX_P}")
     return list(range(lo_i, hi_i + 1))
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-RATIONAL_OPTIONS = ("--c", "--V", "--omega", "--g", "--k2", "--omega0")
-
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write "--c -1/2" as "--c=-1/2": argparse would read "-1/2" as an option."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in RATIONAL_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
 
 
 # verify ----------------------------------------------------------------------
@@ -222,9 +207,9 @@ def _suite_results(
     return [(name, counts[name], fails[name]) for name in SUITES]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(opts: dict) -> int:
     casimirs: dict[int, tuple[Fraction, Fraction]] = {}
-    results = _suite_results(args.p, casimirs)
+    results = _suite_results(opts["p"], casimirs)
     for name, count, fail in results:
         status = "pass" if fail is None else f"FAIL ({fail})"
         print(f"{name:28s} {count:6d} checks  {status}")
@@ -279,14 +264,14 @@ def _rep_pieces(basis: Basis, gens: list[GeneratorId], p_values: list[int]) -> I
     yield "]\n" if many else "\n"
 
 
-def cmd_rep(args: argparse.Namespace) -> int:
-    gens = [generator_by_name(args.generator)] if args.generator else list(GENERATORS)
-    return _emit(args, _rep_pieces(Basis(args.basis), gens, args.p))
+def cmd_rep(opts: dict) -> int:
+    gens = [generator_by_name(opts["generator"])] if opts["generator"] else list(GENERATORS)
+    return _emit(opts["out"], _rep_pieces(Basis(opts["basis"]), gens, opts["p"]))
 
 
 # spectrum ---------------------------------------------------------------------
 
-# the model options each --model takes; an unset one is 0 (omega0: derived)
+# the model options each --model takes
 MODEL_OPTIONS = {
     "sphaleron": ("case", "k2"),
     "moszkowski": ("c", "V"),
@@ -294,15 +279,13 @@ MODEL_OPTIONS = {
 }
 
 
-def _model_from_args(args: argparse.Namespace, p: int) -> ModelSpec:
-    if args.model == "sphaleron":
-        return ModelSpec(Model(f"sphaleron{args.case}"), p, {"k2": args.k2 or 0})
-    if args.model == "moszkowski":
-        return ModelSpec(Model.MOSZKOWSKI, p, {"c": args.c or 0, "V": args.V or 0})
-    params = {"omega": args.omega or 0, "g": args.g or 0}
-    if args.omega0 is not None:
-        params["omega0"] = args.omega0
-    return ModelSpec(Model.JAYNES_CUMMINGS, p, params)
+def _model_spec(opts: dict, p: int) -> ModelSpec:
+    model = opts["model"]
+    # an unset option is 0, but an unset omega0 is derived from omega and g
+    params = {name: opts[name] or 0 for name in MODEL_OPTIONS[model]
+              if name != "case" and not (name == "omega0" and opts[name] is None)}
+    name = f"sphaleron{opts['case']}" if model == "sphaleron" else model
+    return ModelSpec(Model(name), p, params)
 
 
 def spectrum_payload(spec: ModelSpec) -> dict:
@@ -367,23 +350,21 @@ def _trace_det_ok(sub, eigs: list) -> bool:
     return tr == plus.base + minus.base and det == plus.base * minus.base - plus.radicand
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    foreign = [
-        f"--{name}"
-        for model, names in MODEL_OPTIONS.items() if model != args.model
-        for name in names if getattr(args, name) is not None
-    ]
+def cmd_spectrum(opts: dict) -> int:
+    model = opts["model"]
+    foreign = [f"--{name}" for names in MODEL_OPTIONS.values() for name in names
+               if opts[name] is not None and name not in MODEL_OPTIONS[model]]
     if foreign:
-        print(f"error: --model {args.model} does not take {' '.join(foreign)}", file=sys.stderr)
+        print(f"error: --model {model} does not take {' '.join(foreign)}", file=sys.stderr)
         return 2
-    if args.model == "sphaleron" and args.case is None:
+    if model == "sphaleron" and opts["case"] is None:
         print("error: --model sphaleron needs --case {43,44,50,51}", file=sys.stderr)
         return 2
-    payloads = [spectrum_payload(_model_from_args(args, p)) for p in args.p]
+    payloads = [spectrum_payload(_model_spec(opts, p)) for p in opts["p"]]
     failed = [pl["p"] for pl in payloads if pl.get("closed_form_match") is False]
     if failed:
         print(f"error: closed forms do not match the Hamiltonian at p={failed}", file=sys.stderr)
-    return _emit(args, [_format_payloads(args.format, payloads)]) or (1 if failed else 0)
+    return _emit(opts["out"], [_format_payloads(opts["format"], payloads)]) or (1 if failed else 0)
 
 
 def _format_payloads(fmt: str, payloads: list[dict]) -> str:
@@ -414,17 +395,17 @@ def _format_payloads(fmt: str, payloads: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> int:
+def _emit(out: str | None, pieces: Iterable[str]) -> int:
     """Write the text's pieces to --out or stdout; exit code 2 when --out cannot be written.
 
     A generator's pieces are made as they are written, so a large export is
     never held whole.
     """
-    if not args.out:
+    if not out:
         sys.stdout.writelines(pieces)
         return 0
     try:
-        with open(args.out, "w") as fh:
+        with open(out, "w") as fh:
             fh.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
@@ -434,77 +415,130 @@ def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> int:
 
 # check-realization -------------------------------------------------------------
 
-def cmd_check_realization(args: argparse.Namespace) -> int:
-    failures, basis = 0, realization_basis_id(args.which)
-    for p in args.p:
-        carriers = realization_basis(args.which, p)
+def cmd_check_realization(opts: dict) -> int:
+    which = int(opts["which"])
+    failures, basis = 0, realization_basis_id(which)
+    for p in opts["p"]:
+        carriers = realization_basis(which, p)
         mats = rep_matrices(GENERATORS, basis, p)
         for g in GENERATORS:
-            op = realization(args.which, g, p)
-            if args.show:
+            op = realization(which, g, p)
+            if opts["show"]:
                 print(f"p={p} {g.name}: {op.text()}")
             got, want = to_matrix(op, carriers), mats[g]
             if not linalg.equal(got, want):
                 i, j = linalg.first_difference(got, want)
                 print(
-                    f"mismatch: realization {args.which} p={p} generator {g.name} "
+                    f"mismatch: realization {which} p={p} generator {g.name} "
                     f"entry ({i},{j}): {got[i][j]} vs {want[i][j]}"
                 )
                 failures += 1
-    total = len(args.p) * len(GENERATORS)
-    print(f"check-realization {args.which}: {total - failures}/{total} matrices match")
+    total = len(opts["p"]) * len(GENERATORS)
+    print(f"check-realization {which}: {total - failures}/{total} matrices match")
     return 1 if failures else 0
 
 
-# parser ------------------------------------------------------------------------
+# command line ------------------------------------------------------------------
+# command -> (help line, handler, {option: (converter, default)}).  A converter
+# reads an option's text and raises ValueError on a bad one; a tuple of texts
+# accepts only those, and None makes the option a flag, True when given.  A
+# default is the text read when the option is not given; None leaves it unset.
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="q2rep",
-        description="Exact verification and spectra for q(2) representations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+COMMANDS = {
+    "verify": ("run the exact identity suites", cmd_verify, {"p": (_parse_p_range, "1..6")}),
+    "rep": ("export representation matrices as JSON", cmd_rep, {
+        "p": (_parse_p_range, "3"),
+        "out": (str, None),
+        "basis": (tuple(sorted(b.value for b in Basis)), "lambda_chi"),
+        "generator": ((*(g.name for g in GENERATORS), *ALIASES), None),
+    }),
+    "spectrum": ("spectrum of a model Hamiltonian", cmd_spectrum, {
+        "p": (_parse_p_range, "2"),
+        "out": (str, None),
+        "format": (("json", "csv", "pretty"), "json"),
+        "model": (tuple(MODEL_OPTIONS), REQUIRED),
+        **{name: (("43", "44", "50", "51") if name == "case" else parse_rational, None)
+           for names in MODEL_OPTIONS.values() for name in names},
+    }),
+    "check-realization": ("compare realizations to the abstract matrices", cmd_check_realization, {
+        "which": (("1", "2", "3"), REQUIRED),
+        "p": (_parse_p_range, "1..8"),
+        "show": (None, None),
+    }),
+}
+COMMANDS["sweep"] = ("alias of spectrum", *COMMANDS["spectrum"][1:])
+_METAVARS = {_parse_p_range: "N|A..B", parse_rational: "a/b", str: "PATH"}
 
-    def add_p_and_out(sp: argparse.ArgumentParser, default_p: str) -> None:
-        sp.add_argument("--p", type=_parse_p_range, default=_parse_p_range(default_p),
-                        help="p value or range A..B")
-        sp.add_argument("--out", help="output path (default stdout)")
 
-    sp_verify = sub.add_parser("verify", help="run the exact identity suites")
-    sp_verify.add_argument("--p", type=_parse_p_range, default=_parse_p_range("1..6"))
-    sp_verify.set_defaults(func=cmd_verify)
+def _help(command: str | None) -> SystemExit:
+    """Print the help made from COMMANDS, of all commands or of one; return the exit after it."""
+    if command is None:
+        print("usage: q2rep COMMAND [--OPTION VALUE ...]; q2rep COMMAND -h lists its options")
+        for name, (help_line, _, _) in COMMANDS.items():
+            print(f"  {name:17s}  {help_line}")
+    else:
+        print(f"usage: q2rep {command} [--OPTION VALUE ...]: {COMMANDS[command][0]}")
+        for name, (convert, default) in COMMANDS[command][2].items():
+            value = "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else None
+            words = [f"  --{name}", value or _METAVARS.get(convert)]
+            if default is not None:
+                words.append("(required)" if default is REQUIRED else f"(default: {default})")
+            print(" ".join(filter(None, words)))
+    print("A value follows its option after a space or '=' (--c -1/2, --c=-1/2),",
+          "and a unique prefix of an option's name stands for it.", sep="\n")
+    return SystemExit(0)
 
-    sp_rep = sub.add_parser("rep", help="export representation matrices as JSON")
-    add_p_and_out(sp_rep, "3")
-    sp_rep.add_argument("--basis", choices=sorted(b.value for b in Basis), default="lambda_chi")
-    sp_rep.add_argument("--generator", choices=[g.name for g in GENERATORS] + list(ALIASES),
-                        metavar="NAME", help="e.g. e00_0 or b+ (default: all eight)")
-    sp_rep.set_defaults(func=cmd_rep)
 
-    sp_s = sub.add_parser("spectrum", aliases=["sweep"],
-                          help="spectrum of a model Hamiltonian")
-    add_p_and_out(sp_s, "2")
-    sp_s.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    sp_s.add_argument("--model", choices=("sphaleron", "moszkowski", "jc"), required=True)
-    sp_s.add_argument("--case", type=int, choices=(43, 44, 50, 51))
-    for name in RATIONAL_OPTIONS:
-        sp_s.add_argument(name, type=_rational)
-    sp_s.set_defaults(func=cmd_spectrum)
+def _usage_error(prog: str, message: str) -> SystemExit:
+    print(f"error: {message} (see {prog} -h)", file=sys.stderr)
+    return SystemExit(2)
 
-    sp_chk = sub.add_parser("check-realization", help="compare realizations to the abstract matrices")
-    sp_chk.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-    sp_chk.add_argument("--p", type=_parse_p_range, default=_parse_p_range("1..8"))
-    sp_chk.add_argument("--show", action="store_true",
-                        help="print the textual form of each realized operator")
-    sp_chk.set_defaults(func=cmd_check_realization)
-    return parser
+
+def _parse_argv(argv: list[str]) -> tuple[Callable[[dict], int], dict]:
+    """The handler of the command that argv names, and {option: value} for all its options.
+
+    Raises SystemExit(0) once -h has printed its help, and SystemExit(2) once
+    a usage error has printed one line that names the bad command, option or value.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        raise _help(None)
+    if command not in COMMANDS:
+        raise _usage_error("q2rep", f"unknown command {command!r}" if argv else "no command given")
+    prog, (_, handler, options) = f"q2rep {command}", COMMANDS[command]
+    longopts = ["help", *(name if c is None else f"{name}=" for name, (c, _) in options.items())]
+    try:
+        pairs, extra = getopt.gnu_getopt(argv[1:], "h", longopts)
+    except getopt.GetoptError as exc:
+        raise _usage_error(prog, exc.msg)
+    if extra:
+        raise _usage_error(prog, f"unexpected argument {extra[0]!r}")
+    if ("-h", "") in pairs or ("--help", "") in pairs:
+        raise _help(command)
+    texts = {name: default for name, (_, default) in options.items()}
+    texts.update((opt[2:], text) for opt, text in pairs)  # the last of a repeated option wins
+    values = {}
+    for name, text in texts.items():
+        convert = options[name][0]
+        if text is REQUIRED:
+            raise _usage_error(prog, f"--{name} is required")
+        if isinstance(convert, tuple) and text not in (None, *convert):
+            choices = ", ".join(convert)
+            raise _usage_error(prog, f"--{name}: invalid choice: {text!r} (choose from {choices})")
+        try:
+            # an unset option stays None, a choice is its text and a given flag True
+            values[name] = (text if text is None or isinstance(convert, tuple)
+                            else True if convert is None else convert(text))
+        except ValueError as exc:
+            raise _usage_error(prog, f"--{name}: {exc}")
+    return handler, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    handler, opts = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(opts)
     except ConstraintError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 3

@@ -36,7 +36,7 @@ class NotInvertibleError(ZeroDivisionError):
 
 
 class FloatRangeError(ArithmeticError):
-    """An exact value whose float, or a term of it, is beyond the double range."""
+    """An exact value whose float is beyond the double range."""
 
 
 def _num_den(value: RationalLike) -> tuple[int, int]:
@@ -277,6 +277,11 @@ def inv_sqrt_p(p: int) -> ExtScalar:
     return ExtScalar(0, Fraction(1, p), p)
 
 
+def _log2(r: RationalLike) -> int:
+    """log2 |r| to within 1, for r != 0."""
+    return abs(r.numerator).bit_length() - r.denominator.bit_length()
+
+
 def rational_sqrt(r: Fraction) -> Fraction | None:
     """The exact square root of a nonnegative rational, or None if irrational."""
     if r < 0:
@@ -303,18 +308,33 @@ class ExactEig:
     def value(self) -> float:
         """The nearest float to within a few ulps; an exact zero is 0.0, never -0.0.
 
-        Raises FloatRangeError when the value, or a term it is formed from,
-        is beyond the double range.
+        Raises FloatRangeError when the value is beyond the double range.
         """
+        base, radicand, k = self.base, self.radicand, 0
         try:
-            root = math.sqrt(self.radicand)
-            if self.sign * self.base >= 0:
-                x = float(self.base) + self.sign * root
+            root, fbase = math.sqrt(radicand), float(base)
+        except OverflowError:
+            root = fbase = math.inf
+        if not 2.0**-500 <= max(abs(fbase), root) < 2.0**500 and (base or radicand):
+            # a term overflows, or loses bits as a subnormal.  base / 2^k and
+            # radicand / 4^k, exact in binary, make the value 2^-k times as
+            # large; k brings the larger of base^2 and the radicand to about 2^1000
+            sizes = [2 * _log2(base)] if base else []
+            if radicand:
+                sizes.append(_log2(radicand))
+            k = max(sizes) // 2 - 500
+            two_k = Fraction(2) ** k
+            base, radicand = base / two_k, radicand / (two_k * two_k)
+            root, fbase = math.sqrt(radicand), float(base)
+        try:
+            if self.sign * base >= 0:
+                x = fbase + self.sign * root
             else:
                 # opposite signs may cancel: divide the exact base^2 - radicand
                 # by base - sign*root
-                num = self.base * self.base - self.radicand
-                x = float(num) / (float(self.base) - self.sign * root) if num else 0.0
+                num = base * base - radicand
+                x = float(num) / (fbase - self.sign * root) if num else 0.0
+            x = math.ldexp(x, k)
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):

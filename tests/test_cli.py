@@ -594,3 +594,85 @@ def test_commands_leave_no_matrix_rows_alive(capsys):
     assert main(["spectrum", "--model", "moszkowski", "--p", "8", "--c", "1", "--V", "1/2"]) == 0
     capsys.readouterr()
     assert live_rows() == before
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (argv, what stderr must name): the exit-2 cases the README lists, then the
+# malformed command lines; "{tmp}" is a fresh directory
+USAGE_ERRORS = [
+    (["spectrum", "--model", "jc", "--p", "1", "--omega", "1", "--g", "1/0"], "--g"),
+    (["rep", "--p", "2", "--generator", "foo"], "--generator"),
+    (["spectrum", "--model", "jc", "--p", "1", "--k2", "3"], "--k2"),
+    (["spectrum", "--model", "sphaleron", "--p", "2"], "--case"),
+    (["rep", "--p", "1", "--out", "{tmp}/missing/x.json"], "--out"),
+    (["verify", "--p", str(cli.MAX_P + 1)], "--p"),
+    (["spectrum", "--model", "moszkowski", "--c", "0.5"], "--c"),
+    (["rep", "--format", "csv"], "--format"),
+    (["foo", "--p", "1"], "foo"),
+    ([], "command"),
+    (["spectrum", "--p", "1"], "--model"),
+    (["check-realization", "--p", "1"], "--which"),
+    (["check-realization", "--which", "1", "--show=1"], "--show"),
+    (["verify", "--p"], "--p"),
+    (["spectrum", "--o", "1"], "--o"),
+    (["verify", "--p", "1", "extra"], "extra"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_error_exits_2_and_names_the_option(tmp_path, capsys, argv, named):
+    code = exit_code([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert named in out.err and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def help_of(capsys, *argv):
+    assert exit_code(list(argv)) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    return out.out
+
+
+def test_top_help_names_every_command(capsys):
+    for flag in ("-h", "--help"):
+        text = help_of(capsys, flag)
+        assert all(f"  {name} " in text for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_names_every_option_with_its_default(capsys, command):
+    for flag in ("-h", "--help"):
+        text = help_of(capsys, command, flag)
+        lines = {line.split()[0]: line for line in text.splitlines() if line.startswith("  --")}
+        options = cli.COMMANDS[command][2]
+        assert list(lines) == [f"--{name}" for name in options]
+        for name, (_, default) in options.items():
+            if default is cli.REQUIRED:
+                assert lines[f"--{name}"].endswith(" (required)")
+            elif default is not None:
+                assert lines[f"--{name}"].endswith(f" (default: {default})")
+
+
+def test_a_unique_prefix_names_its_option(capsys):
+    runs = [run(capsys, "rep", "--p", "2", gen, "b+") for gen in ("--gen", "--generator")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_a_command_imports_neither_argparse_nor_locale():
+    """The parser is getopt over one table: no argparse, whose help texts import locale."""
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, q2rep.cli; assert q2rep.cli.main(['verify', '--p', '1']) == 0; "
+            "print(sorted({'argparse', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

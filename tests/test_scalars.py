@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from q2rep.scalars import (
+    ExactEig,
     ExtScalar,
     ExtensionMismatchError,
+    FloatRangeError,
     NotInvertibleError,
     ext,
     inv_sqrt_p,
@@ -205,3 +208,59 @@ def test_from_triple_is_canonical(p, a, b, d):
     for bad in (0, -d):
         with pytest.raises(ValueError):
             ExtScalar.from_triple(a, b, bad, p)
+
+
+def unscaled_value(e: ExactEig) -> float:
+    """base + sign*sqrt(radicand) from the unscaled terms; OverflowError where one overflows."""
+    root = math.sqrt(e.radicand)
+    if e.sign * e.base >= 0:
+        return float(e.base) + e.sign * root
+    num = e.base * e.base - e.radicand
+    return float(num) / (float(e.base) - e.sign * root) if num else 0.0
+
+
+@given(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9), st.integers(-60, 700),
+    st.sampled_from([-1, 0, 1]),
+    st.fractions(min_value=0, max_value=9, max_denominator=9), st.integers(-60, 700),
+)
+def test_scaling_keeps_the_bytes_of_every_float_that_was_finite(a, i, sign, r, j):
+    # base a*2^i, radicand r*4^j: from i or j of about 500 on, the terms are scaled
+    e = ExactEig(a * Fraction(2) ** i, sign, r * Fraction(4) ** j)
+    try:
+        before = unscaled_value(e)
+    except OverflowError:
+        return
+    if math.isfinite(before):
+        assert e.value().hex() == before.hex()
+
+
+def decimal_value(e: ExactEig) -> Decimal:
+    """base + sign*sqrt(radicand) to 60 digits, the cancelling sum as a quotient."""
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = dec(e.radicand).sqrt()
+        if e.sign * e.base >= 0:
+            return dec(e.base) + e.sign * root
+        return dec(e.base * e.base - e.radicand) / (dec(e.base) - e.sign * root)
+
+
+@given(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9), st.integers(-1100, 1100),
+    st.sampled_from([-1, 0, 1]),
+    st.fractions(min_value=0, max_value=9, max_denominator=9), st.integers(-1100, 1100),
+)
+def test_value_is_the_float_of_the_exact_form_wherever_that_is_finite(a, i, sign, r, j):
+    # base a*2^i and radicand r*4^j, each possibly far beyond the double range
+    e = ExactEig(a * Fraction(2) ** i, sign, r * Fraction(4) ** j)
+    want = decimal_value(e)
+    if abs(want) > Decimal(sys.float_info.max) * Decimal("0.999"):
+        if abs(want) > Decimal(sys.float_info.max) * Decimal("1.001"):
+            with pytest.raises(FloatRangeError):
+                e.value()
+        return
+    tolerance = max(abs(want) * Decimal("1e-15"), Decimal(2) ** -1074)
+    assert abs(Decimal(e.value()) - want) <= tolerance

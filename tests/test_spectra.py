@@ -313,3 +313,43 @@ def test_an_eigenvalue_beyond_the_double_range_exits_2(capsys, argv):
     assert (code, out.out) == (2, "")
     message = "an eigenvalue, or a term of its exact form, is beyond the double range"
     assert out.err == f"error: {message}\n"
+
+
+def exact_form_value(text: str) -> Decimal:
+    """The value of an eigenvalue's exact form, "r" or "r +- sqrt(s)", to 800 digits."""
+    def dec(r):
+        q = Fraction(r)
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 800
+        if " sqrt(" not in text:
+            return dec(text)
+        base, op, root = text.split(" ")
+        return dec(base) + (1 if op == "+" else -1) * dec(root[len("sqrt("):-1]).sqrt()
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["--model", "moszkowski", "--c", str(10**300), "--V", "1", "--p", "4"], 1e300),
+        (["--model", "sphaleron", "--case", "50", "--k2", str(10**300), "--p", "2"], 1e300),
+        (["--model", "moszkowski", "--c", f"1/{10**160}", "--V", f"1/{10**160}", "--p", "2"],
+         1e-160),
+    ],
+    ids=["moszkowski", "sphaleron", "moszkowski-tiny"],
+)
+def test_an_eigenvalue_prints_as_its_exact_form_when_its_radicand_leaves_the_range(
+    capsys, argv, size
+):
+    # radicands of about 1e600 overflow a double and those of about 1e-320 are
+    # subnormal, the eigenvalues of about 1e300 and 1e-160 are not: the terms
+    # are scaled by powers of two, so the float is that of the exact form
+    code = main(["spectrum", *argv])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    eigenvalues = json.loads(out.out)["eigenvalues"]
+    assert size / 10 < max(abs(e["float"]) for e in eigenvalues) < size * 10
+    for e in eigenvalues:
+        want = exact_form_value(e["exact"])
+        assert abs(Decimal(e["float"]) - want) <= Decimal("1e-12") * abs(want), e
