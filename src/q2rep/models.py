@@ -140,19 +140,22 @@ def _sphaleron_rows(case: int, p: int, k2: Fraction) -> tuple[list, list, list, 
 def _op_from_rows(p: int, rows: tuple[list, list, list, list]) -> DiffOp:
     up, low, sp_, sm = rows
     half = Fraction(1, 2)
-    # upper = s0 + s3 row, lower = s0 - s3 row; DiffOp addition merges like terms
+    # upper = s0 + s3 row, lower = s0 - s3 row; like terms are summed in one table
     weighted = (
         (up, ((Pauli.S0, half), (Pauli.S3, half))),
         (low, ((Pauli.S0, half), (Pauli.S3, -half))),
         (sp_, ((Pauli.SP, 1),)),
         (sm, ((Pauli.SM, 1),)),
     )
-    out = DiffOp.zero(p)
+    table: dict[tuple[int, Pauli], list] = {}
     for row, parts in weighted:
         for order, coeffs in enumerate(row):
             for pauli, weight in parts:
-                out = out + DiffOp.term(p, [Fraction(c) * weight for c in coeffs], order, pauli)
-    return out
+                acc = table.setdefault((order, pauli), [])
+                acc += [0] * (len(coeffs) - len(acc))
+                for i, c in enumerate(coeffs):
+                    acc[i] += c * weight
+    return DiffOp(p, {key: Poly(p, coeffs) for key, coeffs in table.items()})
 
 
 def raw_operator(spec: ModelSpec) -> DiffOp:

@@ -25,8 +25,12 @@ Cases 43, 44, 50 act on (P, Q) of degrees (p-1, p-1); case 51 on (p, p-2).
 After eliminating the prefactors the equations reorganize into two polynomial
 rows (upper paired with P, lower with Q) whose lam-part is the identity; the
 lam-free part is the sector matrix.  This module performs that reorganization
-with polynomials over Fraction, and is the oracle that anchors the closed-form
-operators in `models`; it imports nothing from the rest of the package.
+over the integers, and is the oracle that anchors the closed-form operators in
+`models`; it imports nothing from the rest of the package.  With k2 = a/b in
+lowest terms, b A = b - (a+b) x + a x^2 stands in for A (the conjugation is
+homogeneous in A); each operator and its conjugated denominator are multiplied
+by b, and the A-coupling of cases 44 and 51 is the ratio b A pol g / b (over
+b x in case 44).  A Fraction is made only where a row is formed.
 
 Each operator is conjugated once per matrix, at lam = 0, to
 (n2 d^2 + n1 d + n0) / den.  lam enters c0 alone and commutes with F, so the
@@ -37,10 +41,11 @@ costs a bounded amount of arithmetic, and a matrix costs arithmetic linear in p.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-Poly = dict  # {degree: coefficient} over Fraction; zero coefficients are never stored
-X, ONE = {1: Fraction(1)}, {0: Fraction(1)}  # the polynomials x and 1
+Poly = dict  # {degree: coefficient} over int, Fraction in a row; zero coefficients are never stored
+X, ONE = {1: 1}, {0: 1}  # the polynomials x and 1
 COUPLING = 2  # the f equation reads D41 f + COUPLING sqrt(A/x) W = 0
 
 
@@ -70,7 +75,7 @@ def _mul(a: Poly, *factors) -> Poly:
     """The product of a polynomial with polynomials and scalars.
 
     A monomial e x^k (ONE, X, a scalar) shifts degrees by k and multiplies
-    by e only when e is not +-1, so a unit factor costs no Fraction product.
+    by e only when e is not +-1, so a unit factor costs no coefficient product.
     """
     for b in factors:
         if not isinstance(b, dict):
@@ -81,17 +86,24 @@ def _mul(a: Poly, *factors) -> Poly:
             ((k, e),) = b.items()
             if e == 1:
                 a = {i + k: c for i, c in a.items()}
-            elif e == -1:
+                continue
+            if e == -1:
                 a = {i + k: -c for i, c in a.items()}
-            else:
-                a = {i + k: c * e for i, c in a.items()}
-            continue
-        out: Poly = {}
-        for i, c in a.items():
-            for j, e in b.items():
-                _accumulate(out, i + j, c * e)
-        a = out
+                continue
+        a = _product(a, b)
     return a
+
+
+def _product(a: Poly, b: Poly) -> Poly:
+    """a * b by its len(a) * len(b) coefficient products."""
+    if len(b) == 1:
+        ((k, e),) = b.items()
+        return {i + k: c * e for i, c in a.items()}
+    out: Poly = {}
+    for i, c in a.items():
+        for j, e in b.items():
+            _accumulate(out, i + j, c * e)
+    return out
 
 
 def _diff(a: Poly) -> Poly:
@@ -104,21 +116,27 @@ def _sub(r: tuple[Poly, Poly], s: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
     return _add(_mul(rn, sd), _mul(sn, rd, -1)), _mul(rd, sd)
 
 
-def _poly_or_raise(num: Poly, den: Poly, label: str) -> Poly:
-    """num / den by exact long division; a nonzero remainder raises."""
+def _poly_or_raise(num: Poly, den: Poly, label: str) -> tuple[Poly, Poly]:
+    """num / den as the integer pair (c num / den, {0: c}), c = content(den); a remainder raises."""
+    # by Gauss's lemma each step of the long division by the primitive den / c is exact over Z
+    c, d_den = math.gcd(*den.values()), max(den)
+    lead, lower = den[d_den] // c, [(j, e // c) for j, e in den.items() if j != d_den]
     rem, quot = dict(num), {}
-    d_den = max(den)
     while rem:
         top = max(rem)
-        if top < d_den:
+        shift, (q, r) = top - d_den, divmod(rem.pop(top), lead)
+        if top < d_den or r:
             raise ReductionError(f"{label} is not polynomial")
-        # the top term cancels exactly; only the lower terms of den are subtracted
-        shift, q = top - d_den, rem.pop(top) / den[d_den]
+        # the top term cancels exactly; only the lower terms of den / c are subtracted
         quot[shift], minus_q = q, -q
-        for j, e in den.items():
-            if j != d_den:
-                _accumulate(rem, shift + j, minus_q * e)
-    return quot
+        for j, e in lower:
+            _accumulate(rem, shift + j, minus_q * e)
+    return quot, {0: c}
+
+
+def _row(quot: Poly, den: Poly) -> Poly:
+    """The Fraction polynomial quot / den of a pair made by _poly_or_raise."""
+    return {i: Fraction(v, den[0]) for i, v in quot.items()}
 
 
 def _conjugated(coeffs: tuple, eps_x: int, eps_a: int, a: Poly) -> tuple:
@@ -150,13 +168,15 @@ def sector_caps(case: int, p: int) -> tuple[int, int]:
 
 def _sector_rows(case: int, p: int, k2: Fraction):
     """rows(P, Q, lam) -> (upper, lower); D40 and D41 are conjugated once, by the W and f prefactors."""
-    a, th2 = _add(ONE, _mul(X, -1 - k2), _mul(X, X, k2)), _CASES[case]["theta2"](p)
-    c0, u4 = _mul(X, -th2 * k2), _mul(X, a, 4)  # c0 at lam = 0
+    k, b = k2.numerator, k2.denominator
+    ba, th2 = _add({0: b}, _mul(X, -k - b), _mul(X, X, k)), _CASES[case]["theta2"](p)  # b A
+    c0, u4 = _mul(X, -th2 * k), _mul(X, ba, 4)  # b c0 at lam = 0, and b 4u
     (wx, wa), (fx, fa) = _EPS[case]
-    conj = (_conjugated((c0, _mul(_diff(u4), Fraction(1, 2)), u4), wx, wa, a),
-            _conjugated((c0, _add(_mul(ONE, -2), _mul(X, X, 2 * k2)), u4), fx, fa, a))
-    # lam enters through c0 alone, as lam * den in n0 of each conjugated operator
-    ops = {lam: [(_add(n0, _mul(den, lam)), n1, n2, den) for n0, n1, n2, den in conj]
+    conj = (_conjugated((c0, _diff(_mul(X, ba, 2)), u4), wx, wa, ba),
+            _conjugated((c0, _add(_mul(ONE, -2 * b), _mul(X, X, 2 * k)), u4), fx, fa, ba))
+    # the operators were multiplied by b, so are their denominators; lam enters
+    # through c0 alone, as b lam times the conjugated denominator in n0
+    ops = {lam: [(_add(n0, _mul(den, b * lam)), n1, n2, _mul(den, b)) for n0, n1, n2, den in conj]
            for lam in (0, 1)}
     g, up, low = -COUPLING, f"upper row (case {case})", f"lower row (case {case})"
 
@@ -166,17 +186,17 @@ def _sector_rows(case: int, p: int, k2: Fraction):
             s_w = _add(pol_p, _mul(X, pol_q))
             # the 1/x poles of the conjugated operator cancel against the coupling
             row_up = _poly_or_raise(*_sub(_apply(conj_f, pol_p), (_mul(s_w, g), X)), up)
-            num, den = _sub(_apply(conj_w, s_w), (row_up, ONE))
-            return row_up, _poly_or_raise(num, _mul(X, den), low)
+            num, den = _sub(_apply(conj_w, s_w), row_up)
+            return _row(*row_up), _row(*_poly_or_raise(num, _mul(X, den), low))
         if case == 44:
             row_up = _poly_or_raise(*_apply(conj_w, pol_p), up)
             s_f = _add(pol_p, _mul(X, pol_q))
-            num, den = _sub(_apply(conj_f, s_f), (_mul(a, pol_p, g), X))
-            num, den = _sub((_mul(X, num), den), (_mul(X, row_up), ONE))
-            return row_up, _poly_or_raise(num, _mul(X, X, den), low)
-        coupling = _mul(pol_q, g) if case == 50 else _mul(a, pol_q, g)
-        row_up = _poly_or_raise(*_sub(_apply(conj_f, pol_p), (coupling, ONE)), up)
-        return row_up, _poly_or_raise(*_apply(conj_w, pol_q), low)
+            num, den = _sub(_apply(conj_f, s_f), (_mul(ba, pol_p, g), {1: b}))
+            num, den = _sub((_mul(X, num), den), (_mul(X, row_up[0]), row_up[1]))
+            return _row(*row_up), _row(*_poly_or_raise(num, _mul(X, X, den), low))
+        coupling = (_mul(pol_q, g), ONE) if case == 50 else (_mul(ba, pol_q, g), {0: b})
+        row_up = _poly_or_raise(*_sub(_apply(conj_f, pol_p), coupling), up)
+        return _row(*row_up), _row(*_poly_or_raise(*_apply(conj_w, pol_q), low))
 
     return rows
 
@@ -197,7 +217,7 @@ def derived_matrix(case: int, p: int, k2: Fraction) -> tuple[tuple[Fraction, ...
     rows, zero = _sector_rows(case, p, Fraction(k2)), Fraction(0)
     cols = []
     for idx in range(n_up + n_low):
-        mono = {idx if idx < n_up else idx - n_up: Fraction(1)}
+        mono = {idx if idx < n_up else idx - n_up: 1}
         pol_p, pol_q = (mono, {}) if idx < n_up else ({}, mono)
         (up0, low0), (up1, low1) = rows(pol_p, pol_q, 0), rows(pol_p, pol_q, 1)
         if _add(up1, _mul(up0, -1)) != pol_p or _add(low1, _mul(low0, -1)) != pol_q:

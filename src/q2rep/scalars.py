@@ -310,7 +310,8 @@ class ExactEig:
 
         Raises FloatRangeError when the value is beyond the double range.
         """
-        base, radicand, k = self.base, self.radicand, 0
+        # with sign 0 the radicand is no term of the value, and must not set its scale
+        base, radicand, k = self.base, self.radicand if self.sign else 0, 0
         try:
             root, fbase = math.sqrt(radicand), float(base)
         except OverflowError:
@@ -333,6 +334,10 @@ class ExactEig:
                 # opposite signs may cancel: divide the exact base^2 - radicand
                 # by base - sign*root
                 num = base * base - radicand
+                if num and abs(float(num)) < sys.float_info.min:
+                    # float(num) would lose bits as a subnormal: num * 2^-e is exact
+                    e = _log2(num)
+                    num, k = num * 2**-e, k + e
                 x = float(num) / (fbase - self.sign * root) if num else 0.0
             x = math.ldexp(x, k)
         except OverflowError:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from q2rep import reduction
 from q2rep.models import SPHALERON_MODELS, ModelSpec, raw_matrix
@@ -64,20 +66,23 @@ def test_each_operator_is_conjugated_once(monkeypatch):
         assert len(calls) == 2, case
 
 
-def _fraction_ops(monkeypatch, p):
-    """Fraction arithmetic calls made by the four sector matrices at p, k2 = 3/5."""
+def _count_products(monkeypatch):
+    """A counter of the coefficient products that reduction._mul hands to _product."""
     count = [0]
+    product = reduction._product
 
-    def counted(method):
-        def wrapper(*args):
-            count[0] += 1
-            return method(*args)
-        return wrapper
+    def counted(a, b):
+        count[0] += len(a) * len(b)
+        return product(a, b)
 
+    monkeypatch.setattr(reduction, "_product", counted)
+    return count
+
+
+def _coefficient_products(monkeypatch, p):
+    """Coefficient products made by the four sector matrices at p, k2 = 3/5."""
     with monkeypatch.context() as m:
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
-            m.setattr(Fraction, name, counted(getattr(Fraction, name)))
+        count = _count_products(m)
         for case in SECTORS:
             derived_matrix(case, p, Fraction(3, 5))
     return count[0]
@@ -86,30 +91,46 @@ def _fraction_ops(monkeypatch, p):
 def test_oracle_work_grows_linearly_in_p(monkeypatch):
     # each monomial column touches a bounded number of nonzero coefficients,
     # so doubling p at most about doubles the arithmetic
-    assert _fraction_ops(monkeypatch, 32) <= 2.1 * _fraction_ops(monkeypatch, 16)
+    assert _coefficient_products(monkeypatch, 32) <= 2.1 * _coefficient_products(monkeypatch, 16)
 
 
-def test_unit_factors_cost_no_fraction_product(monkeypatch):
+def test_unit_factors_cost_no_product(monkeypatch):
     # ONE, X and +-1 shift degrees or flip signs; a general product is unchanged
-    pol = {0: Fraction(2, 3), 3: Fraction(-1, 5)}
-    products = [0]
-    mul = Fraction.__mul__
-
-    def counted(a, b):
-        products[0] += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(Fraction, "__mul__", counted)
-    monkeypatch.setattr(Fraction, "__rmul__", counted)
-    shifted = {1: Fraction(-2, 3), 4: Fraction(1, 5)}
+    pol, products = {0: 2, 3: -5}, _count_products(monkeypatch)
+    shifted = {1: -2, 4: 5}
     assert reduction._mul(pol, reduction.ONE) == pol
     assert reduction._mul(pol, reduction.X, -1) == shifted
-    assert reduction._mul(reduction.X, pol, 1, Fraction(-1)) == shifted
+    assert reduction._mul(reduction.X, pol, 1, -1) == shifted
+    assert reduction._mul({0: Fraction(2, 3)}, -1, reduction.X) == {1: Fraction(-2, 3)}
     assert products[0] == 0
-    assert reduction._mul(pol, {0: Fraction(1), 1: Fraction(1)}, 3) == {
-        0: 2, 1: 2, 3: Fraction(-3, 5), 4: Fraction(-3, 5)}
+    assert reduction._mul(pol, {0: 1, 1: 1}, 3) == {0: 6, 1: 6, 3: -15, 4: -15}
     assert products[0] == 4 + 4
-    assert all(type(c) is Fraction for c in reduction._mul(reduction.ONE, -2, pol).values())
+    assert all(type(c) is int for c in reduction._mul(reduction.ONE, -2, pol).values())
+
+
+@given(st.integers(0, 10**12), st.integers(1, 10**12), st.integers(1, 4))
+@example(0, 7, 2)  # k2 = 0
+@example(12, 1, 3)  # an integer k2
+def test_derived_matrix_is_exact_for_any_rational_k2(a, b, p):
+    # the oracle runs on integers scaled by the denominator of k2; no entry may be a float
+    k2 = Fraction(a, b)
+    for model, case in SPHALERON_MODELS.items():
+        got = derived_matrix(case, p, k2)
+        assert all(type(x) in (int, Fraction) for row in got for x in row), (case, k2)
+        rm = raw_matrix(ModelSpec(model, p, {"k2": k2}))
+        assert got == tuple(tuple(x.rat for x in row) for row in rm), (model, p, k2)
+
+
+def test_division_is_exact_over_the_integers():
+    # (6x^2 + 9x + 3) / (4x + 2) = 3(x + 1) / 2: the quotient over Z, then the content of den
+    quot = reduction._poly_or_raise({0: 3, 1: 9, 2: 6}, {0: 2, 1: 4}, "row")
+    assert quot == ({0: 3, 1: 3}, {0: 2})
+    assert reduction._row(*quot) == {0: Fraction(3, 2), 1: Fraction(3, 2)}
+    # (3x + 1) / (2x + 1) leaves -1/2; over Z the first step fails, as 2 does not divide 3
+    with pytest.raises(ReductionError, match="x-row is not polynomial"):
+        reduction._poly_or_raise({0: 1, 1: 3}, {0: 1, 1: 2}, "x-row")
+    with pytest.raises(ReductionError, match="1-row is not polynomial"):
+        reduction._poly_or_raise({0: 1}, {0: 1, 1: 2}, "1-row")
 
 
 def test_unknown_sector_rejected():

@@ -264,3 +264,16 @@ def test_value_is_the_float_of_the_exact_form_wherever_that_is_finite(a, i, sign
         return
     tolerance = max(abs(want) * Decimal("1e-15"), Decimal(2) ** -1074)
     assert abs(Decimal(e.value()) - want) <= tolerance
+
+
+def test_a_subnormal_numerator_keeps_its_bits():
+    # base^2 - radicand = 2^-1100 is below the double range; the value, about -2^-701, is not
+    e = ExactEig(-Fraction(1, 2**400), 1, Fraction(1, 2**800) - Fraction(1, 2**1100))
+    want = decimal_value(e)
+    assert abs(Decimal(e.value()) - want) <= abs(want) * Decimal("1e-15")
+    assert e.value() == -(2.0**-701)
+
+
+def test_a_zero_sign_ignores_the_radicand():
+    # the radicand 4^1005 is beyond the double range, but with sign 0 it is no term of the value
+    assert ExactEig(Fraction(2) ** -570, 0, Fraction(4) ** 1005).value() == 2.0**-570
