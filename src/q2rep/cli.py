@@ -304,14 +304,14 @@ def spectrum_payload(spec: ModelSpec) -> dict:
         closed_match = all(len({home[i] for i in block}) == 1 for block in blocks)
         for k, indices in sorted(closed_blocks.items()):
             sub = tuple(tuple(matrix[i][j] for j in indices) for i in indices)
-            claimed = sorted((e for e in closed if e.block == k), key=lambda e: e.value())
+            claimed = sorted(((e.value(), e) for e in closed if e.block == k), key=lambda xe: xe[0])
             # trace and determinant certify the closed forms exactly, so the
             # floats are their values and no numeric solve is needed
-            if not _trace_det_ok(sub, claimed):
+            if not _trace_det_ok(sub, [e for _, e in claimed]):
                 closed_match = False
             eigenvalues += [
-                {"exact": e.exact_text(), "float": e.value(), "block": indices[0], "label": e.label}
-                for e in claimed
+                {"exact": e.exact_text(), "float": x, "block": indices[0], "label": e.label}
+                for x, e in claimed
             ]
     else:
         solved = spectrum_of_matrix(matrix)

@@ -11,7 +11,8 @@ triple through the same normaliser.  s stays symbolic even when p is a
 perfect square: equality is structural in Q[s]/(s^2 - p).
 There is no division operator: `inverse` (used by the exact solve) refuses
 elements of zero norm a^2 - p*b^2, which exist exactly when p is a perfect
-square.
+square.  Floats come from one integer rule: `to_float` and `ExactEig.value`
+give the double nearest the exact value, ties to even.
 """
 
 from __future__ import annotations
@@ -231,9 +232,9 @@ class ExtScalar:
         return self._b == 0
 
     def to_float(self) -> float:
-        """Embed into the reals with s -> +sqrt(p)."""
-        d = self._d
-        return self._a / d + self._b / d * math.sqrt(self._p)
+        """The double nearest the embedding s -> +sqrt(p), ties to even."""
+        b = self._b
+        return _nearest(self._a, (b > 0) - (b < 0), b * b * self._p, self._d)
 
     def __float__(self) -> float:
         return self.to_float()
@@ -277,9 +278,34 @@ def inv_sqrt_p(p: int) -> ExtScalar:
     return ExtScalar(0, Fraction(1, p), p)
 
 
-def _log2(r: RationalLike) -> int:
-    """log2 |r| to within 1, for r != 0."""
-    return abs(r.numerator).bit_length() - r.denominator.bit_length()
+def _nearest(a: int, sign: int, b: int, d: int) -> float:
+    """The double nearest x = (a + sign*sqrt(b))/d, ties to even, for integers a, b >= 0, d > 0.
+
+    m = floor(|x| 2^k) and a sticky bit for a nonzero rest give |x| to the
+    nearest double through int true division of 2m + sticky by 2^(k+1),
+    which rounds correctly once m >= 2^53, or at k = 1075, the subnormal
+    floor.  Bit lengths bound |x| from below to choose k.  An exact zero is
+    0.0; FloatRangeError is raised beyond the double range.
+    """
+    b = b if sign else 0
+    # |a| + sqrt(b) is in [2^(size-1), 2^(size+1)); with opposite signs,
+    # |x| = |a^2 - b| / (|a| + sqrt(b)) / d
+    size = max(a.bit_length(), (b.bit_length() + 1) // 2)
+    k = 54 - size if sign * a >= 0 else 55 + size - (a * a - b).bit_length()
+    k = min(max(k + d.bit_length(), 0), 1075)
+    a, b = a << k, b << 2 * k
+    r = math.isqrt(b)
+    inexact = r * r != b
+    n = a + r if sign > 0 else a - r - inexact  # floor(x d 2^k)
+    if not (n or inexact):
+        return 0.0
+    m, rest = divmod(-n - inexact if n < 0 else n, d)
+    try:
+        y = (2 * m + bool(rest or inexact)) / (1 << k + 1)
+    except OverflowError:
+        raise FloatRangeError(
+            "an eigenvalue, or a term of its exact form, is beyond the double range") from None
+    return -y if n < 0 else y
 
 
 def rational_sqrt(r: Fraction) -> Fraction | None:
@@ -306,47 +332,13 @@ class ExactEig:
     radicand: Fraction
 
     def value(self) -> float:
-        """The nearest float to within a few ulps; an exact zero is 0.0, never -0.0.
+        """The double nearest the exact value, ties to even; an exact zero is 0.0, never -0.0.
 
         Raises FloatRangeError when the value is beyond the double range.
         """
-        # with sign 0 the radicand is no term of the value, and must not set its scale
-        base, radicand, k = self.base, self.radicand if self.sign else 0, 0
-        try:
-            root, fbase = math.sqrt(radicand), float(base)
-        except OverflowError:
-            root = fbase = math.inf
-        if not 2.0**-500 <= max(abs(fbase), root) < 2.0**500 and (base or radicand):
-            # a term overflows, or loses bits as a subnormal.  base / 2^k and
-            # radicand / 4^k, exact in binary, make the value 2^-k times as
-            # large; k brings the larger of base^2 and the radicand to about 2^1000
-            sizes = [2 * _log2(base)] if base else []
-            if radicand:
-                sizes.append(_log2(radicand))
-            k = max(sizes) // 2 - 500
-            two_k = Fraction(2) ** k
-            base, radicand = base / two_k, radicand / (two_k * two_k)
-            root, fbase = math.sqrt(radicand), float(base)
-        try:
-            if self.sign * base >= 0:
-                x = fbase + self.sign * root
-            else:
-                # opposite signs may cancel: divide the exact base^2 - radicand
-                # by base - sign*root
-                num = base * base - radicand
-                if num and abs(float(num)) < sys.float_info.min:
-                    # float(num) would lose bits as a subnormal: num * 2^-e is exact
-                    e = _log2(num)
-                    num, k = num * 2**-e, k + e
-                x = float(num) / (fbase - self.sign * root) if num else 0.0
-            x = math.ldexp(x, k)
-        except OverflowError:
-            x = math.inf
-        if not math.isfinite(x):
-            raise FloatRangeError(
-                "an eigenvalue, or a term of its exact form, is beyond the double range"
-            )
-        return x
+        n, d = self.base.numerator, self.base.denominator
+        rn, rd = self.radicand.numerator, self.radicand.denominator
+        return _nearest(n * rd, self.sign, rn * rd * d * d, d * rd)  # over the denominator d rd
 
     def __neg__(self) -> ExactEig:
         return ExactEig(-self.base, -self.sign, self.radicand)

@@ -4,7 +4,8 @@ Blocks are the strongly connected components of the sparsity graph: the
 diagonal blocks of a block-triangular form.  Blocks of size <= 2 are solved
 exactly (quadratic radicals); a larger one must be tridiagonal with real,
 simple eigenvalues, certified exactly.  Otherwise SolverError names the
-block, and no float is reported for it.
+block, and no float is reported for it.  Each float that is reported is the
+double nearest its exact eigenvalue, ties to even.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .scalars import ExactEig, ExtScalar, rational_sqrt
 
 NUMERIC_RTOL = 1e-9
 GRID_FLOOR = 2**16  # most grid points tried before a block is given up
-REFINE_BITS = 40  # brackets end narrower than 2^-40 of their larger end
 
 
 class SolverError(RuntimeError):
@@ -101,30 +101,39 @@ def _horner(f: list[int], x: int) -> int:
     return acc
 
 
-def _refine(f: list[int], a: int, b: int, fa: int, fb: int, s: int) -> tuple[Fraction, bool]:
-    """(root, True) for an exact root of f in (a, b) / 2^s, else (bracket midpoint, False).
+def _refine(
+    f: list[int], d: int, a: int, b: int, fa: int, fb: int, s: int
+) -> tuple[float, ExactEig | None]:
+    """(float, exact form or None) of the root of f in [a, b) / 2^s, over d.
 
-    fa, fb are the values of 2^(s n) f at a, b: nonzero, of opposite signs;
-    0 is not inside.  Illinois regula falsi at dyadic points until the
-    bracket is narrower than 2^-REFINE_BITS of its larger end.
+    fa, fb are the values of 2^(s n) f at a, b: fa = 0 makes a the root, and
+    otherwise they have opposite signs, with 0 not inside.  Illinois regula
+    falsi at dyadic points, or at the one integer in a bracket narrower than
+    1: a monic integer f has no other rational roots.  An irrational root is
+    no rounding tie, so the bracket ends with both ends, over d, rounding to
+    one double: the root's nearest.
     """
     n, g, kept = len(f) - 1, None, 0  # g: f at scale s; kept: the end the last step kept
-    while (b - a) << REFINE_BITS > max(abs(a), abs(b)):
-        if g is None or b - a < 2**32:  # room for the secant point: 32 more bits, same values
-            a, b, s, fa, fb = a << 32, b << 32, s + 32, fa << 32 * n, fb << 32 * n
-            g = _at_scale(f, s)
-        x = min(max((a * fb - b * fa) // (fb - fa), a + 1), b - 1)
-        fx = _horner(g, x)
-        if not fx:
-            return Fraction(x, 2**s), True
-        if (fx < 0) == (fa < 0):
-            a, fa, fb, kept = x, fx, fb // 2 if kept == 1 else fb, 1
+    while fa:
+        r = ((a >> s) + 1) << s  # the least integer above a
+        if (b - a) << 52 <= max(abs(a), abs(b)):  # only then can both ends round to one double
+            v = ExactEig(Fraction(a, d << s), 0, Fraction(0)).value()  # or FloatRangeError
+            if r >= b and v == ExactEig(Fraction(b, d << s), 0, Fraction(0)).value():
+                return v, None
+        if r < b and b - a < 1 << s:
+            x, fx = r, _horner(f, r >> s) << s * n
         else:
+            if g is None or b - a < 2**24:  # room for the secant point: 32 more bits, same values
+                a, b, s, fa, fb = a << 32, b << 32, s + 32, fa << 32 * n, fb << 32 * n
+                g = _at_scale(f, s)
+            x = min(max((a * fb - b * fa) // (fb - fa), a + 1), b - 1)
+            fx = _horner(g, x)
+        if fx and (fx < 0) != (fa < 0):
             b, fb, fa, kept = x, fx, fa // 2 if kept == -1 else fa, -1
-    r = -(-a >> s)  # the least integer inside: a monic integer f has no other rational roots
-    if r << s <= b and not _horner(f, r):
-        return Fraction(r), True
-    return Fraction(a + b, 2 ** (s + 1)), False
+        else:  # a zero at x ends the loop with the exact root a = x
+            a, fa, fb, kept = x, fx, fb // 2 if kept == 1 else fb, 1
+    e = ExactEig(Fraction(a, d << s), 0, Fraction(0))
+    return e.value(), e
 
 
 def eigenvalues_tridiagonal(block: Matrix) -> list[tuple[float, ExactEig | None]]:
@@ -134,7 +143,7 @@ def eigenvalues_tridiagonal(block: Matrix) -> list[tuple[float, ExactEig | None]
     integer characteristic polynomial f of d * block.  f is evaluated on the
     multiples of a power of two over the Gershgorin interval, halving the
     step until it has n zeros and sign changes: then every root is real and
-    simple.  A zero is an exact root; each sign change goes to `_refine`.
+    simple.  Each zero and each sign change goes to `_refine`.
     Raises ValueError for a block that is not tridiagonal and SolverError
     when the grid would pass GRID_FLOOR points.
     """
@@ -164,10 +173,8 @@ def eigenvalues_tridiagonal(block: Matrix) -> list[tuple[float, ExactEig | None]
         xs = [x for pair in zip((2 * x for x in xs), mids) for x in pair] + [2 * xs[-1]]
         vals = [v for pair in zip((v << n for v in vals), new) for v in pair] + [vals[-1] << n]
     # a zero is an exact root; a sign change up to the next point brackets one
-    roots = [(Fraction(x, 2**s), True) if not v else _refine(f, x, y, v, w, s)
-             for x, y, v, w in zip(xs, xs[1:] + [0], vals, vals[1:] + [0]) if not v or v * w < 0]
-    eigs = [(ExactEig(r / d, 0, Fraction(0)), ok) for r, ok in roots]
-    return [(e.value(), e if ok else None) for e, ok in eigs]
+    return [_refine(f, d, x, y, v, w, s)
+            for x, y, v, w in zip(xs, xs[1:] + [0], vals, vals[1:] + [0]) if not v or v * w < 0]
 
 
 def values_close(a: float, b: float, rtol: float = NUMERIC_RTOL) -> bool:

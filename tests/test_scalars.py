@@ -82,6 +82,7 @@ def test_mismatched_p_raises():
 def test_to_float():
     assert ext(4, 1, 1).to_float() == pytest.approx(3.0)
     assert ext(2, 0, 1).to_float() == pytest.approx(1.41421356, rel=1e-8)
+    assert ext(2, 0, 1).to_float() == math.sqrt(2)  # IEEE sqrt is correctly rounded
     assert ext(9, Fraction(-1, 2), Fraction(1, 2)).to_float() == pytest.approx(1.0)
 
 
@@ -210,29 +211,89 @@ def test_from_triple_is_canonical(p, a, b, d):
             ExtScalar.from_triple(a, b, bad, p)
 
 
-def unscaled_value(e: ExactEig) -> float:
-    """base + sign*sqrt(radicand) from the unscaled terms; OverflowError where one overflows."""
-    root = math.sqrt(e.radicand)
-    if e.sign * e.base >= 0:
-        return float(e.base) + e.sign * root
-    num = e.base * e.base - e.radicand
-    return float(num) / (float(e.base) - e.sign * root) if num else 0.0
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def compare(e: ExactEig, q: Fraction) -> int:
+    """The sign of e's exact value minus q, from Fractions and integer squares alone."""
+    c = e.base - q
+    if not (e.sign and e.radicand):
+        return sign(c)
+    if sign(c) != -e.sign:  # c and sign*sqrt(radicand) do not pull apart
+        return e.sign
+    return sign(c) * sign(c * c - e.radicand)
+
+
+def midpoint(v: float, toward: float) -> Fraction:
+    """Halfway from v to the next double toward +-inf; past the largest double, to +-2^1024."""
+    w = math.nextafter(v, toward)
+    return (Fraction(v) + (Fraction(w) if math.isfinite(w) else sign(w) * Fraction(2) ** 1024)) / 2
+
+
+def is_nearest_double(e: ExactEig, v: float) -> bool:
+    """v is the double nearest e's value, and of two equally near, the even one."""
+    below, above = compare(e, midpoint(v, -math.inf)), compare(e, midpoint(v, math.inf))
+    if below < 0 or above > 0:
+        return False
+    return bool(below and above) or Fraction(v) / Fraction(math.ulp(v)) % 2 == 0
+
+
+# base a*2^i and radicand r*4^j, each possibly far beyond the double range; a
+# square r makes a rational value, which only the divmod rest can make inexact
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+exact_eigs = st.builds(
+    lambda a, i, s, r, j: ExactEig(a * Fraction(2) ** i, s, r * Fraction(4) ** j),
+    small_fractions, st.integers(-1100, 1100),
+    st.sampled_from([-1, 0, 1]),
+    st.one_of(small_fractions.map(abs), small_fractions.map(lambda r: r * r)),
+    st.integers(-1100, 1100),
+)
+
+
+@given(exact_eigs)
+# the radicand 2^-1075 is below the double range, but its root moves the 50th bit
+@example(ExactEig(Fraction(2) ** -488, -1, 2 * Fraction(4) ** -538))
+# base^2 - radicand = 2^-1100 is below the double range; the value, about -2^-701, is not
+@example(ExactEig(-Fraction(1, 2**400), 1, Fraction(1, 2**800) - Fraction(1, 2**1100)))
+# Moszkowski --c 2/3 --V 1/7 at p = 3, E2-: 5/21 - 19/21 is exactly -2/3
+@example(ExactEig(Fraction(5, 21), -1, Fraction(361, 441)))
+# 5/3 = 1.10101...b is inexact by the divmod rest alone, and its rest decides the rounding
+@example(ExactEig(Fraction(5, 3), 0, Fraction(0)))
+# 1 + 2^-53 and -1 - 2^-52 - 2^-53 are ties: the even neighbours are 1 and -1 - 2^-51
+@example(ExactEig(Fraction(1), 1, Fraction(1, 4**53)))
+@example(ExactEig(-1 - Fraction(1, 2**52), -1, Fraction(1, 4**53)))
+def test_value_is_the_nearest_double_ties_to_even(e):
+    try:
+        v = e.value()
+    except FloatRangeError:
+        limit = Fraction(2) ** 1024 - Fraction(2) ** 970  # from here on, doubles round to inf
+        assert compare(e, limit) >= 0 or compare(e, -limit) <= 0
+        return
+    assert is_nearest_double(e, v), (e, v)
+
+
+@pytest.mark.parametrize(
+    "e, want",
+    [
+        (ExactEig(Fraction(2) ** -488, -1, 2 * Fraction(4) ** -538), 1.2513019344894365e-147),
+        (ExactEig(Fraction(5, 21), -1, Fraction(361, 441)), -0.6666666666666666),
+        (ExactEig(Fraction(1), 1, Fraction(1, 4**53)), 1.0),
+        (ExactEig(-1 - Fraction(1, 2**52), -1, Fraction(1, 4**53)), -1 - 2.0**-51),
+    ],
+)
+def test_value_of_known_cases(e, want):
+    assert e.value() == want
 
 
 @given(
-    st.fractions(min_value=-9, max_value=9, max_denominator=9), st.integers(-60, 700),
-    st.sampled_from([-1, 0, 1]),
-    st.fractions(min_value=0, max_value=9, max_denominator=9), st.integers(-60, 700),
+    st.integers(1, 50), st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
 )
-def test_scaling_keeps_the_bytes_of_every_float_that_was_finite(a, i, sign, r, j):
-    # base a*2^i, radicand r*4^j: from i or j of about 500 on, the terms are scaled
-    e = ExactEig(a * Fraction(2) ** i, sign, r * Fraction(4) ** j)
-    try:
-        before = unscaled_value(e)
-    except OverflowError:
-        return
-    if math.isfinite(before):
-        assert e.value().hex() == before.hex()
+def test_to_float_is_the_value_of_the_matching_exact_form(p, a, b, d):
+    x = ExtScalar.from_triple(a, b, d, p)
+    a, b, d = x.triple()
+    assert x.to_float() == ExactEig(Fraction(a, d), sign(b), Fraction(b * b * p, d * d)).value()
 
 
 def decimal_value(e: ExactEig) -> Decimal:

@@ -147,6 +147,44 @@ def test_charpoly_crosscheck_runs():
     assert all(values_close(z.real, w, 1e-12) and type(z) is float for z, w in zip(vals, want))
 
 
+def test_an_integer_root_in_a_wide_final_bracket_is_exact():
+    # with d = 2^53 the eigenvalue a is the integer root 2^53 + 1 of the charpoly
+    # of d * block: a bracket narrow relative to it still holds many integers.
+    # a is a rounding tie, and the even neighbour is 1.0
+    a = 1 + Fraction(1, 2**53)
+    [bs] = spectrum_of_matrix(frac_matrix([[a, 1, 0], [1, a, 1], [0, 1, a]]))
+    assert bs.exact[1] is not None
+    assert bs.exact[1].exact_text() == "9007199254740993/9007199254740992"
+    assert bs.numeric[1] == 1.0
+    assert bs.exact[0] is None and bs.exact[2] is None
+
+
+def charpoly_sign(rows, t: Fraction) -> int:
+    """The sign of det(t - B) for a tridiagonal Fraction block B, by the three-term recurrence."""
+    prev, cur = 1, t - rows[0][0]
+    for i in range(1, len(rows)):
+        prev, cur = cur, (t - rows[i][i]) * cur - rows[i][i - 1] * rows[i - 1][i] * prev
+    return (cur > 0) - (cur < 0)
+
+
+@pytest.mark.parametrize("k2", [Fraction(1, 4), Fraction(3, 5)], ids=str)
+@pytest.mark.parametrize("case", SECTORS)
+def test_each_float_is_the_double_nearest_its_root(case, k2):
+    # an irrational root rounds to v exactly when it lies between the midpoints
+    # from v to its two neighbours, where the charpoly then changes sign
+    for p in range(1, 17):
+        m = sector_matrix(sphaleron_spec(case, p, k2))
+        for bs in spectrum_of_matrix(m):
+            rows = [[m[i][j].rat for j in bs.block] for i in bs.block]
+            for v, e in zip(bs.numeric, bs.exact):
+                if e is not None:
+                    assert v == e.value()
+                    continue
+                below = (Fraction(v) + Fraction(math.nextafter(v, -math.inf))) / 2
+                above = (Fraction(v) + Fraction(math.nextafter(v, math.inf))) / 2
+                assert charpoly_sign(rows, below) * charpoly_sign(rows, above) < 0, (p, v)
+
+
 def test_numeric_entries_are_floats():
     # 1x1, exact-radical 2x2 and tridiagonal blocks, including rational roots
     matrices = [
